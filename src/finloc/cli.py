@@ -138,7 +138,7 @@ def _witness_json(w):
     return w if isinstance(w, (str, int, float, bool, type(None))) else repr(w)
 
 
-def run_check(doc: Document, item: dict, max_size: int, seed: int) -> dict:
+def run_check(doc: Document, item: dict, max_size: int) -> dict:
     kind = item.get("check")
     cid = item.get("id") or f"{kind}:{item.get('relation') or item.get('lattice') or item.get('groupoid') or ''}"
     out = {"id": cid, "check": kind, "status": "pass", "detail": {}}
@@ -233,7 +233,7 @@ def run_check(doc: Document, item: dict, max_size: int, seed: int) -> dict:
         elif kind == "equivalence":
             G = doc.groupoids[item["groupoid"]]
             bound = int(item.get("max_size", max_size))
-            rep = equivalence_check(G, bound, seed=seed)
+            rep = equivalence_check(G, bound)
             out["detail"] = {
                 "check_id": "galois.equivalence",
                 "objects": rep.object_count,
@@ -242,7 +242,7 @@ def run_check(doc: Document, item: dict, max_size: int, seed: int) -> dict:
                 "candidates": rep.candidates_checked,
             }
         elif kind == "selftest":
-            out["detail"] = _selftest(max_size, seed)
+            out["detail"] = _selftest(max_size)
             if not out["detail"]["all_passed"]:
                 out["status"] = "fail"
         else:
@@ -254,7 +254,7 @@ def run_check(doc: Document, item: dict, max_size: int, seed: int) -> dict:
     return out
 
 
-def _selftest(max_size: int, seed: int) -> dict:
+def _selftest(max_size: int) -> dict:
     """Built-in fixture suite: one line of the acceptance surface per area."""
     results = {}
     two, ch3, p2 = fixtures.TWO(), fixtures.CH3(), fixtures.P2()
@@ -269,7 +269,7 @@ def _selftest(max_size: int, seed: int) -> dict:
     g = fixtures.z_mod(2)
     rep = reconstruct(g)
     results["reconstruct_z2"] = rep.sizes_match
-    eq = equivalence_check(g, min(max_size, 3), seed=seed)
+    eq = equivalence_check(g, min(max_size, 3))
     results["equivalence_z2"] = eq.object_count > 0
     results["all_passed"] = all(bool(v) for v in results.values())
     return results
@@ -279,12 +279,12 @@ def _selftest(max_size: int, seed: int) -> dict:
 
 
 def _run_item(args):
-    raw, item, max_size, seed = args
+    raw, item, max_size = args
     doc = Document(raw)
-    return run_check(doc, item, max_size, seed)
+    return run_check(doc, item, max_size)
 
 
-def run(doc: Document, selection=None, max_size: int = 4, seed: int = 0,
+def run(doc: Document, selection=None, max_size: int = 4,
         parallel: int = 1) -> tuple[dict, dict]:
     checks = doc.checks
     if selection:
@@ -295,12 +295,12 @@ def run(doc: Document, selection=None, max_size: int = 4, seed: int = 0,
     if parallel > 1 and len(checks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(
-                _run_item, [(doc.raw, c, max_size, seed) for c in checks]))
+                _run_item, [(doc.raw, c, max_size) for c in checks]))
         timings = {r["id"]: None for r in results}
     else:
         for c in checks:
             t1 = time.perf_counter()
-            r = run_check(doc, c, max_size, seed)
+            r = run_check(doc, c, max_size)
             timings[r["id"]] = round(time.perf_counter() - t1, 6)
             results.append(r)
     passed = sum(1 for r in results if r["status"] == "pass")
@@ -366,7 +366,6 @@ def main(argv=None) -> int:
                     help="restrict `check` to these kinds")
     ap.add_argument("--groupoid", help="fixture or declared groupoid name")
     ap.add_argument("--max-size", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--parallel", type=int, default=1)
     ns = ap.parse_args(argv)
     try:
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
         report["summary"] = {"pass": 1, "fail": 0, "total": 1}
     elif ns.command == "check":
         report, timings = run(doc, selection=ns.checks, max_size=ns.max_size,
-                              seed=ns.seed, parallel=ns.parallel)
+                              parallel=ns.parallel)
     elif ns.command in ("coend", "reconstruct", "equivalence"):
         if not ns.groupoid:
             print("input error: --groupoid is required", file=sys.stderr)
@@ -389,10 +388,10 @@ def main(argv=None) -> int:
         item = {"check": ns.command, "groupoid": ns.groupoid,
                 "max_size": ns.max_size}
         doc.checks = [item]
-        report, timings = run(doc, max_size=ns.max_size, seed=ns.seed)
+        report, timings = run(doc, max_size=ns.max_size)
     else:  # selftest
         doc.checks = [{"check": "selftest", "id": "selftest"}]
-        report, timings = run(doc, max_size=ns.max_size, seed=ns.seed)
+        report, timings = run(doc, max_size=ns.max_size)
     text = emit(report, timings, ns.format, ns.report)
     if not ns.report:
         print(text, end="")

@@ -1104,12 +1104,6 @@ class _HomSpace:
             seen |= mask
             self.orbit_masks.append(mask)
 
-    def bits_of(self, R):
-        out = 0
-        for p in R:
-            out |= 1 << self.pos[p]
-        return out
-
     def set_of(self, bits):
         return frozenset(p for i, p in enumerate(self.pairs) if (bits >> i) & 1)
 
@@ -1150,8 +1144,7 @@ class _HomSpace:
         return True
 
 
-def equivalence_check(G: FiniteGroupoid, max_size: int,
-                      seed: int = 0) -> EquivalenceReport:
+def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
     """Objects and homs of the action relation category against comodules.
 
     Object side: the transporter map is a bijection between actions and

@@ -589,8 +589,10 @@ def all_locales(max_size: int) -> tuple[FiniteLocale, ...]:
     Finite frames are the down-set lattices of finite posets, so posets are
     grown one point at a time (the new point's strict down-set is any down-set
     of the current poset) and pruned as soon as the down-set count overshoots.
+    By Birkhoff's theorem two finite distributive lattices are isomorphic
+    exactly when their posets of join-irreducibles are, so deduplicating the
+    posets deduplicates the locales.
     """
-    found_keys = set()
     locales = []
 
     def downsets(up):
@@ -661,27 +663,4 @@ def all_locales(max_size: int) -> tuple[FiniteLocale, ...]:
                 grow(new_up)
 
     grow([])
-    uniq = []
-    for L in locales:
-        if not any(_lattice_iso(L, M) for M in uniq):
-            uniq.append(L)
-    return tuple(sorted(uniq, key=len))
-
-
-def _lattice_iso(L: FiniteSupLattice, M: FiniteSupLattice) -> bool:
-    import itertools
-
-    if len(L) != len(M):
-        return False
-    lprof = sorted(sum(L.leq(x, y) for y in L.elements) for x in L.elements)
-    mprof = sorted(sum(M.leq(x, y) for y in M.elements) for x in M.elements)
-    if lprof != mprof:
-        return False
-    for perm in itertools.permutations(range(len(M))):
-        if all(
-            L.leq(L.elements[i], L.elements[j])
-            == M.leq(M.elements[perm[i]], M.elements[perm[j]])
-            for i in range(len(L)) for j in range(len(L))
-        ):
-            return True
-    return False
+    return tuple(sorted(locales, key=len))

@@ -263,10 +263,4 @@ def duality_iso(d1: DualityData, d2: DualityData) -> SupMorphism:
     """
     if d1.module.lattice.elements != d2.module.lattice.elements:
         raise NotDualizable("dualities are not over the same module")
-    N1, N2 = d1.dual.lattice, d2.dual.lattice
-    table = {}
-    for n in N1.elements:
-        table[n] = N2.join_all(
-            d2.dual.act(d1.eps(m2, n), nhat) for nhat, m2 in d2.eta
-        )
-    return SupMorphism(N1, N2, table)
+    return dual_morphism(lambda m: m, d2, d1)

@@ -159,7 +159,7 @@ class PresentedSupLattice:
                 u = a | b
                 if u in seen:
                     continue
-                c = u if self._is_closed(u) else self.closure(u)
+                c = self.closure(u)
                 if c not in seen:
                     seen.add(c)
                     work.append(c)
@@ -179,16 +179,6 @@ class PresentedSupLattice:
 
             self._locale = FiniteLocale.from_lattice(self.lattice())
         return self._locale
-
-    def _is_closed(self, sub: frozenset) -> bool:
-        idx = {self._gi[g] for g in sub}
-        for prem, conc in self._rules:
-            if all(p in idx for p in prem) and not all(c in idx for c in conc):
-                return False
-        return True
-
-    def class_of(self, element: PElement) -> frozenset:
-        return element.closure
 
     def __repr__(self):
         return (f"<PresentedSupLattice {len(self.gens)} gens, "

@@ -18,6 +18,7 @@ from .errors import (
     NoDuals,
     NotDense,
     ShapeMismatch,
+    SizeBound,
 )
 from .lattice import FiniteLocale, FiniteSupLattice, SupMorphism, two
 from .modb import BModule, DualityData, dual_morphism
@@ -284,9 +285,6 @@ class Coend:
                     ))
         self.quotient = PresentedSupLattice(
             JoinPresentation(tuple(gens), tuple(rels)), carrier_cap)
-        # generators already collapsed to the zero class; formal sums are
-        # normalized against these before any comparison
-        self.bottom_gens = self.quotient.closure(())
 
     def inject(self, obj: str, m, n) -> PElement:
         """lambda_C(m (x) n) for module elements m, n."""
@@ -349,41 +347,8 @@ class Coend:
                    for h1, h2 in self.cocompose(g1)}
             rhs = {(g1, h1, h2) for g1, g2 in pairs
                    for h1, h2 in self.cocompose(g2)}
-            if lhs != rhs and not self._pairs3_equal(lhs, rhs):
+            if not tensor_equal((self.quotient.closure,) * 3, lhs, rhs):
                 raise Mismatch(f"coassociativity fails at {gen!r}")
-
-    def _pairs3_equal(self, lhs, rhs) -> bool:
-        """Closure comparison in L3: apply the coend congruence slotwise."""
-        return (self._saturate3(lhs) == self._saturate3(rhs))
-
-    def _saturate3(self, triples):
-        q = self.quotient
-        current = {t for t in triples
-                   if not any(x in self.bottom_gens for x in t)}
-        changed = True
-        while changed:
-            changed = False
-            by12 = {}
-            for t in current:
-                by12.setdefault((t[0], t[1]), set()).add(t[2])
-            new = set(current)
-            for (a, b), cs in by12.items():
-                closed = q.closure(cs)
-                for c in closed:
-                    if (a, b, c) not in new:
-                        new.add((a, b, c))
-                        changed = True
-            by23 = {}
-            for t in new:
-                by23.setdefault((t[1], t[2]), set()).add(t[0])
-            for (b, c), as_ in by23.items():
-                closed = q.closure(as_)
-                for a in closed:
-                    if (a, b, c) not in new:
-                        new.add((a, b, c))
-                        changed = True
-            current = new
-        return frozenset(current)
 
     # coevaluation and comodules ---------------------------------------------
 
@@ -411,8 +376,50 @@ def end_wedge(B, objects, arrows, carrier_cap: int = 65536) -> Coend:
 # -- comodules over a coend (generic, formal representation) -------------------
 
 
-def comodule_holds(L: Coend, obj_module: BModule, duality: DualityData,
-                   rho: dict) -> bool:
+def tensor_equal(closes, lhs, rhs) -> bool:
+    """Equality of two formal sums of generator tuples in a tensor product.
+
+    Tensor equations between formal sums (coassociativity in L (x) L (x) L,
+    the comodule law in L (x) L (x) M, comodule morphisms in L (x) M) are
+    all decided here, by one slotwise closure in the tensor presentation.
+    `closes` holds one closure function per slot: `L.quotient.closure` for a
+    coend slot, the generators below the join of the values for a module
+    slot.  Tuples with a component in its slot's zero class are dropped;
+    both sides are then saturated by closing every slot with the other slots
+    held fixed until nothing changes, and the saturations are compared.
+    """
+    if lhs == rhs:
+        return True
+    zeros = [close(()) for close in closes]
+
+    def saturate(tuples):
+        current = {t for t in tuples
+                   if not any(x in z for x, z in zip(t, zeros))}
+        changed = True
+        while changed:
+            changed = False
+            for i, close in enumerate(closes):
+                groups = {}
+                for t in current:
+                    groups.setdefault(t[:i] + t[i + 1:], set()).add(t[i])
+                for rest, xs in groups.items():
+                    for x in close(xs):
+                        t = rest[:i] + (x,) + rest[i:]
+                        if t not in current:
+                            current.add(t)
+                            changed = True
+        return current
+
+    return saturate(lhs) == saturate(rhs)
+
+
+def _module_closure(M: BModule):
+    pres = M.presentation
+    return lambda gens: pres.decompose(
+        M.lattice.join_all(pres.value[g] for g in gens))
+
+
+def comodule_holds(L: Coend, obj_module: BModule, rho: dict) -> bool:
     """C1 and C2 for a coaction given on module generators as formal pairs
     (PElement of L, module element)."""
     pres = obj_module.presentation
@@ -424,6 +431,8 @@ def comodule_holds(L: Coend, obj_module: BModule, duality: DualityData,
             back = obj_module.lattice.join(back, obj_module.act(e, m))
         if back != pres.value[g]:
             return False
+    closes = (L.quotient.closure, L.quotient.closure,
+              _module_closure(obj_module))
     for g in pres.gens:
         lhs = set()
         for lam, m in rho[g]:
@@ -438,7 +447,7 @@ def comodule_holds(L: Coend, obj_module: BModule, duality: DualityData,
                         for l2 in lam2.raw:
                             for mg2 in pres.decompose(m2):
                                 rhs.add((l1, l2, mg2))
-        if lhs != rhs and not _mixed3_equal(L, obj_module, lhs, rhs):
+        if not tensor_equal(closes, lhs, rhs):
             return False
     return True
 
@@ -454,53 +463,14 @@ def _counit_of_element(L: Coend, lam: PElement):
     return L.B.join_all(L.counit(g) for g in lam.raw)
 
 
-def _mixed3_equal(L: Coend, M: BModule, lhs, rhs) -> bool:
-    def saturate(triples):
-        current = {(a, b, c) for (a, b, c) in triples
-                   if a not in L.bottom_gens and b not in L.bottom_gens}
-        changed = True
-        while changed:
-            changed = False
-            groups = {}
-            for (a, b, c) in current:
-                groups.setdefault((a, b), set()).add(c)
-            new = set(current)
-            for (a, b), cs in groups.items():
-                val = M.lattice.join_all(M.presentation.value[c] for c in cs)
-                for c in M.presentation.decompose(val):
-                    if (a, b, c) not in new:
-                        new.add((a, b, c))
-                        changed = True
-            groups = {}
-            for (a, b, c) in new:
-                groups.setdefault((b, c), set()).add(a)
-            for (b, c), as_ in groups.items():
-                for a in L.quotient.closure(as_):
-                    if (a, b, c) not in new:
-                        new.add((a, b, c))
-                        changed = True
-            groups = {}
-            for (a, b, c) in new:
-                groups.setdefault((a, c), set()).add(b)
-            for (a, c), bs in groups.items():
-                for b in L.quotient.closure(bs):
-                    if (a, b, c) not in new:
-                        new.add((a, b, c))
-                        changed = True
-            current = new
-        return frozenset(current)
-
-    return saturate(lhs) == saturate(rhs)
-
-
 def lifting(L: Coend) -> dict:
     """The lifting of the fiber functor: a verified coaction per object,
     with every arrow a comodule morphism."""
     coactions = {}
     for name, o in L.objects.items():
         rho = L.coaction(name)
-        assert comodule_holds(L, o.module, o.duality, rho), \
-            f"lifting coaction on {name!r} is not a comodule"
+        if not comodule_holds(L, o.module, rho):
+            raise Mismatch(f"lifting coaction on {name!r} is not a comodule")
         coactions[name] = rho
     for f in L.arrows:
         src, dst = L.objects[f.src], L.objects[f.dst]
@@ -517,55 +487,25 @@ def lifting(L: Coend) -> dict:
                     for l1 in lam.raw:
                         for m2 in pdst.decompose(m):
                             rhs.add((l1, m2))
-            if lhs != rhs and not _mixed2_equal(L, dst.module, lhs, rhs):
+            if not tensor_equal((L.quotient.closure,
+                                 _module_closure(dst.module)), lhs, rhs):
                 raise Mismatch(f"arrow {f.name!r} is not a comodule morphism")
     return coactions
 
 
-def _mixed2_equal(L: Coend, M: BModule, lhs, rhs) -> bool:
-    def saturate(pairs):
-        current = {(a, c) for (a, c) in pairs if a not in L.bottom_gens}
-        changed = True
-        while changed:
-            changed = False
-            groups = {}
-            for (a, c) in current:
-                groups.setdefault(a, set()).add(c)
-            new = set(current)
-            for a, cs in groups.items():
-                val = M.lattice.join_all(M.presentation.value[c] for c in cs)
-                for c in M.presentation.decompose(val):
-                    if (a, c) not in new:
-                        new.add((a, c))
-                        changed = True
-            groups = {}
-            for (a, c) in new:
-                groups.setdefault(c, set()).add(a)
-            for c, as_ in groups.items():
-                for a in L.quotient.closure(as_):
-                    if (a, c) not in new:
-                        new.add((a, c))
-                        changed = True
-            current = new
-        return frozenset(current)
-
-    return saturate(lhs) == saturate(rhs)
-
-
 def unique_cogebroide(L: Coend, max_candidates: int = 200000) -> bool:
     """Perturbation search: no other (c, e) pair keeps every lifting
-    coaction a comodule.  Feasible only for small coends."""
-    lat = L.lattice()
-    gens = L.quotient.gens
-    e_options = {g: [b for b in L.B.elements] for g in gens}
+    coaction a comodule.  Raises SizeBound when the search needs more than
+    `max_candidates` candidates."""
     count = 0
-    for gen in gens:
-        for e_val in e_options[gen]:
+    for gen in L.quotient.gens:
+        for e_val in L.B.elements:
             if e_val == L.counit(gen):
                 continue
             count += 1
             if count > max_candidates:
-                return True
+                raise SizeBound(
+                    f"uniqueness search exceeds {max_candidates} candidates")
             if _perturbed_counit_ok(L, gen, e_val):
                 return False
     return True

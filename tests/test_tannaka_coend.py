@@ -2,10 +2,21 @@
 
 import pytest
 
+from finloc import tannaka
+from finloc.errors import SizeBound
 from finloc.fixtures import TWO
 from finloc.lattice import SupMorphism, power_locale
 from finloc.modb import BModule, DualityData, check_duality
-from finloc.tannaka import Coend, CoendArrow, CoendObject, end_wedge, lifting, unique_cogebroide
+from finloc.tannaka import (
+    Coend,
+    CoendArrow,
+    CoendObject,
+    comodule_holds,
+    end_wedge,
+    lifting,
+    tensor_equal,
+    unique_cogebroide,
+)
 
 
 def _self_dual_base(B):
@@ -41,7 +52,7 @@ def _powerset_duality(points):
     return mod, d
 
 
-def test_coend_z2_one_object_site():
+def _z2_coend():
     # the regular Z/2-set with all four invariant endorelations as arrows
     mod, d = _powerset_duality(("e", "s"))
     P = mod.lattice
@@ -60,7 +71,11 @@ def test_coend_z2_one_object_site():
         CoendArrow("swap", "G", "G", swap),
         CoendArrow("full", "G", "G", full),
     ]
-    L = end_wedge(TWO(), [obj], arrows)
+    return end_wedge(TWO(), [obj], arrows), mod
+
+
+def test_coend_z2_one_object_site():
+    L, _ = _z2_coend()
     lat = L.lattice()
     assert len(lat) == 4
     # the coend atoms are [a, b] with b the transporter target: the two
@@ -73,6 +88,62 @@ def test_coend_z2_one_object_site():
     coactions = lifting(L)
     assert set(coactions) == {"G"}
     assert unique_cogebroide(L)
+
+
+def test_unique_cogebroide_out_of_budget_raises():
+    L, _ = _z2_coend()
+    with pytest.raises(SizeBound):
+        unique_cogebroide(L, max_candidates=0)
+
+
+def _record_tensor_equal(monkeypatch):
+    """Replace tannaka.tensor_equal by a wrapper that records, per call,
+    whether the two sums were equal as sets and what it returned."""
+    calls = []
+
+    def spy(closes, lhs, rhs):
+        calls.append((lhs == rhs, tensor_equal(closes, lhs, rhs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(tannaka, "tensor_equal", spy)
+    return calls
+
+
+def test_comodule_law_on_padded_coaction_takes_closure_path(monkeypatch):
+    # padding every coend class to its whole closure names the same coaction
+    # by different formal sums, so C1 must be decided by closure
+    L, mod = _z2_coend()
+    rho = {g: tuple((L.quotient.element(lam.closure), m) for lam, m in pairs)
+           for g, pairs in L.coaction("G").items()}
+    calls = _record_tensor_equal(monkeypatch)
+    assert comodule_holds(L, mod, rho)
+    assert calls and all(not same and ok for same, ok in calls)
+
+
+def test_comodule_law_fails_at_coassociativity(monkeypatch):
+    # the zero class in place of [e, s] keeps the counit law (the counit of
+    # [e, s] is already 0) and breaks coassociativity
+    L, mod = _z2_coend()
+    rho = L.coaction("G")
+    e = frozenset({"e"})
+    (lam, m), (_, m2) = rho[e]
+    rho[e] = ((lam, m), (L.quotient.bottom, m2))
+    calls = _record_tensor_equal(monkeypatch)
+    assert not comodule_holds(L, mod, rho)
+    assert calls[-1] == (False, False)  # C2 passed on every generator
+
+
+def test_tensor_equal_closes_the_middle_slot():
+    # [e, e] = [s, s] in the coend, so the two sums differ only by a closure
+    # of the middle slot
+    L, _ = _z2_coend()
+    q = L.quotient
+    ee, es, ss = (("G", frozenset({a}), frozenset({b}))
+                  for a, b in ("ee", "es", "ss"))
+    assert ss in q.closure((ee,))
+    closes = (q.closure,) * 3
+    assert tensor_equal(closes, {(es, ee, es)}, {(es, ee, es), (es, ss, es)})
+    assert not tensor_equal(closes, {(es, ee, es)}, {(es, es, es)})
 
 
 def test_nat_predual_with_distinct_functors():
