@@ -10,6 +10,7 @@ top-level field so that the rest of the report is byte-stable.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -44,6 +45,24 @@ def _pairs_to_dict(pairs, what):
         raise ParseError(f"{what} must be a list of [key, value] pairs")
 
 
+@contextlib.contextmanager
+def _entry(section: str, index: int):
+    """Turn a malformed declaration into a ParseError naming its place."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{section}[{index}] is malformed: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
+def _resolve(table: dict, name, what: str):
+    """The declaration `name` refers to, or UnresolvedReference."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise UnresolvedReference(f"unknown {what} {name!r}") from None
+
+
 class Document:
     """Parsed and validated declarations, ready to run checks against."""
 
@@ -58,55 +77,49 @@ class Document:
         self.relations = {}
         self.groupoids = dict(fixtures.fixture_groupoids())
         self.actions = {}
-        for spec in raw.get("lattices", []):
-            name = spec["name"]
-            self.lattices[name] = build_suplattice(
-                [_hashable(e) for e in spec["elements"]],
-                [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
-            )
+        for i, spec in enumerate(raw.get("lattices", [])):
+            with _entry("lattices", i):
+                self.lattices[spec["name"]] = build_suplattice(
+                    [_hashable(e) for e in spec["elements"]],
+                    [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
+                )
         for name, loc in fixtures.standard_locales().items():
             self.locales.setdefault(name, loc)
-        for spec in raw.get("locales", []):
-            name = spec["name"]
-            base = build_suplattice(
-                [_hashable(e) for e in spec["elements"]],
-                [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
-            )
-            self.locales[name] = FiniteLocale.from_lattice(base)
-        for spec in raw.get("groupoids", []):
-            self.groupoids[spec["name"]] = FiniteGroupoid(
-                objects=[_hashable(o) for o in spec["objects"]],
-                arrows=[_hashable(a) for a in spec["arrows"]],
-                source=_pairs_to_dict(spec["source"], "source"),
-                target=_pairs_to_dict(spec["target"], "target"),
-                unit=_pairs_to_dict(spec["unit"], "unit"),
-                compose={(f, g): h for f, g, h in spec["compose"]},
-                inverse=_pairs_to_dict(spec["inverse"], "inverse"),
-            )
-        for spec in raw.get("relations", []):
-            hname = spec["values"]
-            H = self.locales.get(hname)
-            if H is None:
-                raise UnresolvedReference(
-                    f"relation {spec['name']!r} references unknown locale {hname!r}")
-            table = {}
-            for x, y, v in spec["table"]:
-                table[(_hashable(x), _hashable(y))] = _hashable(v)
-            self.relations[spec["name"]] = LRelation(
-                H, [_hashable(e) for e in spec["source"]],
-                [_hashable(e) for e in spec["target"]], table)
-        for spec in raw.get("actions", []):
-            gname = spec["groupoid"]
-            if gname not in self.groupoids:
-                raise UnresolvedReference(
-                    f"action {spec['name']!r} references unknown groupoid {gname!r}")
-            self.actions[spec["name"]] = DiscreteAction(
-                self.groupoids[gname],
-                [_hashable(e) for e in spec["carrier"]],
-                _pairs_to_dict(spec["anchor"], "anchor"),
-                {(g, x): y for g, x, y in spec["table"]},
-                name=spec["name"],
-            )
+        for i, spec in enumerate(raw.get("locales", [])):
+            with _entry("locales", i):
+                base = build_suplattice(
+                    [_hashable(e) for e in spec["elements"]],
+                    [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
+                )
+                self.locales[spec["name"]] = FiniteLocale.from_lattice(base)
+        for i, spec in enumerate(raw.get("groupoids", [])):
+            with _entry("groupoids", i):
+                self.groupoids[spec["name"]] = FiniteGroupoid(
+                    objects=[_hashable(o) for o in spec["objects"]],
+                    arrows=[_hashable(a) for a in spec["arrows"]],
+                    source=_pairs_to_dict(spec["source"], "source"),
+                    target=_pairs_to_dict(spec["target"], "target"),
+                    unit=_pairs_to_dict(spec["unit"], "unit"),
+                    compose={(f, g): h for f, g, h in spec["compose"]},
+                    inverse=_pairs_to_dict(spec["inverse"], "inverse"),
+                )
+        for i, spec in enumerate(raw.get("relations", [])):
+            with _entry("relations", i):
+                H = _resolve(self.locales, spec["values"], "locale")
+                table = {(_hashable(x), _hashable(y)): _hashable(v)
+                         for x, y, v in spec["table"]}
+                self.relations[spec["name"]] = LRelation(
+                    H, [_hashable(e) for e in spec["source"]],
+                    [_hashable(e) for e in spec["target"]], table)
+        for i, spec in enumerate(raw.get("actions", [])):
+            with _entry("actions", i):
+                self.actions[spec["name"]] = DiscreteAction(
+                    _resolve(self.groupoids, spec["groupoid"], "groupoid"),
+                    [_hashable(e) for e in spec["carrier"]],
+                    _pairs_to_dict(spec["anchor"], "anchor"),
+                    {(g, x): y for g, x, y in spec["table"]},
+                    name=spec["name"],
+                )
         self.checks = list(raw.get("checks", []))
 
 
@@ -152,23 +165,20 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
 
     try:
         if kind == "frame":
-            L = doc.lattices.get(item["lattice"]) or doc.locales.get(item["lattice"])
-            if L is None:
-                raise UnresolvedReference(f"unknown lattice {item['lattice']!r}")
+            L = _resolve({**doc.locales, **doc.lattices}, item.get("lattice"),
+                         "lattice")
             ok, witness = is_frame(L)
             out["detail"] = {"check_id": "lattice.frame_law", "frame": ok}
             if not ok and item.get("expect", "frame") == "frame":
                 return fail(out["detail"], witness)
         elif kind == "points":
-            H = doc.locales[item["locale"]]
+            H = _resolve(doc.locales, item.get("locale"), "locale")
             out["detail"] = {"check_id": "lattice.points", "count": len(points(H))}
             want = item.get("expect_count")
             if want is not None and want != out["detail"]["count"]:
                 return fail(out["detail"])
         elif kind == "axioms":
-            r = doc.relations.get(item["relation"])
-            if r is None:
-                raise UnresolvedReference(f"unknown relation {item['relation']!r}")
+            r = _resolve(doc.relations, item.get("relation"), "relation")
             rep = check_axioms(r)
             out["detail"] = {
                 "check_id": "relation.axioms",
@@ -182,7 +192,7 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
             if expect is not None and expect != out["detail"]["classification"]:
                 return fail(out["detail"], rep.witnesses)
         elif kind == "tabulate":
-            r = doc.relations[item["relation"]]
+            r = _resolve(doc.relations, item.get("relation"), "relation")
             try:
                 f = tabulate(r)
                 out["detail"] = {"check_id": "relation.tabulate",
@@ -191,8 +201,8 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
                 return fail({"check_id": "relation.tabulate",
                              "error": str(exc)}, exc.witness)
         elif kind == "diagram":
-            r = doc.relations[item["first"]]
-            r2 = doc.relations[item["second"]]
+            r = _resolve(doc.relations, item.get("first"), "relation")
+            r2 = _resolve(doc.relations, item.get("second"), "relation")
             dkind = item["kind"]
             if dkind == "diamond":
                 data = (set(map(tuple, item["R"])), set(map(tuple, item["S"])))
@@ -204,15 +214,15 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
             if not ok and item.get("expect", True):
                 return fail(out["detail"], witness)
         elif kind == "tensor":
-            M = doc.locales[item["first"]]
-            N = doc.locales[item["second"]]
+            M = _resolve(doc.locales, item.get("first"), "locale")
+            N = _resolve(doc.locales, item.get("second"), "locale")
             T = tensor(M, N)
             size = len(T.lattice())
             out["detail"] = {"check_id": "present.tensor", "size": size}
             if item.get("expect_size") not in (None, size):
                 return fail(out["detail"])
         elif kind == "coend":
-            G = doc.groupoids[item["groupoid"]]
+            G = _resolve(doc.groupoids, item.get("groupoid"), "groupoid")
             gc = GaloisCoend(default_site(G))
             size = len(gc.quotient.lattice())
             out["detail"] = {"check_id": "tannaka.coend", "size": size,
@@ -220,7 +230,7 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
             if size != 2 ** len(G.arrows):
                 return fail(out["detail"])
         elif kind == "reconstruct":
-            G = doc.groupoids[item["groupoid"]]
+            G = _resolve(doc.groupoids, item.get("groupoid"), "groupoid")
             rep = reconstruct(G)
             out["detail"] = {
                 "check_id": "galois.reconstruct",
@@ -231,7 +241,7 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
             if not rep.sizes_match:
                 return fail(out["detail"])
         elif kind == "equivalence":
-            G = doc.groupoids[item["groupoid"]]
+            G = _resolve(doc.groupoids, item.get("groupoid"), "groupoid")
             bound = int(item.get("max_size", max_size))
             rep = equivalence_check(G, bound)
             out["detail"] = {

@@ -267,7 +267,7 @@ class GroupoidHopf:
         return self.s(b) & U
 
 
-def groupoid_to_hopf(G: FiniteGroupoid, verify: bool = True) -> GroupoidHopf:
+def groupoid_to_hopf(G: FiniteGroupoid) -> GroupoidHopf:
     B = power_locale(G.objects)
     L = power_locale(G.arrows, cap=max(64, 2 ** len(G.arrows)))
     composable = tuple((f, g) for f in G.arrows for g in G.arrows
@@ -275,8 +275,7 @@ def groupoid_to_hopf(G: FiniteGroupoid, verify: bool = True) -> GroupoidHopf:
     parallel = tuple((f, g) for f in G.arrows for g in G.arrows
                      if G.source[f] == G.source[g] and G.target[f] == G.target[g])
     H = GroupoidHopf(G, B, L, composable, parallel)
-    if verify:
-        verify_hopf_laws(H)
+    verify_hopf_laws(H)
     return H
 
 
@@ -412,22 +411,22 @@ def comodule_axioms(c: Comodule) -> AxiomReport:
         if got != frozenset(G.arrows_into(c.anchor[x])):
             ed, wit["ed"] = False, (x,)
             break
-    for x in c.carrier:
-        for y1 in c.carrier:
-            for y2 in c.carrier:
-                if y1 != y2 and c.mu[(x, y1)] & c.mu[(x, y2)]:
-                    uv, wit["uv"] = False, (x, y1, y2)
+    bad = next(((x, y1, y2) for x in c.carrier for y1 in c.carrier
+                for y2 in c.carrier
+                if y1 != y2 and c.mu[(x, y1)] & c.mu[(x, y2)]), None)
+    if bad:
+        uv, wit["uv"] = False, bad
     for y in c.carrier:
         got = frozenset().union(*(c.mu[(x, y)] for x in c.carrier)) \
             if c.carrier else frozenset()
         if got != frozenset(G.arrows_from(c.anchor[y])):
             su, wit["su"] = False, (y,)
             break
-    for y in c.carrier:
-        for x1 in c.carrier:
-            for x2 in c.carrier:
-                if x1 != x2 and c.mu[(x1, y)] & c.mu[(x2, y)]:
-                    inj, wit["in"] = False, (x1, x2, y)
+    bad = next(((x1, x2, y) for y in c.carrier for x1 in c.carrier
+                for x2 in c.carrier
+                if x1 != x2 and c.mu[(x1, y)] & c.mu[(x2, y)]), None)
+    if bad:
+        inj, wit["in"] = False, bad
     return AxiomReport(ed, uv, su, inj, wit)
 
 
@@ -1234,11 +1233,10 @@ def factor_cone(gc: GaloisCoend, A: FiniteLocale, g0, g1, tables: dict,
     assert bad is None, f"factorization is not a locale morphism: {bad}"
     if candidates is None:
         candidates = locale_morphisms(gc.quotient.locale(), A)
-    matches = []
-    for cand in candidates:
-        if all(cand.table[gc.quotient.gen_class(g).closure] == assign[g]
-               for g in gc.quotient.gens):
-            matches.append(cand)
+    closures = [(gc.quotient.gen_class(g).closure, assign[g])
+                for g in gc.quotient.gens]
+    matches = [cand for cand in candidates
+               if all(cand.table[c] == a for c, a in closures)]
     assert len(matches) == 1, f"expected a unique factorization, got {len(matches)}"
     return matches[0]
 

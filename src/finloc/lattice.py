@@ -175,19 +175,9 @@ class FiniteSupLattice:
             i = self._jn[i][self.index(x)]
         return self.elements[i]
 
-    def meet_all(self, xs: Iterable):
-        i = self._top_i
-        for x in xs:
-            i = self._mt[i][self.index(x)]
-        return self.elements[i]
-
     def down_set(self, x):
         xi = self.index(x)
         return tuple(e for j, e in enumerate(self.elements) if (self._up[j] >> xi) & 1)
-
-    def up_set(self, x):
-        m = self._up[self.index(x)]
-        return tuple(e for j, e in enumerate(self.elements) if (m >> j) & 1)
 
     def join_irreducibles(self) -> tuple:
         """Elements that are not the join of their strict down-set."""
@@ -199,10 +189,6 @@ class FiniteSupLattice:
             if self.join_all(below) != e:
                 out.append(e)
         return tuple(out)
-
-    def decompose(self, x) -> frozenset:
-        """Canonical join-irreducible decomposition of `x`."""
-        return frozenset(j for j in self.join_irreducibles() if self.leq(j, x))
 
     def __repr__(self):
         return f"<{type(self).__name__} {len(self.elements)} elements>"
@@ -533,54 +519,41 @@ def presented_locale_morphism(H: FiniteLocale, Y, f: dict, module) -> SupMorphis
     return g
 
 
-def prime_elements(H: FiniteLocale) -> tuple:
-    """u < top with x ∧ y <= u implying x <= u or y <= u."""
-    out = []
-    for u in H.elements:
-        if u == H.top:
-            continue
-        if all(
-            H.leq(x, u) or H.leq(y, u)
-            for x in H.elements
-            for y in H.elements
-            if H.leq(H.meet(x, y), u)
-        ):
-            out.append(u)
-    return tuple(out)
-
-
 def points(H: FiniteLocale) -> tuple[SupMorphism, ...]:
-    """All locale morphisms H -> Omega, one per prime element."""
-    omega = two()
-    out = []
-    for u in prime_elements(H):
-        table = {x: (0 if H.leq(x, u) else 1) for x in H.elements}
-        p = SupMorphism(H, omega, table)
-        assert check_locale_morphism(p) is None
-        out.append(p)
-    return tuple(out)
+    """All locale morphisms H -> Omega, one per join-irreducible of H."""
+    return locale_morphisms(H, two())
 
 
 def locale_morphisms(L: FiniteLocale, A: FiniteLocale) -> tuple[SupMorphism, ...]:
-    """All locale morphisms L -> A, enumerated through values on irreducibles."""
-    import itertools
+    """All locale morphisms L -> A, one per monotone map J(A) -> J(L).
 
-    irr = L.join_irreducibles()
+    Birkhoff duality: finite locales are distributive, so join-irreducibles
+    are join-prime.  For a locale morphism f and p in J(A) the x with
+    p <= f(x) form a prime filter of L, generated by one phi(p) in J(L), and
+    phi is monotone.  Conversely every monotone phi gives the locale morphism
+    f(x) = V{p in J(A) : phi(p) <= x}, and f determines phi, so each
+    morphism is built exactly once and none needs checking.
+    """
+    if not isinstance(L, FiniteLocale) or not isinstance(A, FiniteLocale):
+        raise DomainMismatch("locale morphism endpoints must be locales")
+    jl = L.join_irreducibles()
+    ja = sorted(A.join_irreducibles(), key=lambda p: len(A.down_set(p)))
     out = []
-    for values in itertools.product(A.elements, repeat=len(irr)):
-        v = dict(zip(irr, values))
-        table = {x: A.join_all(v[j] for j in irr if L.leq(j, x))
-                 for x in L.elements}
-        f = SupMorphism(L, A, table)
-        if check_locale_morphism(f) is None:
-            out.append(f)
-    seen, uniq = set(), []
-    for f in out:
-        key = tuple(sorted(f.table.items(), key=repr))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(f)
-    return tuple(uniq)
+
+    def extend(phi: dict):
+        if len(phi) == len(ja):
+            out.append(SupMorphism(L, A, {
+                x: A.join_all(p for p in ja if L.leq(phi[p], x))
+                for x in L.elements}))
+            return
+        p = ja[len(phi)]  # ja is a linear extension: all q < p have values
+        below = [phi[q] for q in phi if A.leq(q, p)]
+        for v in jl:
+            if all(L.leq(u, v) for u in below):
+                extend({**phi, p: v})
+
+    extend({})
+    return tuple(out)
 
 
 def all_locales(max_size: int) -> tuple[FiniteLocale, ...]:

@@ -245,12 +245,11 @@ def transpose_roundtrip_ok(lam, N: BModule, L: BModule, d: DualityData,
 
 def dual_morphism(f, dM: DualityData, dN: DualityData) -> SupMorphism:
     """The contravariant dual of a module morphism f: M -> N."""
-    fv = f if callable(f) else f.table.__getitem__
     Ndual, Mdual = dN.dual.lattice, dM.dual.lattice
     table = {}
     for n in Ndual.elements:
         table[n] = Mdual.join_all(
-            dM.dual.act(dN.eps(fv(m2), n), nhat) for nhat, m2 in dM.eta
+            dM.dual.act(dN.eps(f(m2), n), nhat) for nhat, m2 in dM.eta
         )
     return SupMorphism(Ndual, Mdual, table)
 

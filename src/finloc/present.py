@@ -322,8 +322,8 @@ def tensor(M: FiniteSupLattice, N: FiniteSupLattice,
     return TensorLattice(pm, pn, _tensor_relations(pm, pn), carrier_cap)
 
 
-def tensor_over(B, Mmod, Nmod, carrier_cap: int = DEFAULT_CARRIER_CAP,
-                b_gens=None) -> TensorLattice:
+def tensor_over(B, Mmod, Nmod,
+                carrier_cap: int = DEFAULT_CARRIER_CAP) -> TensorLattice:
     """M (x)_B N: the tensor with (b.m, n) identified with (m, b.n).
 
     Mmod / Nmod provide .lattice, .act(b, m) and .presentation; the right
@@ -332,9 +332,7 @@ def tensor_over(B, Mmod, Nmod, carrier_cap: int = DEFAULT_CARRIER_CAP,
     pm = Mmod.presentation
     pn = Nmod.presentation
     rels = _tensor_relations(pm, pn)
-    if b_gens is None:
-        b_gens = B.elements
-    for b in b_gens:
+    for b in B.elements:
         for g in pm.gens:
             bg = Mmod.act(b, pm.value[g])
             for h in pn.gens:

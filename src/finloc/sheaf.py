@@ -187,7 +187,7 @@ def eq_bracket(d: DiscreteModule, px, qy):
     )
 
 
-def tilde_roundtrip(mod: BModule, check_frobenius: bool | None = None) -> None:
+def tilde_roundtrip(mod: BModule) -> None:
     """Validate the internal sheaf presentation of a P-module.
 
     Checks the fixed-point sections, the sum/restriction adjunction, the
@@ -219,9 +219,7 @@ def tilde_roundtrip(mod: BModule, check_frobenius: bool | None = None) -> None:
                     if mod.act(p2, x) != mod.act(P.meet(p, p2), x):
                         raise ValidationError("base-change identity fails",
                                               witness=(p, p2, x))
-    if check_frobenius is None:
-        check_frobenius = is_frame(M)[0]
-    if check_frobenius:
+    if is_frame(M)[0]:
         for p in P.elements:
             for q in P.down_set(p):
                 for x in tilde[p]:

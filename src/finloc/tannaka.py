@@ -423,14 +423,8 @@ def comodule_holds(L: Coend, obj_module: BModule, rho: dict) -> bool:
     """C1 and C2 for a coaction given on module generators as formal pairs
     (PElement of L, module element)."""
     pres = obj_module.presentation
-    for g in pres.gens:
-        # C2: counit then act
-        back = obj_module.lattice.bottom
-        for lam, m in rho[g]:
-            e = _counit_of_element(L, lam)
-            back = obj_module.lattice.join(back, obj_module.act(e, m))
-        if back != pres.value[g]:
-            return False
+    if not _counit_law(L.B, obj_module, rho, L.counit):
+        return False
     closes = (L.quotient.closure, L.quotient.closure,
               _module_closure(obj_module))
     for g in pres.gens:
@@ -459,8 +453,17 @@ def _cocompose_element(L: Coend, lam: PElement):
     return out
 
 
-def _counit_of_element(L: Coend, lam: PElement):
-    return L.B.join_all(L.counit(g) for g in lam.raw)
+def _counit_law(B, module: BModule, rho: dict, counit) -> bool:
+    """C2 for the counit given on coend generators: acting on each term of
+    rho(g) by its counit value and joining gives g back."""
+    pres = module.presentation
+    for g in pres.gens:
+        back = module.lattice.join_all(
+            module.act(B.join_all(counit(x) for x in lam.raw), m)
+            for lam, m in rho[g])
+        if back != pres.value[g]:
+            return False
+    return True
 
 
 def lifting(L: Coend) -> dict:
@@ -494,9 +497,11 @@ def lifting(L: Coend) -> dict:
 
 
 def unique_cogebroide(L: Coend, max_candidates: int = 200000) -> bool:
-    """Perturbation search: no other (c, e) pair keeps every lifting
-    coaction a comodule.  Raises SizeBound when the search needs more than
-    `max_candidates` candidates."""
+    """Perturbation search on the counit: no counit that differs from
+    `L.counit` on exactly one generator keeps C2 for every lifting coaction.
+    The cocomposition is not perturbed.  Raises SizeBound when the search
+    needs more than `max_candidates` candidates."""
+    coactions = [(o.module, L.coaction(name)) for name, o in L.objects.items()]
     count = 0
     for gen in L.quotient.gens:
         for e_val in L.B.elements:
@@ -506,23 +511,11 @@ def unique_cogebroide(L: Coend, max_candidates: int = 200000) -> bool:
             if count > max_candidates:
                 raise SizeBound(
                     f"uniqueness search exceeds {max_candidates} candidates")
-            if _perturbed_counit_ok(L, gen, e_val):
-                return False
-    return True
 
+            def counit(g):
+                return e_val if g == gen else L.counit(g)
 
-def _perturbed_counit_ok(L: Coend, gen, e_val) -> bool:
-    def e2(g):
-        return e_val if g == gen else L.counit(g)
-
-    for name, o in L.objects.items():
-        pres = o.module.presentation
-        rho = L.coaction(name)
-        for g in pres.gens:
-            back = o.module.lattice.bottom
-            for lam, m in rho[g]:
-                e = L.B.join_all(e2(x) for x in lam.raw)
-                back = o.module.lattice.join(back, o.module.act(e, m))
-            if back != pres.value[g]:
+            if all(_counit_law(L.B, module, rho, counit)
+                   for module, rho in coactions):
                 return False
     return True

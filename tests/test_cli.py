@@ -141,3 +141,48 @@ def test_parallel_matches_serial():
     assert [r["id"] for r in serial["results"]] == [r["id"] for r in par["results"]]
     assert [r["status"] for r in serial["results"]] \
         == [r["status"] for r in par["results"]]
+
+
+Z2_SPEC = {"name": "Z2b", "objects": ["*"], "arrows": ["e", "s"],
+           "source": [["e", "*"], ["s", "*"]], "target": [["e", "*"], ["s", "*"]],
+           "unit": [["*", "e"]],
+           "compose": [["e", "e", "e"], ["e", "s", "s"], ["s", "e", "s"],
+                       ["s", "s", "e"]],
+           "inverse": [["e", "e"], ["s", "s"]]}
+
+
+@pytest.mark.parametrize("section, spec, place", [
+    ("lattices", {"elements": [0, 1], "covers": [[0, 1]]}, "lattices[0]"),
+    ("groupoids", {**Z2_SPEC, "compose": [["e", "e"]]}, "groupoids[0]"),
+    ("locales", {"name": "bad", "elements": [0, {"x": 1}], "covers": []},
+     "locales[0]"),
+])
+def test_malformed_declaration_exits_2(tmp_path, capsys, section, spec, place):
+    raw = {"version": 1, section: [spec]}
+    with pytest.raises(ParseError) as e:
+        Document(raw)
+    assert str(e.value).startswith(place)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--input", str(path)]) == 2
+    assert place in capsys.readouterr().err
+
+
+def test_well_formed_groupoid_declaration_parses():
+    doc = Document({"version": 1, "groupoids": [Z2_SPEC]})
+    assert len(doc.groupoids["Z2b"].arrows) == 2
+
+
+@pytest.mark.parametrize("item", [
+    {"check": "reconstruct", "groupoid": "nope"},
+    {"check": "points", "locale": "nope"},
+    {"check": "tabulate", "relation": "nope"},
+    {"check": "diagram", "first": "nope", "second": "nope", "kind": "diamond"},
+    {"check": "tensor", "first": "TWO", "second": "nope"},
+    {"check": "frame"},
+])
+def test_every_check_kind_reports_unresolved_names(item):
+    report, _ = run(Document({"version": 1, "checks": [item]}))
+    (result,) = report["results"]
+    assert result["status"] == "fail"
+    assert result["detail"]["error"].startswith("UnresolvedReference: unknown")

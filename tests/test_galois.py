@@ -125,6 +125,17 @@ def test_c1c2_and_b1b2_fail_together_on_perturbations():
             assert not b_side
 
 
+def test_comodule_axioms_report_first_witnesses():
+    # every transporter is {unit}: uv fails first at x = a, injectivity at y = a
+    G = z_mod(2)
+    carrier = ("a", "b", "c")
+    mu = {(x, y): frozenset({"g0"}) for x in carrier for y in carrier}
+    rep = comodule_axioms(Comodule(G, carrier, {x: "*" for x in carrier}, mu))
+    assert not rep.univalued and not rep.injective
+    assert rep.witnesses["uv"] == ("a", "a", "b")
+    assert rep.witnesses["in"] == ("a", "b", "a")
+
+
 def test_action_morphism_identity_and_fold():
     G = z_mod(2)
     R = representable_action(G, "*")
@@ -321,6 +332,22 @@ def test_cogebroide_uniqueness_on_reconstructed_coend():
     G = z_mod(2)
     gc = GaloisCoend(default_site(G))
     assert unique_cogebroide(gc.coend)
+
+
+def test_uniqueness_search_builds_each_coaction_once(monkeypatch):
+    from finloc import tannaka
+
+    gc = GaloisCoend(default_site(z_mod(2)))
+    built = []
+    coaction = tannaka.Coend.coaction
+
+    def spy(self, name):
+        built.append(name)
+        return coaction(self, name)
+
+    monkeypatch.setattr(tannaka.Coend, "coaction", spy)
+    assert tannaka.unique_cogebroide(gc.coend)
+    assert sorted(built) == sorted(gc.coend.objects)
 
 
 def test_reconstruct_disconnected_groupoid():

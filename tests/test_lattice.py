@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from finloc.errors import (
     ConditionIFails,
     ConditionIIFails,
+    DomainMismatch,
     MissingJoin,
     NotAPartialOrder,
 )
-from finloc.fixtures import CH3, M3, P2, TWO, chain
+from finloc.fixtures import CH3, M3, P2, TWO, chain, codiscrete, trivial_group, z_mod
+from finloc.galois import GaloisCoend, default_site
 from finloc.lattice import (
     SupMorphism,
+    all_locales,
     build_suplattice,
     check_locale_morphism,
     check_sup_morphism,
@@ -22,10 +25,10 @@ from finloc.lattice import (
     function_lattice,
     identity_morphism,
     is_frame,
+    locale_morphisms,
     points,
     power_locale,
     presented_locale_morphism,
-    prime_elements,
 )
 from finloc.modb import BModule, self_module
 
@@ -236,18 +239,44 @@ def _brute_points(H):
 
 
 def test_points_counts_and_brute_force():
-    for H, expected in ((TWO(), 1), (P2(), 2), (CH3(), 2)):
+    for H, expected in ((TWO(), 1), (P2(), 2), (CH3(), 2),
+                        (power_locale((1, 2, 3), cap=8), 3)):
         ps = points(H)
         assert len(ps) == expected
         assert {tuple(sorted(p.table.items(), key=repr)) for p in ps} \
             == _brute_points(H)
 
 
-def test_prime_elements_of_powerset_are_coatoms():
-    p = power_locale((1, 2, 3), cap=8)
-    assert set(prime_elements(p)) == {
-        frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})
-    }
+def _brute_locale_morphisms(L, A):
+    # oracle: every choice of values on J(L), extended by joins, filtered by
+    # the locale morphism checker and deduplicated
+    irr = L.join_irreducibles()
+    out = set()
+    for values in itertools.product(A.elements, repeat=len(irr)):
+        v = dict(zip(irr, values))
+        f = SupMorphism(L, A, {x: A.join_all(v[j] for j in irr if L.leq(j, x))
+                               for x in L.elements})
+        if check_locale_morphism(f) is None:
+            out.add(tuple(sorted(f.table.items(), key=repr)))
+    return out
+
+
+def test_locale_morphisms_match_brute_force():
+    small = [L for L in all_locales(8) if len(L) <= 5]
+    assert len(small) == 8
+    coends = [GaloisCoend(default_site(G)).quotient.locale()
+              for G in (trivial_group(), z_mod(2), z_mod(3), codiscrete(2))]
+    for L in small + coends:
+        for A in small:
+            got = [tuple(sorted(f.table.items(), key=repr))
+                   for f in locale_morphisms(L, A)]
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_locale_morphisms(L, A)
+
+
+def test_locale_morphisms_need_locales():
+    with pytest.raises(DomainMismatch):
+        locale_morphisms(M3(), TWO())
 
 
 # -- algebraic laws, exhaustive on fixtures and random posets ---------------
