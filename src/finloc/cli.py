@@ -55,6 +55,15 @@ def _entry(section: str, index: int):
                          f"{type(exc).__name__}: {exc}") from exc
 
 
+def _section(raw: dict, name: str) -> list:
+    """The declarations of one section: a list, or ParseError naming it."""
+    items = raw.get(name, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{name} must be a list, not "
+                         f"{type(items).__name__}")
+    return items
+
+
 def _resolve(table: dict, name, what: str):
     """The declaration `name` refers to, or UnresolvedReference."""
     try:
@@ -77,7 +86,7 @@ class Document:
         self.relations = {}
         self.groupoids = dict(fixtures.fixture_groupoids())
         self.actions = {}
-        for i, spec in enumerate(raw.get("lattices", [])):
+        for i, spec in enumerate(_section(raw, "lattices")):
             with _entry("lattices", i):
                 self.lattices[spec["name"]] = build_suplattice(
                     [_hashable(e) for e in spec["elements"]],
@@ -85,14 +94,14 @@ class Document:
                 )
         for name, loc in fixtures.standard_locales().items():
             self.locales.setdefault(name, loc)
-        for i, spec in enumerate(raw.get("locales", [])):
+        for i, spec in enumerate(_section(raw, "locales")):
             with _entry("locales", i):
                 base = build_suplattice(
                     [_hashable(e) for e in spec["elements"]],
                     [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
                 )
                 self.locales[spec["name"]] = FiniteLocale.from_lattice(base)
-        for i, spec in enumerate(raw.get("groupoids", [])):
+        for i, spec in enumerate(_section(raw, "groupoids")):
             with _entry("groupoids", i):
                 self.groupoids[spec["name"]] = FiniteGroupoid(
                     objects=[_hashable(o) for o in spec["objects"]],
@@ -103,7 +112,7 @@ class Document:
                     compose={(f, g): h for f, g, h in spec["compose"]},
                     inverse=_pairs_to_dict(spec["inverse"], "inverse"),
                 )
-        for i, spec in enumerate(raw.get("relations", [])):
+        for i, spec in enumerate(_section(raw, "relations")):
             with _entry("relations", i):
                 H = _resolve(self.locales, spec["values"], "locale")
                 table = {(_hashable(x), _hashable(y)): _hashable(v)
@@ -111,7 +120,7 @@ class Document:
                 self.relations[spec["name"]] = LRelation(
                     H, [_hashable(e) for e in spec["source"]],
                     [_hashable(e) for e in spec["target"]], table)
-        for i, spec in enumerate(raw.get("actions", [])):
+        for i, spec in enumerate(_section(raw, "actions")):
             with _entry("actions", i):
                 self.actions[spec["name"]] = DiscreteAction(
                     _resolve(self.groupoids, spec["groupoid"], "groupoid"),
@@ -120,7 +129,9 @@ class Document:
                     {(g, x): y for g, x, y in spec["table"]},
                     name=spec["name"],
                 )
-        self.checks = list(raw.get("checks", []))
+        self.checks = list(_section(raw, "checks"))
+        for i, item in enumerate(self.checks):
+            _check_item(item, f"checks[{i}]")
 
 
 def _hashable(v):
@@ -151,7 +162,14 @@ def _witness_json(w):
     return w if isinstance(w, (str, int, float, bool, type(None))) else repr(w)
 
 
+def _check_item(item, place: str) -> None:
+    if not isinstance(item, dict):
+        raise ParseError(f"{place} must be an object, not "
+                         f"{type(item).__name__}")
+
+
 def run_check(doc: Document, item: dict, max_size: int) -> dict:
+    _check_item(item, "a check item")
     kind = item.get("check")
     cid = item.get("id") or f"{kind}:{item.get('relation') or item.get('lattice') or item.get('groupoid') or ''}"
     out = {"id": cid, "check": kind, "status": "pass", "detail": {}}

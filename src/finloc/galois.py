@@ -433,10 +433,12 @@ def comodule_axioms(c: Comodule) -> AxiomReport:
 def action_comodule_transpose(act: DiscreteAction) -> Comodule:
     """Action -> mu -> coaction, with the laws and round trips verified."""
     c = Comodule(act.groupoid, act.carrier, act.anchor, action_mu(act))
-    assert b1_holds(c) and b2_holds(c)
-    assert c1_holds(c) and c2_holds(c)
-    back = action_from_comodule(c)
-    assert back.act == act.act
+    for law, holds in (("B1", b1_holds), ("B2", b2_holds), ("C1", c1_holds),
+                       ("C2", c2_holds)):
+        if not holds(c):
+            raise Mismatch(f"the transpose of {act!r} fails {law}")
+    if action_from_comodule(c).act != act.act:
+        raise Mismatch(f"the transpose of {act!r} does not round-trip")
     return c
 
 
@@ -552,7 +554,7 @@ def enumerate_comodules(G: FiniteGroupoid, max_size: int) -> list:
             options.append(opts)
         for choice in itertools.product(*options):
             c = Comodule(G, carrier, anchor, dict(zip(pairs, choice)))
-            if b2_holds(c) and b1_holds(c):
+            if b1_holds(c) and b2_holds(c):
                 out.append(c)
     return out
 
@@ -1047,8 +1049,43 @@ def actions_up_to_iso(actions) -> list:
     return reps
 
 
+# Candidates per truth-table block, as a power of two: every table of a block
+# is an int of 2 ** _BLOCK bits (8 KB), whatever the size of the hom space.
+_BLOCK = 16
+
+
+def _arrow_groups(need: int, masks: list) -> list:
+    """(arrow needed, indices whose mask holds the arrow) for every arrow that
+    is needed or held, from a needed-arrow mask and per-index arrow masks."""
+    seen = need
+    for m in masks:
+        seen |= m
+    return [((need >> a) & 1, [j for j, m in enumerate(masks) if (m >> a) & 1])
+            for a in range(seen.bit_length()) if (seen >> a) & 1]
+
+
+def _exact_counts(x: list, ones: int, groups: list) -> int:
+    """Table of: every group has exactly `needed` (0 or 1) members set."""
+    ok = ones
+    for needed, members in groups:
+        one = two = 0  # at least one / at least two members set
+        for j in members:
+            two |= one & x[j]
+            one |= x[j]
+        ok &= (one ^ two) if needed else (ones ^ one)
+    return ok
+
+
 class _HomSpace:
-    """Bit-level candidate space for the fiberwise relations of two actions."""
+    """Bit-level candidate space for the fiberwise relations of two actions.
+
+    A candidate relation is an int `bits` over `pairs`: pair i is in it when
+    bit i is set.  The hom predicates are evaluated bit-sliced: `tables()`
+    gives, per block of 2 ** _BLOCK consecutive candidates, one truth table per
+    predicate, an int whose bit b says whether it holds on candidate
+    base + b.  Variable x_i is a periodic pattern when i < _BLOCK and all ones
+    or 0 across the block otherwise.
+    """
 
     def __init__(self, A: DiscreteAction, B: DiscreteAction):
         G = A.groupoid
@@ -1106,34 +1143,48 @@ class _HomSpace:
     def set_of(self, bits):
         return frozenset(p for i, p in enumerate(self.pairs) if (bits >> i) & 1)
 
-    def theta_bijection(self, bits) -> bool:
-        """All four axioms of the restricted pairing, on arrow masks."""
-        members = [i for i in range(self.n) if (bits >> i) & 1]
-        for p in members:
-            acc = tot = 0
-            row = self.T[p]
-            for q in members:
-                m = row[q]
-                acc |= m
-                tot += m.bit_count()
-            if acc != self.into[p] or tot != acc.bit_count():
-                return False
-        for q in members:
-            acc = tot = 0
-            for p in members:
-                m = self.T[p][q]
-                acc |= m
-                tot += m.bit_count()
-            if acc != self.out[q] or tot != acc.bit_count():
-                return False
-        return True
+    def tables(self):
+        """(candidates, rel, cmd) for each block of candidates, in order.
 
-    def comodule_morphism(self, bits) -> bool:
-        for couples in self.cmd_couples:
+        `rel`: the restricted pairing is a bijection.  For each member p and
+        arrow g, exactly one member q has g in T[p][q] when g is in into[p],
+        and none otherwise; the same for each member q, over p, with out[q].
+        `cmd`: both ends of every comodule-morphism couple agree.
+        """
+        n, k = self.n, min(_BLOCK, self.n)
+        width = 1 << k
+        ones = (1 << width) - 1
+        # bit b of x_i is bit i of b: 2 ** i zeros then 2 ** i ones, repeated
+        periodic = [ones // ((1 << (2 << i)) - 1)
+                    * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k)]
+        conds = [_arrow_groups(self.into[i], [self.T[i][q] for q in range(n)])
+                 + _arrow_groups(self.out[i], [self.T[p][i] for p in range(n)])
+                 for i in range(n)]
+        couples = {(min(c), max(c)) for cs in self.cmd_couples for c in cs
+                   if c[0] != c[1]}
+        for base in range(0, 1 << n, width):
+            x = periodic + [ones if (base >> i) & 1 else 0
+                            for i in range(k, n)]
+            rel = ones
+            for i in range(n):
+                if x[i]:
+                    rel &= (ones ^ x[i]) | _exact_counts(x, ones, conds[i])
+            cmd = ones
             for left, right in couples:
-                if ((bits >> left) & 1) != ((bits >> right) & 1):
-                    return False
-        return True
+                cmd &= ones ^ x[left] ^ x[right]
+            yield range(base, base + width), rel, cmd
+
+    def hom_count(self) -> int:
+        """The candidates on which both hom predicates hold; Mismatch at the
+        first candidate on which they differ."""
+        count = 0
+        for block, rel, cmd in self.tables():
+            diff = rel ^ cmd
+            if diff:
+                bits = block[(diff & -diff).bit_length() - 1]
+                raise Mismatch(f"hom sets differ at {self.set_of(bits)!r}")
+            count += rel.bit_count()
+        return count
 
     def invariant(self, bits) -> bool:
         for mask in self.orbit_masks:
@@ -1156,19 +1207,24 @@ def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
     actions = enumerate_actions(G, max_size)
     comodules = enumerate_comodules(G, max_size)
     mu_keys = {c.key() for c in comodules}
-    assert len(mu_keys) == len(comodules)
+    if len(mu_keys) != len(comodules):
+        raise Mismatch("two enumerated comodules share a mu-table")
     for act in actions:
         c = action_comodule_transpose(act)
-        assert c.key() in mu_keys
+        if c.key() not in mu_keys:
+            raise Mismatch(f"the transpose of {act!r} is not an enumerated "
+                           "comodule")
     by_carrier_a = {}
     for act in actions:
         by_carrier_a.setdefault(act.carrier, []).append(act)
     by_carrier_c = {}
     for c in comodules:
         by_carrier_c.setdefault(c.carrier, []).append(c)
-    assert set(by_carrier_a) <= set(by_carrier_c)
-    for carrier, cs in by_carrier_c.items():
-        assert len(by_carrier_a.get(carrier, [])) == len(cs)
+    for carrier in set(by_carrier_a) | set(by_carrier_c):
+        if len(by_carrier_a.get(carrier, [])) \
+                != len(by_carrier_c.get(carrier, [])):
+            raise Mismatch(f"actions and comodules differ in number on "
+                           f"{carrier!r}")
 
     reps = actions_up_to_iso(actions)
     pairs_checked = 0
@@ -1177,25 +1233,29 @@ def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
         for B in reps:
             hs = _HomSpace(A, B)
             pairs_checked += 1
-            hom_count = 0
-            for bits in range(1 << hs.n):
-                candidates += 1
-                rel_hom = hs.theta_bijection(bits)
-                cmd_hom = hs.comodule_morphism(bits)
-                if rel_hom != cmd_hom:
-                    raise Mismatch(
-                        f"hom sets differ at {hs.set_of(bits)!r}")
-                hom_count += rel_hom
-            assert hom_count == 2 ** len(hs.orbit_masks)
-            if hs.n <= 9:  # cross-validate the bit path on the small spaces
-                for bits in range(1 << hs.n):
+            candidates += 1 << hs.n
+            hom_count = hs.hom_count()
+            if hom_count != 2 ** len(hs.orbit_masks):
+                raise Mismatch(f"{hom_count} homs from {A!r} to {B!r}, not "
+                               f"one per union of {len(hs.orbit_masks)} orbits")
+            if hs.n > 9:
+                continue
+            # cross-validate the sliced tables on the small spaces
+            for block, rel, _ in hs.tables():
+                for b, bits in enumerate(block):
                     R = hs.set_of(bits)
-                    rep = restricted_theta_axioms(R, A, B)
-                    assert rep.is_bijection == hs.theta_bijection(bits)
-                    assert comodule_morphism_holds(R, A, B) \
-                        == hs.comodule_morphism(bits)
-                    assert relation_is_invariant(R, A, B) == hs.invariant(bits)
-                    assert diamond_on_relation(R, A, B) == hs.invariant(bits)
+                    hom = bool((rel >> b) & 1)
+                    if restricted_theta_axioms(R, A, B).is_bijection != hom:
+                        raise Mismatch(f"restricted pairing disagrees with "
+                                       f"the sliced table at {R!r}")
+                    if comodule_morphism_holds(R, A, B) != hom:
+                        raise Mismatch(f"comodule-morphism equation disagrees "
+                                       f"with the sliced table at {R!r}")
+                    inv = hs.invariant(bits)
+                    if relation_is_invariant(R, A, B) != inv \
+                            or diamond_on_relation(R, A, B) != inv:
+                        raise Mismatch(f"stability disagrees with the orbit "
+                                       f"masks at {R!r}")
     # composition closure of the homs on the small representatives
     small = [a for a in reps if len(a.carrier) <= 2][:6]
     for A in small:
@@ -1204,8 +1264,9 @@ def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
                 for R in invariant_relations(A, B):
                     for S in invariant_relations(B, C):
                         T = compose_relations(R, S)
-                        assert relation_is_invariant(T, A, C)
-                        assert comodule_morphism_holds(T, A, C)
+                        if not (relation_is_invariant(T, A, C)
+                                and comodule_morphism_holds(T, A, C)):
+                            raise Mismatch(f"the composite {T!r} is not a hom")
     return EquivalenceReport(len(actions), len(reps), pairs_checked, candidates)
 
 

@@ -94,6 +94,7 @@ class PresentedSupLattice:
             for g in prem:
                 self._by_gen[g].append(r)
         self._premlen = [len(p) for p, _ in self._rules]
+        self._gen_classes = {}
         self._lattice = None
         self._locale = None
 
@@ -129,7 +130,12 @@ class PresentedSupLattice:
         return PElement(self, sub)
 
     def gen_class(self, g) -> PElement:
-        return self.element((g,))
+        """The class of generator g: one element per generator, so that its
+        closure is computed once per presentation."""
+        el = self._gen_classes.get(g)
+        if el is None:
+            el = self._gen_classes[g] = self.element((g,))
+        return el
 
     @property
     def bottom(self) -> PElement:

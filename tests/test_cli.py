@@ -1,10 +1,11 @@
 """Document parsing, check execution, report emission, exit codes."""
 
 import json
+import re
 
 import pytest
 
-from finloc.cli import Document, emit, main, parse, run
+from finloc.cli import Document, emit, main, parse, run, run_check
 from finloc.errors import ParseError, UnresolvedReference
 
 DOC = {
@@ -166,6 +167,24 @@ def test_malformed_declaration_exits_2(tmp_path, capsys, section, spec, place):
     path.write_text(json.dumps(raw))
     assert main(["validate", "--input", str(path)]) == 2
     assert place in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"version": 1, "lattices": 5}, "lattices must be a list, not int"),
+    ({"version": 1, "checks": [5]}, "checks[0] must be an object, not int"),
+])
+def test_malformed_section_exits_2(tmp_path, capsys, raw, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        Document(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_check_rejects_non_object_item():
+    with pytest.raises(ParseError, match="must be an object"):
+        run_check(Document({"version": 1}), 5, 3)
 
 
 def test_well_formed_groupoid_declaration_parses():

@@ -1,8 +1,14 @@
 """Groupoids, actions, comodules, the relation category, reconstruction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from finloc.errors import NotACone, NotAGroupoid
+from finloc import galois
+from finloc.errors import Mismatch, NotACone, NotAGroupoid
 from finloc.fixtures import codiscrete, identities_only, trivial_group, z_mod
 from finloc.galois import (
     DiscreteAction,
@@ -11,6 +17,7 @@ from finloc.galois import (
     action_comodule_transpose,
     action_from_comodule,
     action_mu,
+    actions_up_to_iso,
     b1_holds,
     b2_holds,
     c1_holds,
@@ -398,3 +405,122 @@ def test_counit_perturbation_detected():
 
     gc = GaloisCoend(default_site(z_mod(3)))
     assert unique_cogebroide(gc.coend)
+
+
+# -- the bit-sliced hom check against the per-candidate oracle -----------------
+
+
+def _theta_bijection(hs, bits) -> bool:
+    """All four axioms of the restricted pairing, on arrow masks."""
+    members = [i for i in range(hs.n) if (bits >> i) & 1]
+    for p in members:
+        acc = tot = 0
+        row = hs.T[p]
+        for q in members:
+            m = row[q]
+            acc |= m
+            tot += m.bit_count()
+        if acc != hs.into[p] or tot != acc.bit_count():
+            return False
+    for q in members:
+        acc = tot = 0
+        for p in members:
+            m = hs.T[p][q]
+            acc |= m
+            tot += m.bit_count()
+        if acc != hs.out[q] or tot != acc.bit_count():
+            return False
+    return True
+
+
+def _comodule_morphism(hs, bits) -> bool:
+    for couples in hs.cmd_couples:
+        for left, right in couples:
+            if ((bits >> left) & 1) != ((bits >> right) & 1):
+                return False
+    return True
+
+
+def _hom_spaces(G, max_size):
+    reps = actions_up_to_iso(enumerate_actions(G, max_size))
+    return [galois._HomSpace(A, B) for A in reps for B in reps]
+
+
+def _sliced(hs):
+    """The block tables of hs joined into whole-space tables."""
+    rel_all = cmd_all = 0
+    for block, rel, cmd in hs.tables():
+        rel_all |= rel << block.start
+        cmd_all |= cmd << block.start
+    return rel_all, cmd_all
+
+
+@pytest.mark.parametrize("G, max_size", [
+    (trivial_group(), 4), (codiscrete(2), 4), (z_mod(2), 3),
+])
+def test_sliced_tables_match_per_candidate_oracle(monkeypatch, G, max_size):
+    for hs in _hom_spaces(G, max_size):
+        rel_want = cmd_want = 0
+        for bits in range(1 << hs.n):
+            rel_want |= _theta_bijection(hs, bits) << bits
+            cmd_want |= _comodule_morphism(hs, bits) << bits
+        assert _sliced(hs) == (rel_want, cmd_want)
+        with monkeypatch.context() as m:
+            m.setattr(galois, "_BLOCK", 3)  # several blocks per space
+            assert _sliced(hs) == (rel_want, cmd_want)
+
+
+@pytest.mark.parametrize("block", [16, 3])
+def test_sliced_mismatch_names_first_oracle_mismatch(monkeypatch, block):
+    monkeypatch.setattr(galois, "_BLOCK", block)
+    hs = max(_hom_spaces(z_mod(2), 3), key=lambda h: h.n)
+    # rewire the first couple whose ends are both above x_2, so that the
+    # first 2 ** 3 candidates keep agreeing and the mismatch lies past them
+    couples, k = next((cs, k) for cs in hs.cmd_couples
+                      for k, c in enumerate(cs) if min(c) >= 3)
+    left, right = couples[k]
+    couples[k] = (left, 3 if right != 3 else 4)
+    first = next(bits for bits in range(1 << hs.n)
+                 if _theta_bijection(hs, bits) != _comodule_morphism(hs, bits))
+    assert first >= 1 << 3
+    with pytest.raises(Mismatch) as e:
+        hs.hom_count()
+    assert str(e.value) == f"hom sets differ at {hs.set_of(first)!r}"
+
+
+def test_equivalence_check_fails_under_python_O():
+    # a wrong set-level route must stop the check even with asserts stripped
+    code = ("from finloc import galois\n"
+            "from finloc.fixtures import z_mod\n"
+            "galois.comodule_morphism_holds = lambda R, A, B: True\n"
+            "galois.equivalence_check(z_mod(2), 3)\n")
+    src = str(Path(galois.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "finloc.errors.Mismatch" in proc.stderr
+
+
+def test_second_factor_cone_computes_no_generator_closure(monkeypatch):
+    from finloc.present import PresentedSupLattice
+
+    gc = GaloisCoend(default_site(z_mod(2)))
+    L = gc.quotient.locale()
+    ident = SupMorphism(L, L, {c: c for c in L.elements})
+    tables = structural_cone_tables(gc, ident)
+    B = power_locale(gc.G.objects)
+    g0 = SupMorphism(B, L, {b: gc.t_map(b).closure for b in B.elements})
+    g1 = SupMorphism(B, L, {b: gc.s_map(b).closure for b in B.elements})
+    factor_cone(gc, L, g0, g1, tables)
+    closed = []
+    closure = PresentedSupLattice.closure
+
+    def spy(self, raw):
+        closed.append(frozenset(raw))
+        return closure(self, raw)
+
+    monkeypatch.setattr(PresentedSupLattice, "closure", spy)
+    assert factor_cone(gc, L, g0, g1, tables).table == ident.table
+    assert not [raw for raw in closed if len(raw) == 1]
