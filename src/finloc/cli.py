@@ -307,9 +307,12 @@ def _selftest(max_size: int) -> dict:
 
 
 def _run_item(args):
+    """One check in a worker process: its result and its own elapsed time."""
     raw, item, max_size = args
     doc = Document(raw)
-    return run_check(doc, item, max_size)
+    t1 = time.perf_counter()
+    r = run_check(doc, item, max_size)
+    return r, round(time.perf_counter() - t1, 6)
 
 
 def run(doc: Document, selection=None, max_size: int = 4,
@@ -322,9 +325,10 @@ def run(doc: Document, selection=None, max_size: int = 4,
     results = []
     if parallel > 1 and len(checks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(
-                _run_item, [(doc.raw, c, max_size) for c in checks]))
-        timings = {r["id"]: None for r in results}
+            for r, elapsed in pool.map(
+                    _run_item, [(doc.raw, c, max_size) for c in checks]):
+                timings[r["id"]] = elapsed
+                results.append(r)
     else:
         for c in checks:
             t1 = time.perf_counter()

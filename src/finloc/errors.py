@@ -1,8 +1,9 @@
 """Exception types shared across the kernel.
 
 Validators raise these with a `witness` attribute wherever a finite
-counterexample exists; the witness is always the first failure in the
-carrier's canonical element order.
+counterexample exists.  A scanning validator names its first failure in the
+carrier's canonical element order; the adjunction tests of join
+preservation name a genuine failing pair, not necessarily the first.
 """
 
 

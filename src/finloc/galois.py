@@ -12,7 +12,9 @@ middle as mu(x, y) (x) mu(y, w).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     AnchorMismatch,
@@ -116,6 +118,7 @@ class DiscreteAction:
         self.anchor = dict(anchor)
         self.act = dict(act)
         self.name = name
+        self._mu = None  # transporter table, built by action_mu
         self._validate()
 
     def apply(self, g, x):
@@ -214,9 +217,13 @@ def transporter(act: DiscreteAction, y, x) -> frozenset:
                      if act.apply(g, y) == x)
 
 
-def action_mu(act: DiscreteAction) -> dict:
-    return {(x, y): transporter(act, y, x)
-            for x in act.carrier for y in act.carrier}
+def action_mu(act: DiscreteAction) -> Mapping:
+    """The transporter table (x, y) -> transporter(act, y, x), built once per
+    action and shared read-only."""
+    if act._mu is None:
+        act._mu = MappingProxyType({(x, y): transporter(act, y, x)
+                                    for x in act.carrier for y in act.carrier})
+    return act._mu
 
 
 # -- the concrete Hopf algebroid of a groupoid ---------------------------------
@@ -335,7 +342,7 @@ class Comodule:
     groupoid: FiniteGroupoid
     carrier: tuple
     anchor: dict
-    mu: dict  # (x, y) -> frozenset of arrows with g . y = x intended
+    mu: Mapping  # (x, y) -> frozenset of arrows with g . y = x intended
 
     def rho(self, x) -> frozenset:
         """The coaction value on delta_x: pairs (g, y) with g in mu(x, y)."""

@@ -16,6 +16,7 @@ from .errors import (
     ConditionIFails,
     ConditionIIFails,
     DomainMismatch,
+    Mismatch,
     MissingJoin,
     NotAFrame,
     NotAModule,
@@ -37,7 +38,7 @@ def _canon(elements) -> tuple:
 
 @dataclass(frozen=True)
 class Violation:
-    """A law failure with the first witness in canonical element order."""
+    """A law failure with a witness that violates it."""
 
     kind: str
     witness: tuple
@@ -49,7 +50,8 @@ class Violation:
 class FiniteSupLattice:
     """A finite poset with all joins (hence all meets): a complete lattice."""
 
-    __slots__ = ("elements", "_ix", "_up", "_jn", "_mt", "_bot_i", "_top_i")
+    __slots__ = ("elements", "_ix", "_up", "_jn", "_mt", "_bot_i", "_top_i",
+                 "_downs")
 
     def __init__(self, elements, up, jn, mt, bot_i, top_i):
         # Trusted constructor; use build_suplattice / from_order to validate.
@@ -60,12 +62,19 @@ class FiniteSupLattice:
         self._mt = mt
         self._bot_i = bot_i
         self._top_i = top_i
+        self._downs = None
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_order(cls, elements, leq: Callable[[object, object], bool]):
-        """Validate a reflexive order predicate and precompute all tables."""
+        """Validate a reflexive order predicate and precompute all tables.
+
+        The order checks walk the set bits of each up-set row.  The join of
+        i and j is the element whose up-set is up[i] & up[j], and their meet
+        the element whose down-set is down[i] & down[j]: one lookup each,
+        and a miss means the pair has no least upper (greatest lower) bound.
+        """
         elements = tuple(elements)
         n = len(elements)
         ix = {e: i for i, e in enumerate(elements)}
@@ -80,60 +89,33 @@ class FiniteSupLattice:
             if not (m >> i) & 1:
                 raise NotAPartialOrder(f"order not reflexive at {e!r}", witness=(e,))
             up[i] = m
-        for i in range(n):
-            for j in range(n):
-                if (up[i] >> j) & 1:
-                    if i != j and (up[j] >> i) & 1:
-                        raise NotAPartialOrder(
-                            f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}",
-                            witness=(elements[i], elements[j]),
-                        )
-                    if up[j] & ~up[i]:
-                        raise NotAPartialOrder(
-                            f"transitivity fails at {elements[i]!r} <= {elements[j]!r}",
-                            witness=(elements[i], elements[j]),
-                        )
+        down = [0] * n
+        for i, ui in enumerate(up):
+            bit_i = 1 << i
+            for j in _bits(ui):
+                if j != i and (up[j] >> i) & 1:
+                    raise NotAPartialOrder(
+                        f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}",
+                        witness=(elements[i], elements[j]),
+                    )
+                if up[j] & ~ui:
+                    raise NotAPartialOrder(
+                        f"transitivity fails at {elements[i]!r} <= {elements[j]!r}",
+                        witness=(elements[i], elements[j]),
+                    )
+                down[j] |= bit_i
         full = (1 << n) - 1
-        bot_i = next((i for i in range(n) if up[i] == full), None)
+        up_ix = {u: i for i, u in enumerate(up)}  # rows differ by antisymmetry
+        down_ix = {d: i for i, d in enumerate(down)}
+        bot_i = up_ix.get(full)
         if bot_i is None:
             raise MissingJoin("no least element (empty subset has no join)",
                               witness=frozenset())
-        jn = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                ub = up[i] & up[j]
-                k = _least_of(ub, up)
-                if k is None:
-                    raise MissingJoin(
-                        f"{{{elements[i]!r}, {elements[j]!r}}} has no least upper bound",
-                        witness=frozenset({elements[i], elements[j]}),
-                    )
-                jn[i][j] = jn[j][i] = k
-        top_i = 0
-        for i in range(n):
-            top_i = jn[top_i][i]
-        down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if (up[j] >> i) & 1:
-                    down[i] |= 1 << j
-        mt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                lb = down[i] & down[j]
-                k = bot_i
-                b = lb
-                while b:
-                    low = (b & -b).bit_length() - 1
-                    k = jn[k][low]
-                    b &= b - 1
-                if not (lb >> k) & 1:  # join of lower bounds escaped the set
-                    raise MissingJoin(
-                        f"{{{elements[i]!r}, {elements[j]!r}}} has no greatest lower bound",
-                        witness=frozenset({elements[i], elements[j]}),
-                    )
-                mt[i][j] = mt[j][i] = k
-        return cls(elements, up, jn, mt, bot_i, top_i)
+        jn = _pair_table(elements, up, up_ix, "least upper")
+        mt = _pair_table(elements, down, down_ix, "greatest lower")
+        lat = cls(elements, up, jn, mt, bot_i, down_ix[full])
+        lat._downs = (down, down_ix)
+        return lat
 
     # -- basic queries ----------------------------------------------------
 
@@ -179,6 +161,36 @@ class FiniteSupLattice:
         xi = self.index(x)
         return tuple(e for j, e in enumerate(self.elements) if (self._up[j] >> xi) & 1)
 
+    # -- index kernel: element i is self.elements[i] ---------------------
+
+    @property
+    def bottom_index(self) -> int:
+        return self._bot_i
+
+    @property
+    def top_index(self) -> int:
+        return self._top_i
+
+    @property
+    def join_table(self) -> list:
+        """join_table[i][j] is the index of the join of elements i and j."""
+        return self._jn
+
+    @property
+    def meet_table(self) -> list:
+        """meet_table[i][j] is the index of the meet of elements i and j."""
+        return self._mt
+
+    def _down_rows(self) -> tuple[list, dict]:
+        """Down-set bitmask of every element, and the inverse row -> index."""
+        if self._downs is None:
+            down = [0] * len(self.elements)
+            for j, u in enumerate(self._up):
+                for i in _bits(u):
+                    down[i] |= 1 << j
+            self._downs = (down, {d: i for i, d in enumerate(down)})
+        return self._downs
+
     def join_irreducibles(self) -> tuple:
         """Elements that are not the join of their strict down-set."""
         out = []
@@ -194,16 +206,32 @@ class FiniteSupLattice:
         return f"<{type(self).__name__} {len(self.elements)} elements>"
 
 
-def _least_of(mask: int, up) -> int | None:
-    if mask == 0:
-        return None
-    b = mask
-    while b:
-        k = (b & -b).bit_length() - 1
-        if up[k] & mask == mask:
-            return k
-        b &= b - 1
-    return None
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pair_table(elements, rows, row_ix: dict, bound: str) -> list:
+    """t[i][j] = the index whose row is rows[i] & rows[j].
+
+    With up-set rows this is the join table, with down-set rows the meet
+    table.  The first pair in row-major order without such an element is
+    reported; by symmetry it has j >= i.
+    """
+    t = []
+    for i, ri in enumerate(rows):
+        row = [row_ix.get(ri & r) for r in rows]
+        if None in row:
+            j = row.index(None)
+            raise MissingJoin(
+                f"{{{elements[i]!r}, {elements[j]!r}}} has no {bound} bound",
+                witness=frozenset({elements[i], elements[j]}),
+            )
+        t.append(row)
+    return t
 
 
 def build_suplattice(elements, leq_pairs, cap: int = DEFAULT_CAP) -> FiniteSupLattice:
@@ -323,6 +351,45 @@ class SupMorphism:
 
 def identity_morphism(L: FiniteSupLattice) -> SupMorphism:
     return SupMorphism(L, L, {x: x for x in L.elements})
+
+
+def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
+    """Where an index map f: D -> C fails to preserve joins, or None.
+
+    f[i] is the C-index of the image of D's element i.  A map between finite
+    lattices preserves all joins, the empty one included, iff it has a right
+    adjoint, i.e. iff every preimage {i : f[i] <= c} is a principal down-set
+    of D (Davey & Priestley, *Introduction to Lattices and Order*, ch. 7);
+    each preimage is one bitmask and one lookup among D's down-set rows.
+
+    Returns () when f misses the bottom, else a pair (i, j) of D-indices with
+    f(i v j) != f(i) v f(j), found in O(|D|) from a non-principal preimage S:
+    fold S with joins, and the first step that f does not preserve is the
+    pair.  If every step holds, the fold's result g lies in S and some i <= g
+    lies outside it, so f(i v g) = f(g) is below c while f(i) is not.
+    """
+    if f[D._bot_i] != C._bot_i:
+        return ()
+    bucket = {}
+    for i, v in enumerate(f):
+        bucket[v] = bucket.get(v, 0) | 1 << i
+    pre = [0] * len(C.elements)
+    for v, mask in bucket.items():
+        for c in _bits(C._up[v]):
+            pre[c] |= mask
+    down, down_ix = D._down_rows()
+    djn, cjn = D._jn, C._jn
+    for s in pre:
+        if s in down_ix:
+            continue
+        g = D._bot_i
+        for i in _bits(s):
+            gi = djn[g][i]
+            if f[gi] != cjn[f[g]][f[i]]:
+                return g, i
+            g = gi
+        return next(_bits(down[g] & ~s)), g
+    return None
 
 
 def check_sup_morphism(f: SupMorphism) -> Violation | None:
@@ -486,7 +553,9 @@ def extend_to_free(fl: FunctionLocale, f: dict, module) -> SupMorphism:
                     witness=(a, theta),
                 )
     for x in fl.domain:
-        assert table[fl.singleton(x)] == f[x]
+        if table[fl.singleton(x)] != f[x]:
+            raise NotAModule(f"extension does not extend the assignment at {x!r}",
+                             witness=x)
     return g
 
 
@@ -515,7 +584,9 @@ def presented_locale_morphism(H: FiniteLocale, Y, f: dict, module) -> SupMorphis
     fl = function_lattice(H, ys, cap=max(DEFAULT_CAP, len(H) ** len(ys)))
     g = extend_to_free(fl, {y: f[y] for y in ys}, module)
     bad = check_locale_morphism(g)
-    assert bad is None, f"presented extension not a locale morphism: {bad}"
+    if bad:
+        raise Mismatch(f"presented extension is not a locale morphism: {bad.kind} "
+                       f"fails at {bad.witness!r}", witness=bad.witness)
     return g
 
 

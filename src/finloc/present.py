@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainMismatch, RelationViolated, SizeBound
+from .errors import DomainMismatch, Mismatch, RelationViolated, SizeBound
 from .lattice import FiniteSupLattice, SupMorphism, is_frame
 
 DEFAULT_CARRIER_CAP = 65536
@@ -94,7 +94,7 @@ class PresentedSupLattice:
             for g in prem:
                 self._by_gen[g].append(r)
         self._premlen = [len(p) for p, _ in self._rules]
-        self._gen_classes = {}
+        self._gen_closures = {}
         self._lattice = None
         self._locale = None
 
@@ -130,11 +130,13 @@ class PresentedSupLattice:
         return PElement(self, sub)
 
     def gen_class(self, g) -> PElement:
-        """The class of generator g: one element per generator, so that its
-        closure is computed once per presentation."""
-        el = self._gen_classes.get(g)
-        if el is None:
-            el = self._gen_classes[g] = self.element((g,))
+        """The class of generator g, with its closure computed once per
+        presentation.  The cache holds closures, not elements, so that it
+        keeps no reference back to the presentation."""
+        el = self.element((g,))
+        el._closure = self._gen_closures.get(g)
+        if el._closure is None:
+            self._gen_closures[g] = el.closure
         return el
 
     @property
@@ -238,7 +240,9 @@ class ModulePresentation:
         """Generators whose join is `element` (the ones lying below it)."""
         L = self.lattice
         out = frozenset(g for g in self.gens if L.leq(self.value[g], element))
-        assert L.join_all(self.value[g] for g in out) == element
+        if L.join_all(self.value[g] for g in out) != element:
+            raise Mismatch(f"the generators below {element!r} do not join to it",
+                           witness=element)
         return out
 
 

@@ -16,6 +16,7 @@ from .errors import (
     DomainMismatch,
     GluingFails,
     Mismatch,
+    NotAModule,
     SizeBound,
     ValidationError,
 )
@@ -165,14 +166,18 @@ def build_Xd(X: FiniteSheaf, carrier_cap: int = 4096) -> DiscreteModule:
     d = DiscreteModule(X, q, module, delta)
     for (p, x) in gens:  # scaling a delta restricts its section
         for b in P.elements:
-            assert module.act(b, delta[(p, x)]) \
-                == delta[(P.meet(p, b), X.res(p, P.meet(p, b), x))]
+            if module.act(b, delta[(p, x)]) \
+                    != delta[(P.meet(p, b), X.res(p, P.meet(p, b), x))]:
+                raise NotAModule(f"scaling delta{(p, x)!r} by {b!r} does not "
+                                 "restrict its section", witness=(b, (p, x)))
     for C in lat.elements:  # every element is the join of its scaled deltas
         fam = d.family_of(C)
         rebuilt = lat.join_all(
             module.act(fam[(p, x)], delta[(p, x)]) for (p, x) in gens
         )
-        assert rebuilt == C
+        if rebuilt != C:
+            raise NotAModule("an element is not the join of its scaled deltas",
+                             witness=C)
     return d
 
 
@@ -341,18 +346,29 @@ def check_module_axioms(mu: dict, dX: DiscreteModule, dY: DiscreteModule,
 
 
 def selfdual_Xd(d: DiscreteModule) -> DualityData:
-    """X_d is self-dual: eta sums delta pairs, eps is the equality bracket."""
+    """X_d is self-dual: eta sums delta pairs, eps is the equality bracket.
+
+    The bracket is tabulated once per pair of generators; eps(theta, psi)
+    is the join of the table over theta x psi, memoized per pair.
+    """
     P = d.sheaf.P
     gens = d.sheaf.total()
+    gi = {g: k for k, g in enumerate(gens)}
+    bracket = [[P.index(eq_bracket(d, gx, gy)) for gy in gens] for gx in gens]
+    jn, bot = P.join_table, P.bottom_index
 
     eps_cache = {}
 
     def eps(theta, psi):
         key = (theta, psi)
         if key not in eps_cache:
-            eps_cache[key] = P.join_all(
-                eq_bracket(d, gx, gy) for gx in theta for gy in psi
-            )
+            k = bot
+            cols = [gi[gy] for gy in psi]
+            for gx in theta:
+                row = bracket[gi[gx]]
+                for c in cols:
+                    k = jn[k][row[c]]
+            eps_cache[key] = P.elements[k]
         return eps_cache[key]
 
     eta = tuple((d.delta[g], d.delta[g]) for g in gens)

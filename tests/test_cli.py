@@ -144,6 +144,14 @@ def test_parallel_matches_serial():
         == [r["status"] for r in par["results"]]
 
 
+def test_parallel_run_times_every_check():
+    doc = Document({**DOC, "checks": DOC["checks"][:2]})
+    _, timings = run(doc, parallel=2)
+    per_check = timings["per_check"]
+    assert len(per_check) == 2
+    assert all(isinstance(t, float) and t >= 0 for t in per_check.values())
+
+
 Z2_SPEC = {"name": "Z2b", "objects": ["*"], "arrows": ["e", "s"],
            "source": [["e", "*"], ["s", "*"]], "target": [["e", "*"], ["s", "*"]],
            "unit": [["*", "e"]],

@@ -524,3 +524,19 @@ def test_second_factor_cone_computes_no_generator_closure(monkeypatch):
     monkeypatch.setattr(PresentedSupLattice, "closure", spy)
     assert factor_cone(gc, L, g0, g1, tables).table == ident.table
     assert not [raw for raw in closed if len(raw) == 1]
+
+
+def test_equivalence_check_builds_each_transporter_table_once(monkeypatch):
+    built = {}
+    transporter = galois.transporter
+
+    def spy(act, y, x):
+        built[(act, y, x)] = built.get((act, y, x), 0) + 1
+        return transporter(act, y, x)
+
+    monkeypatch.setattr(galois, "transporter", spy)
+    galois.equivalence_check(z_mod(2), 3)
+    assert built and max(built.values()) == 1
+    act = next(iter(built))[0]
+    with pytest.raises(TypeError):  # shared, so read-only
+        action_mu(act)[next(iter(action_mu(act)))] = frozenset()

@@ -16,6 +16,7 @@ from finloc.errors import (
 from finloc.fixtures import CH3, M3, P2, TWO, chain, codiscrete, trivial_group, z_mod
 from finloc.galois import GaloisCoend, default_site
 from finloc.lattice import (
+    FiniteSupLattice,
     SupMorphism,
     all_locales,
     build_suplattice,
@@ -318,3 +319,87 @@ def test_random_posets_complete_or_witnessed(n, data):
         assert e.witness is not None
         return
     _check_algebra(L)
+
+
+# -- from_order against the tables it used to build ---------------------------
+
+
+def _least_of(mask, up):
+    b = mask
+    while b:
+        k = (b & -b).bit_length() - 1
+        if up[k] & mask == mask:
+            return k
+        b &= b - 1
+    return None
+
+
+def _least_of_tables(elements, leq):
+    """from_order's former tables: join as the least upper bound found by
+    scanning, meet as the fold of joins over the lower bounds.  Returns
+    (join table, meet table, bottom, top) or raises MissingJoin."""
+    n = len(elements)
+    up = [sum(1 << j for j, f in enumerate(elements) if leq(e, f))
+          for e in elements]
+    full = (1 << n) - 1
+    bot = next((i for i in range(n) if up[i] == full), None)
+    if bot is None:
+        raise MissingJoin("no least element", witness=frozenset())
+    jn = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k = _least_of(up[i] & up[j], up)
+            if k is None:
+                raise MissingJoin("no join",
+                                  witness=frozenset({elements[i], elements[j]}))
+            jn[i][j] = jn[j][i] = k
+    top = 0
+    for i in range(n):
+        top = jn[top][i]
+    down = [sum(1 << j for j in range(n) if (up[j] >> i) & 1) for i in range(n)]
+    mt = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k, b = bot, down[i] & down[j]
+            while b:
+                k = jn[k][(b & -b).bit_length() - 1]
+                b &= b - 1
+            assert (down[i] & down[j]) >> k & 1
+            mt[i][j] = mt[j][i] = k
+    return jn, mt, bot, top
+
+
+def test_from_order_tables_match_least_of_oracle():
+    from finloc.present import tensor
+
+    N5 = build_suplattice(("0", "a", "b", "c", "1"),
+                          [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+    lattices = list(all_locales(7)) + [M3(), N5, tensor(power_locale((1, 2)),
+                                                         power_locale((1, 2, 3))).lattice()]
+    for L in lattices:
+        got = FiniteSupLattice.from_order(L.elements, L.leq)
+        want = _least_of_tables(L.elements, L.leq)
+        assert (got.join_table, got.meet_table, got.bottom_index, got.top_index) == want
+    assert len(lattices[-1]) == 64
+
+
+@pytest.mark.parametrize("elements, covers", [
+    # bowtie: a, b lie below both c and d, so {a, b} has no least upper bound
+    (("0", "a", "b", "c", "d", "1"),
+     [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+      ("c", "1"), ("d", "1")]),
+    (("a", "b", "c", "d"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
+    # no top element: two atoms without an upper bound
+    (("0", "a", "b"), [("0", "a"), ("0", "b")]),
+])
+def test_from_order_missing_join_matches_oracle(elements, covers):
+    below = {(x, x) for x in elements} | set(covers)
+    for _ in elements:  # transitive closure
+        below |= {(x, z) for (x, y) in below for (y2, z) in below if y == y2}
+    leq = lambda x, y: (x, y) in below
+    with pytest.raises(MissingJoin) as want:
+        _least_of_tables(elements, leq)
+    with pytest.raises(MissingJoin) as got:
+        FiniteSupLattice.from_order(elements, leq)
+    assert got.value.witness == want.value.witness
+    assert want.value.witness in (frozenset({"a", "b"}), frozenset())

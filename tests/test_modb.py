@@ -2,7 +2,7 @@
 
 import pytest
 
-from finloc.errors import NotAModule, TriangularFails
+from finloc.errors import NotAModule, NotDualizable, TriangularFails
 from finloc.fixtures import CH3, P2, TWO
 from finloc.lattice import SupMorphism, check_sup_morphism, power_locale
 from finloc.modb import (
@@ -235,3 +235,226 @@ def test_bimodule_rejects_invalid_component_action():
 
     with pytest.raises(NotAModule):
         BBimodule(omega, M, left, skew)
+
+
+# -- the adjunction checks against the exhaustive oracles ----------------------
+#
+# The oracles are the all-pairs loops that DualityData._check_bilinear and
+# check_module ran before they became adjunction tests on index tables.  Each
+# law is a predicate on its witness, so that a reported witness can be
+# confirmed as a genuine violation.
+
+
+def _module_laws(B, M, act):
+    return {
+        "m-slot bottom": lambda b: act(b, M.bottom) == M.bottom,
+        "m-slot join": lambda b, m, m2:
+            act(b, M.join(m, m2)) == M.join(act(b, m), act(b, m2)),
+        "b-slot bottom": lambda m: act(B.bottom, m) == M.bottom,
+        "unit": lambda m: act(B.top, m) == m,
+        "b-slot join": lambda b, b2, m:
+            act(B.join(b, b2), m) == M.join(act(b, m), act(b2, m)),
+        "meet-composition": lambda b, b2, m:
+            act(B.meet(b, b2), m) == act(b, act(b2, m)),
+    }
+
+
+def _module_oracle(B, M, action):
+    """The first module law to fail in canonical order, as (kind, witness)."""
+    act = action if callable(action) else lambda b, m: action[(b, m)]
+    law = _module_laws(B, M, act)
+    for b in B.elements:
+        if not law["m-slot bottom"](b):
+            return "m-slot bottom", (b,)
+        for m in M.elements:
+            for m2 in M.elements:
+                if not law["m-slot join"](b, m, m2):
+                    return "m-slot join", (b, m, m2)
+    for m in M.elements:
+        for kind in ("b-slot bottom", "unit"):
+            if not law[kind](m):
+                return kind, (m,)
+        for b in B.elements:
+            for b2 in B.elements:
+                for kind in ("b-slot join", "meet-composition"):
+                    if not law[kind](b, b2, m):
+                        return kind, (b, b2, m)
+    return None
+
+
+def _eps_laws(d):
+    B, M, N = d.module.B, d.module.lattice, d.dual.lattice
+    eps = d.eps
+    return {
+        "bottom (first slot)": lambda n: eps(M.bottom, n) == B.bottom,
+        "bottom (second slot)": lambda m: eps(m, N.bottom) == B.bottom,
+        "join (first slot)": lambda m, m2, n:
+            eps(M.join(m, m2), n) == B.join(eps(m, n), eps(m2, n)),
+        "join (second slot)": lambda n, n2, m:
+            eps(m, N.join(n, n2)) == B.join(eps(m, n), eps(m, n2)),
+        "B-linear": lambda b, m, n:
+            eps(d.module.act(b, m), n) == B.meet(b, eps(m, n)),
+        "B-linear (dual slot)": lambda b, m, n:
+            eps(m, d.dual.act(b, n)) == B.meet(b, eps(m, n)),
+    }
+
+
+def _bilinear_oracle(d):
+    """The first bilinearity law of eps to fail in canonical order."""
+    B, M, N = d.module.B, d.module.lattice, d.dual.lattice
+    E = {(m, n): d.eps(m, n) for m in M.elements for n in N.elements}
+    law = _eps_laws(d)
+    for n in N.elements:
+        if not law["bottom (first slot)"](n):
+            return "bottom (first slot)", (n,)
+    for m in M.elements:
+        if not law["bottom (second slot)"](m):
+            return "bottom (second slot)", (m,)
+    for m in M.elements:
+        for m2 in M.elements:
+            j = M.join(m, m2)
+            for n in N.elements:
+                if E[(j, n)] != B.join(E[(m, n)], E[(m2, n)]):
+                    return "join (first slot)", (m, m2, n)
+    for n in N.elements:
+        for n2 in N.elements:
+            j = N.join(n, n2)
+            for m in M.elements:
+                if E[(m, j)] != B.join(E[(m, n)], E[(m, n2)]):
+                    return "join (second slot)", (n, n2, m)
+    for b in B.elements:
+        for m in M.elements:
+            for n in N.elements:
+                for kind in ("B-linear", "B-linear (dual slot)"):
+                    if not law[kind](b, m, n):
+                        return kind, (b, m, n)
+    return None
+
+
+def _reported_law(d):
+    """The law the library check reports broken, confirmed on its witness by
+    the oracle's predicate; None when the check accepts d."""
+    try:
+        d._check_bilinear()
+    except NotDualizable as e:
+        err = e
+    else:
+        return None
+    msg = str(err)
+    for kind in ("bottom (first slot)", "bottom (second slot)"):
+        if msg == f"eps not linear at {kind}":
+            return kind
+    if msg.startswith("eps not join-linear at "):
+        # both slots word the message alike: the violated law names the slot
+        kinds = ("join (first slot)", "join (second slot)")
+    else:
+        kinds = ("B-linear (dual slot)" if "(dual slot)" in msg else "B-linear",)
+    law = _eps_laws(d)
+    broken = [k for k in kinds if not law[k](*err.witness)]
+    assert broken, f"{msg}: the witness violates no such law"
+    return broken[0]
+
+
+def _reported_module_law(B, M, action):
+    """check_module's verdict, its witness confirmed by the oracle's law."""
+    bad = check_module(B, M, action)
+    if bad is None:
+        return None
+    act = action if callable(action) else lambda b, m: action[(b, m)]
+    assert not _module_laws(B, M, act)[bad.kind](*bad.witness), \
+        f"{bad} is not a violation"
+    return bad.kind
+
+
+def _criterion_4_dualities():
+    from finloc.sheaf import build_Xd, enumerate_sheaves, selfdual_Xd
+
+    for H in (TWO(), CH3(), P2()):
+        for n in range(4):
+            yield selfduality(H, tuple(range(n)), cap=256)
+    for P in (TWO(), CH3(), P2()):
+        for sheaf in enumerate_sheaves(P, 3):
+            yield selfdual_Xd(build_Xd(sheaf))
+
+
+def test_adjunction_checks_agree_with_oracles_on_criterion_4():
+    count = 0
+    for d in _criterion_4_dualities():
+        assert _reported_law(d) is None and _bilinear_oracle(d) is None
+        mod = d.module
+        assert _reported_module_law(mod.B, mod.lattice, mod.act) is None
+        assert _module_oracle(mod.B, mod.lattice, mod.act) is None
+        count += 1
+    assert count == 12 + 4 + 60 + 16
+
+
+_SWAP = {frozenset(): frozenset(), frozenset({1}): frozenset({2}),
+         frozenset({2}): frozenset({1}), frozenset({1, 2}): frozenset({1, 2})}
+
+
+def _broken_top(x):  # fixes bottom, misses the join {1} v {2}
+    return frozenset({1}) if x == frozenset({1, 2}) else x
+
+
+@pytest.mark.parametrize("kind, eps", [
+    ("bottom (first slot)", lambda m, n: n if n == frozenset({1, 2}) else m & n),
+    ("bottom (second slot)", lambda m, n: m if m == frozenset({1, 2}) else m & n),
+    ("join (first slot)", lambda m, n: _broken_top(m) & n),
+    ("join (second slot)", lambda m, n: m & _broken_top(n)),
+    ("B-linear", lambda m, n: _SWAP[m] & n),
+    ("B-linear (dual slot)", lambda m, n: m & _SWAP[n]),
+])
+def test_broken_eps_rejected_with_a_genuine_witness(kind, eps):
+    B = P2()
+    mod = BModule.self_module(B)
+    d = DualityData(mod, mod, eps, ((B.top, B.top),), validate=False)
+    assert _bilinear_oracle(d)[0] == kind
+    assert _reported_law(d) == kind
+
+
+def _scaled(g):  # the P2-action b . m = g(b) ^ m
+    return lambda b, m: g[b] & m
+
+
+_TOP = frozenset({1, 2})
+
+
+@pytest.mark.parametrize("kind, B, action", [
+    ("m-slot bottom", TWO, lambda b, m: _TOP if b == 1 and not m else m if b else frozenset()),
+    ("m-slot join", TWO, lambda b, m: _broken_top(m) if b else frozenset()),
+    ("b-slot bottom", TWO, lambda b, m: m),
+    ("unit", TWO, lambda b, m: frozenset()),
+    ("b-slot join", P2, _scaled({frozenset(): frozenset(), frozenset({1}): frozenset(),
+                                frozenset({2}): frozenset(), _TOP: _TOP})),
+    ("meet-composition", P2, _scaled({frozenset(): frozenset(), frozenset({1}): _TOP,
+                                     frozenset({2}): _TOP, _TOP: _TOP})),
+])
+def test_broken_action_rejected_with_a_genuine_witness(kind, B, action):
+    assert _module_oracle(B(), P2(), action)[0] == kind
+    assert _reported_module_law(B(), P2(), action) == kind
+
+
+@pytest.mark.parametrize("H, X", [(TWO, (0, 1)), (CH3, (0, 1)), (P2, (0,))])
+def test_every_one_entry_perturbation_matches_oracle(H, X):
+    # each entry of eps and of the action table, moved to each other value
+    d0 = selfduality(H(), X)
+    B, M = d0.module.B, d0.module.lattice
+    table = {(m, n): d0.eps(m, n) for m in M.elements for n in M.elements}
+    for key, value in table.items():
+        for other in B.elements:
+            if other == value:
+                continue
+            t = {**table, key: other}
+            d = DualityData(d0.module, d0.dual, lambda m, n, t=t: t[(m, n)],
+                            d0.eta, validate=False)
+            want = _bilinear_oracle(d)
+            assert _reported_law(d) == (want and want[0])
+    act = {(b, m): d0.module.act(b, m) for b in B.elements for m in M.elements}
+    for key, value in act.items():
+        for other in M.elements:
+            if other == value:
+                continue
+            a = {**act, key: other}
+            want = _module_oracle(B, M, a)
+            got = _reported_module_law(B, M, a)
+            assert (got is None) == (want is None)

@@ -324,3 +324,25 @@ def test_induced_value_matches_materialized_morphism():
                 frozenset({"g", "h"})):
         el = q.element(raw)
         assert induced_value(q, assign, p2, el) == f(el.closure)
+
+
+def test_dropped_presentation_is_freed_without_the_cycle_collector():
+    # the generator-class cache holds closures, not elements that point back
+    # at the presentation, so reference counting alone frees it
+    import gc
+    import weakref
+
+    def used_presentation():
+        q = tensor(P2(), P2())
+        assert all(q.gen_class(g).closure for g in q.gens)
+        assert len(q.locale()) == 16
+        return q
+
+    gc.disable()
+    try:
+        q = used_presentation()
+        ref = weakref.ref(q)
+        del q
+        assert ref() is None
+    finally:
+        gc.enable()

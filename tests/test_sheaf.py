@@ -386,3 +386,41 @@ def test_externalized_supremum_formula():
             for (p, x) in X.total() for q in P.down_set(p)
         )
         assert direct == closed
+
+
+def test_build_Xd_checks_survive_python_O():
+    # restriction changed once the action is tabulated: scaling a delta no
+    # longer lands on the delta of its restricted section
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finloc
+
+    code = """
+from finloc import sheaf
+
+X = sheaf.etale_sheaf((1, 2), ("a", "b", "c", "d"),
+                      {"a": 1, "b": 1, "c": 2, "d": 2})
+top, one = frozenset({1, 2}), frozenset({1})
+
+
+class Module(sheaf.BModule):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        X.restrict[(top, one)] = {
+            s: next(v for v in X.sections[one] if v != t)
+            for s, t in X.restrict[(top, one)].items()}
+
+
+sheaf.BModule = Module
+sheaf.build_Xd(X)
+"""
+    src = str(Path(finloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "finloc.errors.NotAModule: scaling delta" in proc.stderr
