@@ -275,7 +275,7 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
                 out["status"] = "fail"
         else:
             raise ParseError(f"unknown check kind {kind!r}")
-    except (KernelError, KeyError, AssertionError) as exc:
+    except (KernelError, KeyError) as exc:
         witness = getattr(exc, "witness", None)
         return fail({"check_id": f"{kind}.error", "error": f"{type(exc).__name__}: {exc}"},
                     witness)

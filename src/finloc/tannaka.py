@@ -244,8 +244,7 @@ class Coend:
     are computed on generators.
     """
 
-    def __init__(self, B: FiniteLocale, objects, arrows,
-                 carrier_cap: int = 65536):
+    def __init__(self, B: FiniteLocale, objects, arrows):
         self.B = B
         self.objects = {o.name: o for o in objects}
         self.arrows = tuple(arrows)
@@ -284,7 +283,7 @@ class Coend:
                         frozenset((f.dst, b2, b) for b2 in fa_dec),
                     ))
         self.quotient = PresentedSupLattice(
-            JoinPresentation(tuple(gens), tuple(rels)), carrier_cap)
+            JoinPresentation(tuple(gens), tuple(rels)))
 
     def inject(self, obj: str, m, n) -> PElement:
         """lambda_C(m (x) n) for module elements m, n."""
@@ -367,8 +366,8 @@ class Coend:
         return out
 
 
-def end_wedge(B, objects, arrows, carrier_cap: int = 65536) -> Coend:
-    L = Coend(B, objects, arrows, carrier_cap)
+def end_wedge(B, objects, arrows) -> Coend:
+    L = Coend(B, objects, arrows)
     L.check_cogebroide()
     return L
 

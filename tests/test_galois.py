@@ -1,5 +1,6 @@
 """Groupoids, actions, comodules, the relation category, reconstruction."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from finloc.galois import (
     factor_cone,
     groupoid_to_hopf,
     invariant_relations,
+    product_action,
     reconstruct,
     rel_beta_g,
     relation_is_invariant,
@@ -45,7 +47,14 @@ from finloc.galois import (
     terminal_action,
     transporter,
 )
-from finloc.lattice import SupMorphism, check_locale_morphism, locale_morphisms, power_locale
+from finloc.lattice import (
+    SupMorphism,
+    check_locale_morphism,
+    is_frame,
+    locale_morphisms,
+    power_locale,
+)
+from finloc.present import PresentedSupLattice
 
 
 def test_groupoid_validation_rejects_bad_units():
@@ -143,13 +152,32 @@ def test_comodule_axioms_report_first_witnesses():
     assert rep.witnesses["in"] == ("a", "b", "a")
 
 
+def _diamond_oracle(f, A, B) -> bool:
+    """Equivariance through the mu-level diamond: the transporters of A
+    pushed forward along f are the transporters of B."""
+    muA, muB = action_mu(A), action_mu(B)
+    return all(
+        frozenset().union(*(muA[(x, y)] for x in A.carrier if f[x] == xp),
+                          frozenset())
+        == muB[(xp, f[y])]
+        for xp in B.carrier for y in A.carrier
+    )
+
+
+def _action_morphism(f, A, B) -> bool:
+    """check_action_morphism, held to the diamond oracle."""
+    holds = check_action_morphism(f, A, B)
+    assert holds == _diamond_oracle(f, A, B)
+    return holds
+
+
 def test_action_morphism_identity_and_fold():
     G = z_mod(2)
     R = representable_action(G, "*")
-    assert check_action_morphism({x: x for x in R.carrier}, R, R)
+    assert _action_morphism({x: x for x in R.carrier}, R, R)
     W = disjoint_union(R, R)
     fold = {x: x[1] for x in W.carrier}
-    assert check_action_morphism(fold, W, R)
+    assert _action_morphism(fold, W, R)
 
 
 def test_action_morphism_breaking_map():
@@ -157,7 +185,7 @@ def test_action_morphism_breaking_map():
     R = representable_action(G, "*")
     W = disjoint_union(R, R)
     bad = {x: "g0" for x in W.carrier}  # constant map is not equivariant
-    assert not check_action_morphism(bad, W, R)
+    assert not _action_morphism(bad, W, R)
 
 
 def test_rel_beta_g_identities_only_is_rel_of_sets():
@@ -220,8 +248,7 @@ def test_mono_restriction_lemma():
                     {(g, naming[x]): naming[other.apply(g, x)]
                      for x in other.carrier
                      for g in G.arrows_from(other.anchor[x])})
-                if all(check_action_morphism(incl, renamed, act)
-                       for _ in (0,)):
+                if _action_morphism(incl, renamed, act):
                     count += 1
                     assert renamed.act == sub_act.act
             assert count >= 1
@@ -396,7 +423,7 @@ def test_verify_hopf_catches_wrong_antipode():
     # an identity antipode breaks the pentagon whenever inversion moves arrows
     gc = GaloisCoend(default_site(z_mod(3)))
     gc.antipode_gen = lambda gen: gen
-    with pytest.raises(AssertionError):
+    with pytest.raises(Mismatch):
         gc.verify_hopf()
 
 
@@ -488,17 +515,22 @@ def test_sliced_mismatch_names_first_oracle_mismatch(monkeypatch, block):
     assert str(e.value) == f"hom sets differ at {hs.set_of(first)!r}"
 
 
-def test_equivalence_check_fails_under_python_O():
-    # a wrong set-level route must stop the check even with asserts stripped
-    code = ("from finloc import galois\n"
-            "from finloc.fixtures import z_mod\n"
-            "galois.comodule_morphism_holds = lambda R, A, B: True\n"
-            "galois.equivalence_check(z_mod(2), 3)\n")
+def _run_python_O(code: str) -> subprocess.CompletedProcess:
+    """Run code in a `python -O` child that imports this finloc."""
     src = str(Path(galois.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
+    return subprocess.run([sys.executable, "-O", "-c", code],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
+
+
+def test_equivalence_check_fails_under_python_O():
+    # a wrong set-level route must stop the check even with asserts stripped
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.fixtures import z_mod\n"
+        "galois.comodule_morphism_holds = lambda R, A, B: True\n"
+        "galois.equivalence_check(z_mod(2), 3)\n")
     assert proc.returncode == 1
     assert "finloc.errors.Mismatch" in proc.stderr
 
@@ -540,3 +572,122 @@ def test_equivalence_check_builds_each_transporter_table_once(monkeypatch):
     act = next(iter(built))[0]
     with pytest.raises(TypeError):  # shared, so read-only
         action_mu(act)[next(iter(action_mu(act)))] = frozenset()
+
+
+# -- reconstruction over the minimal site ----------------------------------------
+
+
+def _one_object_group(elements, mul):
+    """The group on `elements` under `mul` (f after g), as a groupoid."""
+    unit = next(e for e in elements if all(mul(e, x) == x for x in elements))
+    return FiniteGroupoid(
+        objects=("*",),
+        arrows=elements,
+        source={g: "*" for g in elements},
+        target={g: "*" for g in elements},
+        unit={"*": unit},
+        compose={(f, g): mul(f, g) for f in elements for g in elements},
+        inverse={f: next(g for g in elements if mul(f, g) == unit)
+                 for f in elements},
+    )
+
+
+def z2_x_z2():
+    return _one_object_group(tuple(itertools.product((0, 1), repeat=2)),
+                             lambda f, g: (f[0] ^ g[0], f[1] ^ g[1]))
+
+
+def s3():
+    return _one_object_group(tuple(itertools.permutations(range(3))),
+                             lambda f, g: tuple(f[i] for i in g))
+
+
+BENCHMARK_GROUPOIDS = {
+    "trivial": trivial_group(), "Z2": z_mod(2), "Z3": z_mod(3),
+    "codiscrete2": codiscrete(2), "discrete2": identities_only(2),
+    "discrete3": identities_only(3),
+}
+
+# every fixture whose coend has at most 16 elements
+SMALL_COENDS = {**BENCHMARK_GROUPOIDS, "Z4": z_mod(4), "Z2xZ2": z2_x_z2()}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_GROUPOIDS)
+def test_product_site_oracle(name):
+    # the site with every pairwise product of representables added gives an
+    # isomorphic coend, so the products need not be site objects
+    G = BENCHMARK_GROUPOIDS[name]
+    site = default_site(G)
+    assert set(site.objects) == {"1"} | {f"R[{o}]" for o in G.objects}
+    reps = [site.objects[f"R[{o}]"] for o in G.objects]
+    assert site_independence_check(
+        G, tuple(product_action(A, B) for A in reps for B in reps))
+
+
+def _materialized_hopf_oracle(gc: GaloisCoend) -> None:
+    """The all-elements route: the materialized coend is a frame, the
+    bilinear product of any two elements is their meet, and s and t
+    preserve joins and meets."""
+    q = gc.quotient
+    lat = q.lattice()
+    assert is_frame(lat)[0]
+    for c1 in lat.elements:
+        for c2 in lat.elements:
+            raw = frozenset().union(
+                *(gc.multiply_gens(g1, g2).raw for g1 in c1 for g2 in c2),
+                frozenset())
+            assert q.closure(raw) == lat.meet(c1, c2)
+    for b1 in gc.B.elements:
+        for b2 in gc.B.elements:
+            for f in (gc.t_map, gc.s_map):
+                assert f(b1 | b2) == f(b1).join(f(b2))
+                assert f(b1 & b2).closure == lat.meet(f(b1).closure,
+                                                      f(b2).closure)
+
+
+@pytest.mark.parametrize("name", SMALL_COENDS)
+def test_generator_checks_agree_with_materialized_oracle(name):
+    G = SMALL_COENDS[name]
+    assert 2 ** len(G.arrows) <= 16
+    gc = GaloisCoend(default_site(G))
+    gc.verify_hopf()
+    _materialized_hopf_oracle(gc)
+    assert len(gc.quotient.lattice()) == 2 ** len(G.arrows)
+
+
+@pytest.mark.parametrize("G", [z_mod(3), codiscrete(2)])
+def test_verify_hopf_never_materializes_the_coend(monkeypatch, G):
+    gc = GaloisCoend(default_site(G))
+
+    def refuse(self):
+        raise AssertionError("verify_hopf materialized the coend")
+
+    monkeypatch.setattr(PresentedSupLattice, "lattice", refuse)
+    monkeypatch.setattr(PresentedSupLattice, "locale", refuse)
+    gc.verify_hopf()
+
+
+@pytest.mark.parametrize("G", [z_mod(4), z2_x_z2(), s3()],
+                         ids=["Z4", "Z2xZ2", "S3"])
+def test_reconstruct_larger_groups(G):
+    rep = reconstruct(G)
+    assert rep.sizes_match and rep.coend_size == 2 ** len(G.arrows)
+
+
+def test_hopf_repros_fail_under_python_O():
+    # a wrong coend antipode and a wrong O(G) antipode must each stop the
+    # check with asserts stripped
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.errors import KernelError\n"
+        "from finloc.fixtures import z_mod\n"
+        "gc = galois.GaloisCoend(galois.default_site(z_mod(3)))\n"
+        "gc.antipode_gen = lambda gen: gen\n"
+        "for check in (gc.verify_hopf, lambda: galois.reconstruct(z_mod(3))):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except KernelError as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    galois.GroupoidHopf.a = lambda self, U: U\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Mismatch", "NoIsomorphismFound"]
