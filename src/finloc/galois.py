@@ -11,6 +11,7 @@ middle as mu(x, y) (x) mu(y, w).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -56,16 +57,21 @@ class FiniteGroupoid:
         self.compose = dict(compose)
         self.inverse = dict(inverse)
         self._validate()
+        # the arrows out of and into each object, in arrow order, built once
+        self._from = {o: tuple(g for g in self.arrows if self.source[g] == o)
+                      for o in {self.source[g] for g in self.arrows}}
+        self._into = {o: tuple(g for g in self.arrows if self.target[g] == o)
+                      for o in {self.target[g] for g in self.arrows}}
 
     def comp(self, f, g):
         """f after g, defined when source(f) = target(g)."""
         return self.compose[(f, g)]
 
     def arrows_from(self, o):
-        return tuple(g for g in self.arrows if self.source[g] == o)
+        return self._from.get(o, ())
 
     def arrows_into(self, o):
-        return tuple(g for g in self.arrows if self.target[g] == o)
+        return self._into.get(o, ())
 
     def _validate(self):
         for o in self.objects:
@@ -414,8 +420,20 @@ def c2_holds(c: Comodule) -> bool:
     return True
 
 
+def _disjoint(sets) -> bool:
+    """The sets are pairwise disjoint: their sizes add up to their union's."""
+    union, total = set(), 0
+    for s in sets:
+        union |= s
+        total += len(s)
+    return len(union) == total
+
+
 def comodule_axioms(c: Comodule) -> AxiomReport:
-    """The four module-level axioms of mu over the split base."""
+    """The four module-level axioms of mu over the split base.
+
+    A row or column is scanned pair by pair only if it is not disjoint, so
+    the witness is the first overlapping pair of the first such line."""
     G = c.groupoid
     wit = {}
     ed = uv = su = inj = True
@@ -425,8 +443,9 @@ def comodule_axioms(c: Comodule) -> AxiomReport:
         if got != frozenset(G.arrows_into(c.anchor[x])):
             ed, wit["ed"] = False, (x,)
             break
-    bad = next(((x, y1, y2) for x in c.carrier for y1 in c.carrier
-                for y2 in c.carrier
+    bad = next(((x, y1, y2) for x in c.carrier
+                if not _disjoint(c.mu[(x, y)] for y in c.carrier)
+                for y1 in c.carrier for y2 in c.carrier
                 if y1 != y2 and c.mu[(x, y1)] & c.mu[(x, y2)]), None)
     if bad:
         uv, wit["uv"] = False, bad
@@ -436,8 +455,9 @@ def comodule_axioms(c: Comodule) -> AxiomReport:
         if got != frozenset(G.arrows_from(c.anchor[y])):
             su, wit["su"] = False, (y,)
             break
-    bad = next(((x1, x2, y) for y in c.carrier for x1 in c.carrier
-                for x2 in c.carrier
+    bad = next(((x1, x2, y) for y in c.carrier
+                if not _disjoint(c.mu[(x, y)] for x in c.carrier)
+                for x1 in c.carrier for x2 in c.carrier
                 if x1 != x2 and c.mu[(x1, y)] & c.mu[(x2, y)]), None)
     if bad:
         inj, wit["in"] = False, bad
@@ -537,33 +557,119 @@ def enumerate_actions(G: FiniteGroupoid, max_size: int) -> list:
     return out
 
 
+# Candidates per truth-table block, as a power of two: every table of a block
+# is an int of 2 ** _BLOCK bits (8 KB), whatever the size of the space.
+_BLOCK = 16
+
+
+@functools.cache
+def _periodic(k: int) -> tuple:
+    """The truth tables of variables 0..k-1 across 2 ** k candidates: bit b of
+    table i is bit i of b, that is 2 ** i zeros then 2 ** i ones, repeated."""
+    ones = (1 << (1 << k)) - 1
+    return tuple(ones // ((1 << (2 << i)) - 1)
+                 * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k))
+
+
+def _blocks(n: int):
+    """(candidates, x, ones) for each block of the 2 ** n assignments of n
+    variables, in order.  x[i] is the truth table of variable i across the
+    block: periodic when i < _BLOCK, all ones or 0 otherwise."""
+    k = min(_BLOCK, n)
+    width = 1 << k
+    ones = (1 << width) - 1
+    periodic = list(_periodic(k))
+    for base in range(0, 1 << n, width):
+        yield (range(base, base + width),
+               periodic + [ones if (base >> i) & 1 else 0 for i in range(k, n)],
+               ones)
+
+
+class _ComoduleSpace:
+    """Bit-level candidate space for the mu-tables on one anchored carrier.
+
+    Candidate `bits` puts arrow g in mu(x, y) when bit i is set, for each
+    variable i = ((x, y), g) in `variables`: one per pair and non-unit arrow
+    from anchor(y) to anchor(x).  The counit law fixes the units (in mu(x, x)
+    and not in mu(x, y) for x != y), and arrows outside the support are never
+    in mu.  A literal is 0 (false), 1 (true) or 2 + i (variable i).
+    """
+
+    def __init__(self, G: FiniteGroupoid, carrier: tuple, anchor: dict):
+        self.G, self.carrier, self.anchor = G, carrier, anchor
+        self.variables = []
+        lit = {}  # (x, y, g) -> literal of g in mu(x, y), on the support
+        for x in carrier:
+            for y in carrier:
+                for g in G.arrows_into(anchor[x]):
+                    if G.source[g] != anchor[y]:
+                        continue
+                    if g == G.unit[anchor[x]]:
+                        lit[(x, y, g)] = int(x == y)
+                    else:
+                        lit[(x, y, g)] = 2 + len(self.variables)
+                        self.variables.append(((x, y), g))
+        # B1 at (x, w) and composable (f, g): [f o g in mu(x, w)] is the OR
+        # over y of [f in mu(x, y)] and [g in mu(y, w)]; false terms dropped
+        self.b1 = []
+        for x in carrier:
+            for w in carrier:
+                for f in G.arrows_into(anchor[x]):
+                    for g in G.arrows_into(G.source[f]):
+                        if G.source[g] != anchor[w]:
+                            continue
+                        terms = [(lit[(x, y, f)], lit[(y, w, g)])
+                                 for y in carrier if anchor[y] == G.source[f]]
+                        self.b1.append((lit[(x, w, G.comp(f, g))],
+                                        [t for t in terms if 0 not in t]))
+
+    def tables(self):
+        """(candidates, b1) for each block of candidates, in order: bit b of
+        `b1` says whether B1 holds on candidate base + b."""
+        for block, x, ones in _blocks(len(self.variables)):
+            v = [0, ones, *x]
+            b1 = ones
+            for lhs, terms in self.b1:
+                rhs = 0
+                for a, b in terms:
+                    rhs |= v[a] & v[b]
+                b1 &= ones ^ v[lhs] ^ rhs
+            yield block, b1
+
+    def comodule(self, bits: int) -> Comodule:
+        G = self.G
+        mu = {(x, y): {G.unit[self.anchor[x]]} if x == y else set()
+              for x in self.carrier for y in self.carrier}
+        for i, (p, g) in enumerate(self.variables):
+            if (bits >> i) & 1:
+                mu[p].add(g)
+        return Comodule(G, self.carrier, self.anchor,
+                        {p: frozenset(s) for p, s in mu.items()})
+
+
 def enumerate_comodules(G: FiniteGroupoid, max_size: int) -> list:
     """All mu-tables satisfying the bimodule constraints plus B1 and B2.
 
-    Independent of the action enumeration: candidates are cut down only by
-    supports and the counit law, then filtered by the comultiplication law.
+    Independent of the action enumeration.  On each carrier, supports and
+    the counit law fix the units and the arrows outside the support; every
+    other arrow membership is a Boolean variable, and B1 is evaluated on all
+    assignments at once as truth tables (`_ComoduleSpace`).  Comodules come
+    carrier by carrier, each carrier's in ascending candidate order, and
+    each is rechecked with the set-level `b1_holds` and `b2_holds`.
     """
     out = []
     for carrier, anchor in anchored_carriers(G, max_size):
-        pairs = [(x, y) for x in carrier for y in carrier]
-        options = []
-        for (x, y) in pairs:
-            support = [g for g in G.arrows
-                       if G.source[g] == anchor[y] and G.target[g] == anchor[x]]
-            ident = G.unit[anchor[x]] if anchor[x] == anchor[y] else None
-            nonunits = [g for g in support if g != ident]
-            opts = []
-            for r in range(len(nonunits) + 1):
-                for sub in itertools.combinations(nonunits, r):
-                    base = frozenset(sub)
-                    if x == y:
-                        base |= {ident}
-                    opts.append(base)
-            options.append(opts)
-        for choice in itertools.product(*options):
-            c = Comodule(G, carrier, anchor, dict(zip(pairs, choice)))
-            if b1_holds(c) and b2_holds(c):
+        space = _ComoduleSpace(G, carrier, anchor)
+        for block, b1 in space.tables():
+            while b1:
+                low = b1 & -b1
+                bits = block[low.bit_length() - 1]
+                c = space.comodule(bits)
+                _law(b1_holds(c) and b2_holds(c),
+                     "the set-level B1 and B2 on a sliced B1 candidate",
+                     (carrier, bits))
                 out.append(c)
+                b1 ^= low
     return out
 
 
@@ -1031,11 +1137,6 @@ def actions_up_to_iso(actions) -> list:
     return reps
 
 
-# Candidates per truth-table block, as a power of two: every table of a block
-# is an int of 2 ** _BLOCK bits (8 KB), whatever the size of the hom space.
-_BLOCK = 16
-
-
 def _arrow_groups(need: int, masks: list) -> list:
     """(arrow needed, indices whose mask holds the arrow) for every arrow that
     is needed or held, from a needed-arrow mask and per-index arrow masks."""
@@ -1133,20 +1234,13 @@ class _HomSpace:
         and none otherwise; the same for each member q, over p, with out[q].
         `cmd`: both ends of every comodule-morphism couple agree.
         """
-        n, k = self.n, min(_BLOCK, self.n)
-        width = 1 << k
-        ones = (1 << width) - 1
-        # bit b of x_i is bit i of b: 2 ** i zeros then 2 ** i ones, repeated
-        periodic = [ones // ((1 << (2 << i)) - 1)
-                    * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k)]
+        n = self.n
         conds = [_arrow_groups(self.into[i], [self.T[i][q] for q in range(n)])
                  + _arrow_groups(self.out[i], [self.T[p][i] for p in range(n)])
                  for i in range(n)]
         couples = {(min(c), max(c)) for cs in self.cmd_couples for c in cs
                    if c[0] != c[1]}
-        for base in range(0, 1 << n, width):
-            x = periodic + [ones if (base >> i) & 1 else 0
-                            for i in range(k, n)]
+        for block, x, ones in _blocks(n):
             rel = ones
             for i in range(n):
                 if x[i]:
@@ -1154,7 +1248,7 @@ class _HomSpace:
             cmd = ones
             for left, right in couples:
                 cmd &= ones ^ x[left] ^ x[right]
-            yield range(base, base + width), rel, cmd
+            yield block, rel, cmd
 
     def hom_count(self) -> int:
         """The candidates on which both hom predicates hold; Mismatch at the

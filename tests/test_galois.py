@@ -19,6 +19,7 @@ from finloc.galois import (
     action_from_comodule,
     action_mu,
     actions_up_to_iso,
+    anchored_carriers,
     b1_holds,
     b2_holds,
     c1_holds,
@@ -533,6 +534,71 @@ def test_equivalence_check_fails_under_python_O():
         "galois.equivalence_check(z_mod(2), 3)\n")
     assert proc.returncode == 1
     assert "finloc.errors.Mismatch" in proc.stderr
+
+
+# -- the bit-sliced comodule enumeration against the per-candidate oracle ------
+
+
+def _enumerate_comodules_oracle(G, max_size) -> list:
+    """Every mu-table cut down only by supports and the counit law, then
+    filtered by the set-level B1 and B2, one candidate at a time."""
+    out = []
+    for carrier, anchor in anchored_carriers(G, max_size):
+        pairs = [(x, y) for x in carrier for y in carrier]
+        options = []
+        for (x, y) in pairs:
+            support = [g for g in G.arrows
+                       if G.source[g] == anchor[y] and G.target[g] == anchor[x]]
+            ident = G.unit[anchor[x]] if anchor[x] == anchor[y] else None
+            nonunits = [g for g in support if g != ident]
+            opts = []
+            for r in range(len(nonunits) + 1):
+                for sub in itertools.combinations(nonunits, r):
+                    base = frozenset(sub)
+                    if x == y:
+                        base |= {ident}
+                    opts.append(base)
+            options.append(opts)
+        for choice in itertools.product(*options):
+            c = Comodule(G, carrier, anchor, dict(zip(pairs, choice)))
+            if b1_holds(c) and b2_holds(c):
+                out.append(c)
+    return out
+
+
+def _keys_by_carrier(comodules) -> dict:
+    out = {}
+    for c in comodules:
+        out.setdefault(c.carrier, set()).add(c.key())
+    return out
+
+
+@pytest.mark.parametrize("G, max_size", [
+    (trivial_group(), 4), (z_mod(2), 4), (codiscrete(2), 4),
+    (identities_only(2), 4), (z_mod(3), 3),
+], ids=["trivial", "Z2", "codiscrete2", "discrete2", "Z3"])
+def test_sliced_comodules_match_per_candidate_oracle(monkeypatch, G, max_size):
+    want = _keys_by_carrier(_enumerate_comodules_oracle(G, max_size))
+    for block in (16, 3):  # one block per carrier, then several
+        monkeypatch.setattr(galois, "_BLOCK", block)
+        got = enumerate_comodules(G, max_size)
+        assert len(got) == sum(map(len, want.values()))
+        assert _keys_by_carrier(got) == want
+
+
+def test_comodule_enumeration_fails_under_python_O():
+    # a B1 table forced to all ones must stop the enumeration with asserts
+    # stripped, not return the candidates that break B1
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.fixtures import z_mod\n"
+        "tables = galois._ComoduleSpace.tables\n"
+        "galois._ComoduleSpace.tables = lambda self: (\n"
+        "    (block, (1 << len(block)) - 1) for block, _ in tables(self))\n"
+        "print(galois.enumerate_comodules(z_mod(2), 2))\n")
+    assert proc.returncode == 1
+    assert "finloc.errors.Mismatch" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_second_factor_cone_computes_no_generator_closure(monkeypatch):
