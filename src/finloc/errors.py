@@ -93,10 +93,6 @@ class InconsistentExtension(KernelError):
     """Cone extension disagrees across admissible presentations of an element."""
 
 
-class NoProducts(KernelError):
-    pass
-
-
 class NoDuals(KernelError):
     pass
 

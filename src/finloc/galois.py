@@ -41,7 +41,7 @@ from .lattice import (
 )
 from .modb import BModule, DualityData
 from .present import ModulePresentation, induced_morphism
-from .relation import AxiomReport
+from .relation import AxiomReport, table_axioms
 from .tannaka import Coend, CoendArrow, CoendObject
 
 
@@ -1412,33 +1412,19 @@ def site_independence_check(G: FiniteGroupoid, extra_actions: tuple) -> bool:
 
 
 def _validate_cone(gc: GaloisCoend, A: FiniteLocale, g0, g1, tables) -> None:
-    """Anchored bijection axioms on every object plus the triangle law for
-    every generating site map."""
+    """The bijection axioms on every object, with rows joining to g0 and
+    columns to g1 of the anchors (delegated to `table_axioms`), plus the
+    triangle law for every generating site map.  The support bound
+    t(x, y) <= g0 ∧ g1 follows from the row and column joins."""
     site = gc.site
     for cname, act in site.objects.items():
-        t = tables[cname]
-        for x in act.carrier:
-            for y in act.carrier:
-                cap = A.meet(g0.table[frozenset({act.anchor[x]})],
-                             g1.table[frozenset({act.anchor[y]})])
-                if not A.leq(t[(x, y)], cap):
-                    raise NotACone(f"support violated at {cname} ({x!r},{y!r})")
-        for x in act.carrier:
-            if A.join_all(t[(x, y)] for y in act.carrier) \
-                    != g0.table[frozenset({act.anchor[x]})]:
-                raise NotACone(f"row join fails at {cname} {x!r}")
-            for y1 in act.carrier:
-                for y2 in act.carrier:
-                    if y1 != y2 and A.meet(t[(x, y1)], t[(x, y2)]) != A.bottom:
-                        raise NotACone(f"rows not disjoint at {cname}")
-        for y in act.carrier:
-            if A.join_all(t[(x, y)] for x in act.carrier) \
-                    != g1.table[frozenset({act.anchor[y]})]:
-                raise NotACone(f"column join fails at {cname} {y!r}")
-            for x1 in act.carrier:
-                for x2 in act.carrier:
-                    if x1 != x2 and A.meet(t[(x1, y)], t[(x2, y)]) != A.bottom:
-                        raise NotACone(f"columns not disjoint at {cname}")
+        rep = table_axioms(A, act.carrier, act.carrier, tables[cname],
+                           lambda x: g0.table[frozenset({act.anchor[x]})],
+                           lambda y: g1.table[frozenset({act.anchor[y]})])
+        if rep.witnesses:
+            axiom, witness = next(iter(rep.witnesses.items()))
+            raise NotACone(f"axiom {axiom} fails at {cname}: {witness!r}",
+                           witness=witness)
     for (name, src, dst, table) in site.maps:
         ts, td = tables[src], tables[dst]
         for x in site.objects[src].carrier:
@@ -1493,24 +1479,17 @@ def enumerate_bijection_cones(gc: GaloisCoend, A: FiniteLocale,
     def tables_for(rep_name):
         act = site.objects[rep_name]
         per_row = [list(rows_for(act, x, A.elements)) for x in act.carrier]
+        col_tops = [g1.table[frozenset({act.anchor[y]})] for y in act.carrier]
+
+        def col_ok(col, top):  # column join and disjointness
+            return A.join_all(col) == top and all(
+                A.meet(col[i], col[j]) == A.bottom
+                for i in range(len(col)) for j in range(i + 1, len(col)))
+
         for combo in itertools.product(*per_row):
-            t = {}
-            ok = True
-            for x, row in zip(act.carrier, combo):
-                for y, v in zip(act.carrier, row):
-                    t[(x, y)] = v
-            for y in act.carrier:  # column joins and disjointness
-                col = [t[(x, y)] for x in act.carrier]
-                if A.join_all(col) != g1.table[frozenset({act.anchor[y]})]:
-                    ok = False
-                    break
-                for i in range(len(col)):
-                    for j in range(i + 1, len(col)):
-                        if A.meet(col[i], col[j]) != A.bottom:
-                            ok = False
-                            break
-            if ok:
-                yield t
+            if all(map(col_ok, zip(*combo), col_tops)):
+                yield {(x, y): v for x, row in zip(act.carrier, combo)
+                       for y, v in zip(act.carrier, row)}
 
     for combo in itertools.product(*(list(tables_for(r)) for r in reps)):
         tables = dict(zip(reps, combo))

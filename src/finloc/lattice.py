@@ -9,6 +9,7 @@ Carriers are capped (default 64) to keep all exhaustive checks fast.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -496,30 +497,10 @@ def function_lattice(H: FiniteLocale, X, cap: int = DEFAULT_CAP) -> FunctionLoca
     size = len(H) ** len(base)
     if size > cap:
         raise SizeBound(f"|H|^|X| = {size} exceeds cap {cap}")
-    import itertools
-
-    elements = tuple(itertools.product(H.elements, repeat=len(base)))
-    n = len(elements)
-    ix = {e: i for i, e in enumerate(elements)}
-    hup = H._up
-    hix = H._ix
-    up = [0] * n
-    for i, e in enumerate(elements):
-        m = 0
-        for j, f in enumerate(elements):
-            if all((hup[hix[a]] >> hix[b]) & 1 for a, b in zip(e, f)):
-                m |= 1 << j
-        up[i] = m
-    jn = [[0] * n for _ in range(n)]
-    mt = [[0] * n for _ in range(n)]
-    for i, e in enumerate(elements):
-        for j in range(i, n):
-            f = elements[j]
-            jn[i][j] = jn[j][i] = ix[tuple(H.join(a, b) for a, b in zip(e, f))]
-            mt[i][j] = mt[j][i] = ix[tuple(H.meet(a, b) for a, b in zip(e, f))]
-    bot = ix[tuple(H.bottom for _ in base)]
-    top = ix[tuple(H.top for _ in base)]
-    loc = FunctionLocale(elements, up, jn, mt, bot, top)
+    leq = H.leq
+    loc = FunctionLocale.from_order(
+        itertools.product(H.elements, repeat=len(base)),
+        lambda e, f: all(leq(a, b) for a, b in zip(e, f)))
     loc.base = H
     loc.domain = base
     loc._pos = {x: k for k, x in enumerate(base)}
@@ -670,9 +651,7 @@ def all_locales(max_size: int) -> tuple[FiniteLocale, ...]:
         n = len(up1)
         if n != len(up2):
             return False
-        import itertools as it
-
-        for perm in it.permutations(range(n)):
+        for perm in itertools.permutations(range(n)):
             if all(
                 ((up1[i] >> j) & 1) == ((up2[perm[i]] >> perm[j]) & 1)
                 for i in range(n) for j in range(n)

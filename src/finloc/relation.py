@@ -98,44 +98,48 @@ def _require_locale(r: LRelation):
         raise NotALocale("axiom evaluation needs meets and a top element")
 
 
+def table_axioms(M: FiniteSupLattice, X, Y, t: dict, row_top, col_top,
+                 bracket_x=None, bracket_y=None) -> AxiomReport:
+    """The four axioms of a table t[(x, y)] with values in the lattice M.
+
+    ed: each row x joins to row_top(x); su: each column y joins to
+    col_top(y); uv: two entries of a row meet below bracket_y(y1, y2); in:
+    two entries of a column meet below bracket_x(x1, x2).  Without a bracket
+    distinct elements must be disjoint; with one, the pair y1 = y2 is
+    checked too, since the bracket of an element with itself bounds a single
+    entry.  Each witness is the first failure in X, Y order: (x,),
+    (x, y1, y2), (y,) and (x1, x2, y).
+    """
+    rows = {x: [t[(x, y)] for y in Y] for x in X}
+    cols = {y: [t[(x, y)] for x in X] for y in Y}
+
+    def gap(lines, top):
+        return next(((a,) for a, line in lines.items()
+                     if M.join_all(line) != top(a)), None)
+
+    def overlap(lines, C, bracket):
+        for a, line in lines.items():
+            for i, c in enumerate(C):
+                for j in range(i if bracket else i + 1, len(C)):
+                    bound = bracket(c, C[j]) if bracket else M.bottom
+                    if not M.leq(M.meet(line[i], line[j]), bound):
+                        return a, c, C[j]
+        return None
+
+    bad_in = overlap(cols, X, bracket_x)
+    wit = {"ed": gap(rows, row_top), "uv": overlap(rows, Y, bracket_y),
+           "su": gap(cols, col_top),
+           "in": bad_in and (bad_in[1], bad_in[2], bad_in[0])}
+    wit = {k: w for k, w in wit.items() if w is not None}
+    return AxiomReport(*(k not in wit for k in ("ed", "uv", "su", "in")), wit)
+
+
 def check_axioms(r: LRelation) -> AxiomReport:
-    """Evaluate the four quantified axioms directly, with first witnesses."""
+    """The four axioms of r with H's top as every row and column join;
+    delegates to `table_axioms`."""
     _require_locale(r)
-    H, X, Y, t = r.H, r.X, r.Y, r.table
-    wit = {}
-    ed = True
-    for x in X:
-        if H.join_all(t[(x, y)] for y in Y) != H.top:
-            ed, wit["ed"] = False, (x,)
-            break
-    uv = True
-    for x in X:
-        for i, y1 in enumerate(Y):
-            for y2 in Y[i + 1:]:
-                if H.meet(t[(x, y1)], t[(x, y2)]) != H.bottom:
-                    uv, wit["uv"] = False, (x, y1, y2)
-                    break
-            if not uv:
-                break
-        if not uv:
-            break
-    su = True
-    for y in Y:
-        if H.join_all(t[(x, y)] for x in X) != H.top:
-            su, wit["su"] = False, (y,)
-            break
-    inj = True
-    for y in Y:
-        for i, x1 in enumerate(X):
-            for x2 in X[i + 1:]:
-                if H.meet(t[(x1, y)], t[(x2, y)]) != H.bottom:
-                    inj, wit["in"] = False, (x1, x2, y)
-                    break
-            if not inj:
-                break
-        if not inj:
-            break
-    return AxiomReport(ed, uv, su, inj, wit)
+    top = r.H.top
+    return table_axioms(r.H, r.X, r.Y, r.table, lambda x: top, lambda y: top)
 
 
 def classify(r: LRelation) -> str:

@@ -23,7 +23,7 @@ from .errors import (
 from .lattice import FiniteLocale, FiniteSupLattice, _canon, is_frame, power_locale
 from .modb import BModule, DualityData, check_duality
 from .present import JoinPresentation, ModulePresentation, PresentedSupLattice
-from .relation import AxiomReport
+from .relation import AxiomReport, table_axioms
 
 MAX_COVER_BASE = 14
 
@@ -300,49 +300,22 @@ def scaling_identity_holds(mu: dict, lam: dict, dX: DiscreteModule,
 
 def check_module_axioms(mu: dict, dX: DiscreteModule, dY: DiscreteModule,
                         H: BModule) -> AxiomReport:
-    """The four axioms stated on delta generators at the module level."""
-    P = dX.sheaf.P
-    M = H.lattice
-    wit = {}
+    """The four axioms stated on delta generators at the module level.
+
+    Delegates to `table_axioms`: the row (column) of a delta generator over
+    p joins to the image of p in H, and two entries of a row (column) meet
+    below the image of the equality bracket of their generators.
+    """
+    top = H.lattice.top
 
     def himg(b):  # image of b under the structure map P -> H
-        return H.act(b, M.top)
+        return H.act(b, top)
 
-    ed = True
-    for (p, x) in dX.sheaf.total():
-        if M.join_all(mu[((p, x), gy)] for gy in dY.sheaf.total()) != himg(p):
-            ed, wit["ed"] = False, (p, x)
-            break
-    uv = True
-    for (p, x) in dX.sheaf.total():
-        for gy1 in dY.sheaf.total():
-            for gy2 in dY.sheaf.total():
-                bound = himg(eq_bracket(dY, gy1, gy2))
-                if not M.leq(M.meet(mu[((p, x), gy1)], mu[((p, x), gy2)]), bound):
-                    uv, wit["uv"] = False, ((p, x), gy1, gy2)
-                    break
-            if not uv:
-                break
-        if not uv:
-            break
-    su = True
-    for (q, y) in dY.sheaf.total():
-        if M.join_all(mu[(gx, (q, y))] for gx in dX.sheaf.total()) != himg(q):
-            su, wit["su"] = False, (q, y)
-            break
-    inj = True
-    for (q, y) in dY.sheaf.total():
-        for gx1 in dX.sheaf.total():
-            for gx2 in dX.sheaf.total():
-                bound = himg(eq_bracket(dX, gx1, gx2))
-                if not M.leq(M.meet(mu[(gx1, (q, y))], mu[(gx2, (q, y))]), bound):
-                    inj, wit["in"] = False, (gx1, gx2, (q, y))
-                    break
-            if not inj:
-                break
-        if not inj:
-            break
-    return AxiomReport(ed, uv, su, inj, wit)
+    return table_axioms(
+        H.lattice, dX.sheaf.total(), dY.sheaf.total(), mu,
+        lambda gx: himg(gx[0]), lambda gy: himg(gy[0]),
+        lambda gx1, gx2: himg(eq_bracket(dX, gx1, gx2)),
+        lambda gy1, gy2: himg(eq_bracket(dY, gy1, gy2)))
 
 
 def selfdual_Xd(d: DiscreteModule) -> DualityData:

@@ -56,6 +56,7 @@ from finloc.lattice import (
     power_locale,
 )
 from finloc.present import PresentedSupLattice
+from finloc.relation import table_axioms
 
 
 def test_groupoid_validation_rejects_bad_units():
@@ -311,6 +312,60 @@ def test_factor_rejects_non_cone():
               for name, act in gc.site.objects.items()}
     with pytest.raises(NotACone):
         factor_cone(gc, L, g0, g1, tables)
+
+
+def _z2_structural_cone():
+    gc = GaloisCoend(default_site(z_mod(2)))
+    L = gc.quotient.locale()
+    B = power_locale(gc.site.groupoid.objects)
+    g0 = SupMorphism(B, L, {b: gc.t_map(b).closure for b in B.elements})
+    g1 = SupMorphism(B, L, {b: gc.s_map(b).closure for b in B.elements})
+    tables = structural_cone_tables(
+        gc, SupMorphism(L, L, {c: c for c in L.elements}))
+    return gc, L, g0, g1, tables
+
+
+# On R[*] the structural table is [[a, b], [b, a]] with a, b the atoms of
+# the coend; each mutant rewrites the entries named by (row, column) to
+# "a", "b", "top" or "bottom" and breaks the axiom it is keyed by.
+_CONE_MUTANTS = {
+    "ed": {("g0", "g1"): "bottom"},
+    "uv": {("g0", "g1"): "top"},
+    "su": {("g1", "g0"): "a", ("g1", "g1"): "b"},
+    "in": {("g1", "g0"): "top", ("g1", "g1"): "bottom"},
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(_CONE_MUTANTS))
+def test_validate_cone_rejects_one_mutant_per_axiom(axiom):
+    gc, L, g0, g1, tables = _z2_structural_cone()
+    galois._validate_cone(gc, L, g0, g1, tables)  # the unmutated cone passes
+    t = tables["R[*]"]
+    named = {"a": t[("g0", "g0")], "b": t[("g0", "g1")],
+             "top": L.top, "bottom": L.bottom}
+    for key, value in _CONE_MUTANTS[axiom].items():
+        t[key] = named[value]
+    rep = table_axioms(L, ("g0", "g1"), ("g0", "g1"), t,
+                       lambda x: L.top, lambda y: L.top)
+    assert axiom in rep.witnesses
+    with pytest.raises(NotACone) as e:
+        galois._validate_cone(gc, L, g0, g1, tables)
+    assert e.value.witness == next(iter(rep.witnesses.values()))
+
+
+def test_validate_cone_rejects_entry_outside_support():
+    # the only change: the anchor map g1 sends the object to the atom a, so
+    # the entry b of the table lies outside g0 ∧ g1 = a; the row and column
+    # joins imply the support bound, so no separate support check is needed
+    gc, L, g0, g1, tables = _z2_structural_cone()
+    a = tables["R[*]"][("g0", "g0")]
+    g1 = SupMorphism(g1.dom, L, {b: (a if b else L.bottom)
+                                 for b in g1.dom.elements})
+    assert not L.leq(tables["R[*]"][("g0", "g1")],
+                     L.meet(g0.table[frozenset({"*"})],
+                            g1.table[frozenset({"*"})]))
+    with pytest.raises(NotACone):
+        galois._validate_cone(gc, L, g0, g1, tables)
 
 
 def test_restricted_theta_on_graph_of_morphism():

@@ -54,6 +54,39 @@ def test_axioms_not_everywhere_defined_over_p2():
     assert not rep.everywhere_defined
 
 
+def _axioms_oracle(r):
+    """The four quantifiers read off the definitions, each with its first
+    witness in X, Y order."""
+    H, X, Y = r.H, r.X, r.Y
+    ed = [(x,) for x in X if H.join_all(r(x, y) for y in Y) != H.top]
+    uv = [(x, y1, y2) for x in X for y1, y2 in itertools.combinations(Y, 2)
+          if H.meet(r(x, y1), r(x, y2)) != H.bottom]
+    su = [(y,) for y in Y if H.join_all(r(x, y) for x in X) != H.top]
+    inj = [(x1, x2, y) for y in Y for x1, x2 in itertools.combinations(X, 2)
+           if H.meet(r(x1, y), r(x2, y)) != H.bottom]
+    failures = {"ed": ed, "uv": uv, "su": su, "in": inj}
+    return ({k: not v for k, v in failures.items()},
+            {k: v[0] for k, v in failures.items() if v})
+
+
+def test_check_axioms_matches_definition_oracle():
+    # every relation of TWO, CH3 and P2 over 2x2, 3x2 and 1x3 carriers
+    count = 0
+    for H in (TWO(), CH3(), P2()):
+        for X, Y in (((1, 2), ("a", "b")), ((1, 2, 3), ("a", "b")),
+                     ((1,), ("a", "b", "c"))):
+            for r in all_relations(H, X, Y):
+                rep = check_axioms(r)
+                verdicts, witnesses = _axioms_oracle(r)
+                assert verdicts == {"ed": rep.everywhere_defined,
+                                    "uv": rep.univalued,
+                                    "su": rep.surjective,
+                                    "in": rep.injective}
+                assert rep.witnesses == witnesses
+                count += 1
+    assert count == 5341
+
+
 def test_classify():
     assert classify(graph({1: "a", 2: "b"}, (1, 2), ("a", "b"))) == "bijection"
     assert classify(graph({1: "a"}, (1,), ("a", "b"))) == "function"

@@ -224,6 +224,23 @@ def test_module_axioms_mu_bottom_fails_ed():
     assert not rep.everywhere_defined
 
 
+def test_module_axioms_bound_an_entry_by_its_own_bracket():
+    # the equality bracket is a bijection; raising the entry at (a-b over
+    # {1, 2}, a over {1}) to the top breaks uv already on the pair (a, a),
+    # whose bracket is the extent {1}
+    X = etale_sheaf((1, 2), ("a", "b"), {"a": 1, "b": 2})
+    d = build_Xd(X)
+    H = _omega_p_module(X.P)
+    gens = X.total()
+    mu = {(gx, gy): eq_bracket(d, gx, gy) for gx in gens for gy in gens}
+    assert check_module_axioms(mu, d, d, H).is_bijection
+    ab, a = (frozenset({1, 2}), ("a", "b")), (frozenset({1}), ("a",))
+    mu[(ab, a)] = X.P.top
+    rep = check_module_axioms(mu, d, d, H)
+    assert rep.everywhere_defined and rep.injective
+    assert rep.witnesses == {"uv": (ab, a, a), "su": (a,)}
+
+
 def test_internal_external_axiom_agreement_exhaustive():
     # stalkwise axioms of the internal relation agree with the module-level
     # axioms of its transpose, for every internal relation between small
