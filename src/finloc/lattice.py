@@ -3,7 +3,10 @@
 Elements are opaque hashable ids.  The order is stored as one bitmask per
 element (its up-set over element indices); join and meet tables are
 precomputed at validation time so every later check is a table lookup.
-Carriers are capped (default 64) to keep all exhaustive checks fast.
+Every table is built by `FiniteSupLattice.from_order`.  Preservation of
+joins is tested by adjunction (`join_failure`), and of meets by the same
+test on the order duals; the frame law is join preservation by each meet
+row.  Carriers are capped (default 64).
 """
 
 from __future__ import annotations
@@ -81,12 +84,11 @@ class FiniteSupLattice:
         ix = {e: i for i, e in enumerate(elements)}
         if len(ix) != n:
             raise NotAPartialOrder("duplicate element ids")
+        bits = [1 << j for j in range(n)]
         up = [0] * n
         for i, e in enumerate(elements):
-            m = 0
-            for j, f in enumerate(elements):
-                if leq(e, f):
-                    m |= 1 << j
+            # the row is a sum of distinct powers of two, one per f >= e
+            m = sum(itertools.compress(bits, map(leq, itertools.repeat(e), elements)))
             if not (m >> i) & 1:
                 raise NotAPartialOrder(f"order not reflexive at {e!r}", witness=(e,))
             up[i] = m
@@ -269,17 +271,18 @@ def build_suplattice(elements, leq_pairs, cap: int = DEFAULT_CAP) -> FiniteSupLa
 def is_frame(L: FiniteSupLattice):
     """Finite frame law: a ∧ (y ∨ z) = (a ∧ y) ∨ (a ∧ z) for all triples.
 
-    Returns (True, None) or (False, (a, y, z)) with the first bad triple.
+    L is a frame iff every map a ∧ − preserves joins, tested on each meet
+    row by `join_failure`.  Returns (True, None) or (False, (a, y, z)) with
+    the first bad triple in canonical element order: the first failing row
+    is scanned for its first bad pair.
     """
-    els = L.elements
-    mt, jn = L._mt, L._jn
-    n = len(els)
-    for ai in range(n):
-        row = mt[ai]
-        for yi in range(n):
-            for zi in range(n):
-                if row[jn[yi][zi]] != jn[row[yi]][row[zi]]:
-                    return False, (els[ai], els[yi], els[zi])
+    els, jn = L.elements, L._jn
+    for a, row in zip(els, L._mt):
+        if join_failure(row, L, L) is not None:
+            y, z = next((y, z) for y, jy in enumerate(jn)
+                        for z, k in enumerate(jy)
+                        if row[k] != jn[row[y]][row[z]])
+            return False, (a, els[y], els[z])
     return True, None
 
 
@@ -393,33 +396,47 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
     return None
 
 
+def _dual(L: FiniteSupLattice) -> FiniteSupLattice:
+    """L with the order reversed, a view on L's own rows and tables: down
+    rows become up rows, join and meet swap, and so do bottom and top."""
+    down, _ = L._down_rows()
+    d = FiniteSupLattice(L.elements, down, L._mt, L._jn, L._top_i, L._bot_i)
+    d._downs = (L._up, {u: i for i, u in enumerate(L._up)})
+    return d
+
+
+def _preservation(f, D, C, bottom: str, join: str) -> Violation | None:
+    """`join_failure` of the index map f as a Violation of the given kinds."""
+    bad = join_failure(f, D, C)
+    if bad is None:
+        return None
+    if bad == ():
+        return Violation(bottom, (D.elements[D._bot_i],))
+    return Violation(join, (D.elements[bad[0]], D.elements[bad[1]]))
+
+
+def _index_map(f: SupMorphism) -> list:
+    cix, t = f.cod._ix, f.table
+    return [cix[t[x]] for x in f.dom.elements]
+
+
 def check_sup_morphism(f: SupMorphism) -> Violation | None:
     """ok iff f preserves bottom and binary joins (hence all joins)."""
-    dom, cod, t = f.dom, f.cod, f.table
-    if t[dom.bottom] != cod.bottom:
-        return Violation("bottom", (dom.bottom,))
-    for x in dom.elements:
-        for y in dom.elements:
-            if t[dom.join(x, y)] != cod.join(t[x], t[y]):
-                return Violation("join", (x, y))
-    return None
+    return _preservation(_index_map(f), f.dom, f.cod, "bottom", "join")
 
 
 def check_locale_morphism(f: SupMorphism) -> Violation | None:
-    """ok iff sup-morphism that also preserves top and binary meets."""
-    bad = check_sup_morphism(f)
+    """ok iff sup-morphism that also preserves top and binary meets.
+
+    The meet half is the join test between the order duals: their empty
+    join is the top."""
+    dom, cod, ix = f.dom, f.cod, _index_map(f)
+    bad = _preservation(ix, dom, cod, "bottom", "join")
     if bad:
         return bad
-    dom, cod, t = f.dom, f.cod, f.table
     if not isinstance(dom, FiniteLocale) or not isinstance(cod, FiniteLocale):
         raise DomainMismatch("locale morphism endpoints must be locales")
-    if t[dom.top] != cod.top:
-        return Violation("top", (dom.top,))
-    for x in dom.elements:
-        for y in dom.elements:
-            if t[dom.meet(x, y)] != cod.meet(t[x], t[y]):
-                return Violation("meet", (x, y))
-    return None
+    return _preservation(ix, _dual(dom), _dual(cod), "top", "meet")
 
 
 # -- free constructions ---------------------------------------------------
@@ -443,25 +460,7 @@ def power_locale(X, cap: int = DEFAULT_CAP) -> PowerLocale:
     subsets = [frozenset()]
     for x in base:
         subsets += [s | {x} for s in subsets]
-    elements = _canon(subsets)
-    n = len(elements)
-    ix = {e: i for i, e in enumerate(elements)}
-    up = [0] * n
-    for i, a in enumerate(elements):
-        m = 0
-        for j, b in enumerate(elements):
-            if a <= b:
-                m |= 1 << j
-        up[i] = m
-    jn = [[0] * n for _ in range(n)]
-    mt = [[0] * n for _ in range(n)]
-    for i, a in enumerate(elements):
-        for j in range(i, n):
-            b = elements[j]
-            jn[i][j] = jn[j][i] = ix[a | b]
-            mt[i][j] = mt[j][i] = ix[a & b]
-    loc = PowerLocale(elements, up, jn, mt,
-                      ix[frozenset()], ix[frozenset(base)])
+    loc = PowerLocale.from_order(_canon(subsets), lambda a, b: a <= b)
     loc.base_set = frozenset(base)
     return loc
 

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from finloc import galois
-from finloc.errors import Mismatch, NotACone, NotAGroupoid
+from finloc.errors import Mismatch, NotACone, NotAGroupoid, NotAModule
 from finloc.fixtures import codiscrete, identities_only, trivial_group, z_mod
 from finloc.galois import (
     DiscreteAction,
     FiniteGroupoid,
     GaloisCoend,
+    GroupoidHopf,
     action_comodule_transpose,
     action_from_comodule,
     action_mu,
@@ -47,6 +48,7 @@ from finloc.galois import (
     structural_cone_tables,
     terminal_action,
     transporter,
+    verify_hopf_laws,
 )
 from finloc.lattice import (
     SupMorphism,
@@ -83,6 +85,25 @@ def test_hopf_codiscrete():
     H = groupoid_to_hopf(codiscrete(2))
     assert len(H.L) == 16
     assert H.a(frozenset({(0, 1)})) == frozenset({(1, 0)})
+
+
+def test_hopf_laws_reject_a_broken_source_map_and_action():
+    H = groupoid_to_hopf(codiscrete(2))
+    fields = (H.groupoid, H.B, H.L, H.composable, H.parallel)
+
+    class NonemptyToAll(GroupoidHopf):
+        def s(self, b):  # keeps joins, breaks the meet of the two objects
+            return frozenset(self.groupoid.arrows) if b else frozenset()
+
+    with pytest.raises(Mismatch, match="s is a locale morphism"):
+        verify_hopf_laws(NonemptyToAll(*fields))
+
+    class IgnoresB(GroupoidHopf):
+        def left(self, b, U):  # the empty b no longer acts as zero
+            return U
+
+    with pytest.raises(NotAModule):
+        verify_hopf_laws(IgnoresB(*fields))
 
 
 def test_regular_action_and_transporters():

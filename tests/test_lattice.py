@@ -16,6 +16,7 @@ from finloc.errors import (
 from finloc.fixtures import CH3, M3, P2, TWO, chain, codiscrete, trivial_group, z_mod
 from finloc.galois import GaloisCoend, default_site
 from finloc.lattice import (
+    FiniteLocale,
     FiniteSupLattice,
     SupMorphism,
     all_locales,
@@ -88,6 +89,90 @@ def test_is_frame_m3_witness():
     assert witness == expected
 
 
+# -- the all-pairs definitions, as oracles for the adjunction tests ----------
+
+
+def _N5():
+    return build_suplattice(("0", "a", "b", "c", "1"),
+                            [("0", "a"), ("a", "b"), ("b", "1"),
+                             ("0", "c"), ("c", "1")])
+
+
+def _frame_oracle(L):
+    """The first triple in canonical element order that breaks a ∧ (y ∨ z) =
+    (a ∧ y) ∨ (a ∧ z)."""
+    for a in L.elements:
+        for y in L.elements:
+            for z in L.elements:
+                if L.meet(a, L.join(y, z)) != L.join(L.meet(a, y), L.meet(a, z)):
+                    return False, (a, y, z)
+    return True, None
+
+
+def _sup_oracle(f):
+    """Kind of the first failure of f as a sup-morphism: bottom, then the
+    join of every pair."""
+    dom, cod, t = f.dom, f.cod, f.table
+    if t[dom.bottom] != cod.bottom:
+        return "bottom"
+    if any(t[dom.join(x, y)] != cod.join(t[x], t[y])
+           for x in dom.elements for y in dom.elements):
+        return "join"
+    return None
+
+
+def _locale_oracle(f):
+    """As `_sup_oracle`, then the top and the meet of every pair."""
+    kind = _sup_oracle(f)
+    if kind:
+        return kind
+    dom, cod, t = f.dom, f.cod, f.table
+    if t[dom.top] != cod.top:
+        return "top"
+    if any(t[dom.meet(x, y)] != cod.meet(t[x], t[y])
+           for x in dom.elements for y in dom.elements):
+        return "meet"
+    return None
+
+
+def _violates(f, bad):
+    """Whether the reported witness really breaks the law of its kind."""
+    dom, cod, t = f.dom, f.cod, f.table
+    if bad.kind in ("bottom", "top"):
+        x = dom.bottom if bad.kind == "bottom" else dom.top
+        want = cod.bottom if bad.kind == "bottom" else cod.top
+        return bad.witness == (x,) and t[x] != want
+    x, y = bad.witness
+    if bad.kind == "join":
+        return t[dom.join(x, y)] != cod.join(t[x], t[y])
+    return t[dom.meet(x, y)] != cod.meet(t[x], t[y])
+
+
+def test_morphism_checks_match_all_pairs_oracle():
+    seen = set()
+    for D in (TWO(), CH3(), P2(), M3(), _N5()):
+        for C in (TWO(), CH3(), P2()):
+            for values in itertools.product(C.elements, repeat=len(D)):
+                f = SupMorphism(D, C, dict(zip(D.elements, values)))
+                checks = [(check_sup_morphism, _sup_oracle)]
+                if isinstance(D, FiniteLocale):
+                    checks.append((check_locale_morphism, _locale_oracle))
+                for check, oracle in checks:
+                    bad, want = check(f), oracle(f)
+                    assert (bad and bad.kind) == want
+                    if bad:
+                        assert _violates(f, bad)
+                        seen.add(bad.kind)
+    assert seen == {"bottom", "join", "top", "meet"}
+
+
+def test_is_frame_matches_triple_loop():
+    lattices = list(all_locales(8)) + [M3(), _N5()]
+    for L in lattices:
+        assert is_frame(L) == _frame_oracle(L)
+    assert not is_frame(M3())[0] and not is_frame(_N5())[0]
+
+
 def test_sup_morphism_examples():
     omega = TWO()
     assert check_sup_morphism(identity_morphism(omega)) is None
@@ -122,13 +207,17 @@ def test_power_locale():
 
 
 def test_power_locale_matches_generic_construction():
-    # dual route: same tables as a lattice built from covering pairs
-    p = power_locale((1, 2, 3))
-    for a in p.elements:
-        for b in p.elements:
-            assert p.join(a, b) == a | b
-            assert p.meet(a, b) == a & b
-            assert p.leq(a, b) == (a <= b)
+    # dual route: every table equals the set operations, up to P(8)
+    for k in range(9):
+        p = power_locale(range(k), cap=256)
+        els = p.elements
+        ix = {e: i for i, e in enumerate(els)}
+        assert len(els) == 2 ** k
+        assert (p.bottom, p.top) == (frozenset(), frozenset(range(k)))
+        assert p._up == [sum(1 << j for j, b in enumerate(els) if a <= b)
+                         for a in els]
+        assert p.join_table == [[ix[a | b] for b in els] for a in els]
+        assert p.meet_table == [[ix[a & b] for b in els] for a in els]
 
 
 def test_function_lattice_sizes():
@@ -229,12 +318,12 @@ def test_presented_iff_conditions_exhaustive():
 
 
 def _brute_points(H):
-    # oracle: every map H -> {0, 1}, filtered by the locale morphism checker
+    # oracle: every map H -> {0, 1}, filtered by the all-pairs definition
     omega = TWO()
     out = []
     for bits in itertools.product((0, 1), repeat=len(H)):
         f = SupMorphism(H, omega, dict(zip(H.elements, bits)))
-        if check_locale_morphism(f) is None:
+        if _locale_oracle(f) is None:
             out.append(f.table.items())
     return {tuple(sorted(t, key=repr)) for t in out}
 
@@ -250,14 +339,14 @@ def test_points_counts_and_brute_force():
 
 def _brute_locale_morphisms(L, A):
     # oracle: every choice of values on J(L), extended by joins, filtered by
-    # the locale morphism checker and deduplicated
+    # the all-pairs definition and deduplicated
     irr = L.join_irreducibles()
     out = set()
     for values in itertools.product(A.elements, repeat=len(irr)):
         v = dict(zip(irr, values))
         f = SupMorphism(L, A, {x: A.join_all(v[j] for j in irr if L.leq(j, x))
                                for x in L.elements})
-        if check_locale_morphism(f) is None:
+        if _locale_oracle(f) is None:
             out.add(tuple(sorted(f.table.items(), key=repr)))
     return out
 
@@ -372,8 +461,7 @@ def _least_of_tables(elements, leq):
 def test_from_order_tables_match_least_of_oracle():
     from finloc.present import tensor
 
-    N5 = build_suplattice(("0", "a", "b", "c", "1"),
-                          [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+    N5 = _N5()
     lattices = list(all_locales(7)) + [M3(), N5, tensor(power_locale((1, 2)),
                                                          power_locale((1, 2, 3))).lattice()]
     for L in lattices:
