@@ -122,7 +122,7 @@ class NoIsomorphismFound(KernelError):
 
 
 class SizeBound(KernelError):
-    """An enumeration or carrier exceeded its configured cap."""
+    """A carrier exceeded the carrier bound, or an enumeration its cap."""
 
 
 class ParseError(KernelError):

@@ -282,7 +282,7 @@ class GroupoidHopf:
 
 def groupoid_to_hopf(G: FiniteGroupoid) -> GroupoidHopf:
     B = power_locale(G.objects)
-    L = power_locale(G.arrows, cap=max(64, 2 ** len(G.arrows)))
+    L = power_locale(G.arrows)
     composable = tuple((f, g) for f in G.arrows for g in G.arrows
                        if G.source[f] == G.target[g])
     parallel = tuple((f, g) for f in G.arrows for g in G.arrows
@@ -668,8 +668,9 @@ def enumerate_comodules(G: FiniteGroupoid, max_size: int) -> list:
     return out
 
 
-def invariant_relations(A: DiscreteAction, B: DiscreteAction) -> list:
-    """All action-stable fiberwise relations, as unions of pair orbits."""
+def _pair_orbits(A: DiscreteAction, B: DiscreteAction) -> tuple[list, list]:
+    """The fiberwise pairs (x, y) of two actions, and the orbits of the
+    diagonal action on them in the order of their first pair."""
     G = A.groupoid
     pairs = [(x, y) for x in A.carrier for y in B.carrier
              if A.anchor[x] == B.anchor[y]]
@@ -689,6 +690,12 @@ def invariant_relations(A: DiscreteAction, B: DiscreteAction) -> list:
                     frontier.append(q)
         seen |= orbit
         orbits.append(frozenset(orbit))
+    return pairs, orbits
+
+
+def invariant_relations(A: DiscreteAction, B: DiscreteAction) -> list:
+    """All action-stable fiberwise relations, as unions of pair orbits."""
+    _, orbits = _pair_orbits(A, B)
     out = []
     for r in range(len(orbits) + 1):
         for sub in itertools.combinations(orbits, r):
@@ -829,8 +836,7 @@ def etale_module(G: FiniteGroupoid, act: DiscreteAction):
     """P(carrier) as a module over P(objects), with its atom presentation
     and the overlap duality."""
     B = power_locale(G.objects)
-    cap = max(64, 2 ** len(act.carrier))
-    M = power_locale(act.carrier, cap=cap)
+    M = power_locale(act.carrier)
 
     def action(b, U):
         return frozenset(x for x in U if act.anchor[x] in b)
@@ -1110,8 +1116,7 @@ def actions_up_to_iso(actions) -> list:
             f = {}
             for (sa, _), img in zip(stalks, combo):
                 f.update(dict(zip(sa, img)))
-            if all(f[A.apply(g, x)] == B.apply(g, f[x])
-                   for x in A.carrier for g in G.arrows_from(A.anchor[x])):
+            if check_action_morphism(f, A, B):
                 return True
         return False
 
@@ -1158,8 +1163,7 @@ class _HomSpace:
     def __init__(self, A: DiscreteAction, B: DiscreteAction):
         G = A.groupoid
         self.A, self.B, self.G = A, B, G
-        self.pairs = [(x, y) for x in A.carrier for y in B.carrier
-                      if A.anchor[x] == B.anchor[y]]
+        self.pairs, orbits = _pair_orbits(A, B)
         self.pos = {p: i for i, p in enumerate(self.pairs)}
         self.n = len(self.pairs)
         arrows = G.arrows
@@ -1190,23 +1194,8 @@ class _HomSpace:
                     couples.append((left, right))
             self.cmd_couples.append(couples)
         # orbit masks of the diagonal action
-        seen = 0
-        self.orbit_masks = []
-        for i in range(self.n):
-            if (seen >> i) & 1:
-                continue
-            mask = 1 << i
-            frontier = [self.pairs[i]]
-            while frontier:
-                (x, y) = frontier.pop()
-                for g in G.arrows_from(A.anchor[x]):
-                    q = (A.apply(g, x), B.apply(g, y))
-                    b = 1 << self.pos[q]
-                    if not mask & b:
-                        mask |= b
-                        frontier.append(q)
-            seen |= mask
-            self.orbit_masks.append(mask)
+        self.orbit_masks = [sum(1 << self.pos[p] for p in orbit)
+                            for orbit in orbits]
 
     def set_of(self, bits):
         return frozenset(p for i, p in enumerate(self.pairs) if (bits >> i) & 1)

@@ -118,21 +118,20 @@ class BBimodule:
     """Left and right B-actions that commute; equivalently a B(x)B-module."""
 
     def __init__(self, B: FiniteLocale, lattice: FiniteSupLattice,
-                 left, right, validate: bool = True):
+                 left, right):
         self.B = B
         self.lattice = lattice
-        self.left_module = BModule(B, lattice, left, validate=validate)
-        self.right_module = BModule(B, lattice, right, validate=validate)
-        if validate:
-            for b in B.elements:
-                for b2 in B.elements:
-                    for m in lattice.elements:
-                        lr = self.left_module.act(b, self.right_module.act(b2, m))
-                        rl = self.right_module.act(b2, self.left_module.act(b, m))
-                        if lr != rl:
-                            raise NotAModule(
-                                f"left and right actions do not commute at "
-                                f"({b!r}, {b2!r}, {m!r})", witness=(b, b2, m))
+        self.left_module = BModule(B, lattice, left)
+        self.right_module = BModule(B, lattice, right)
+        for b in B.elements:
+            for b2 in B.elements:
+                for m in lattice.elements:
+                    lr = self.left_module.act(b, self.right_module.act(b2, m))
+                    rl = self.right_module.act(b2, self.left_module.act(b, m))
+                    if lr != rl:
+                        raise NotAModule(
+                            f"left and right actions do not commute at "
+                            f"({b!r}, {b2!r}, {m!r})", witness=(b, b2, m))
 
     def act(self, b, b2, m):
         return self.left_module.act(b, self.right_module.act(b2, m))
@@ -226,14 +225,14 @@ def check_duality(d: DualityData) -> None:
 # the formal sum of its value; lambda: N (x) M^ -> L as a callable (n, nhat).
 
 
-def rho_of_lambda(lam, N: BModule, L: BModule, d: DualityData) -> dict:
+def rho_of_lambda(lam, N: BModule, d: DualityData) -> dict:
     return {
         n: tuple((lam(n, nhat), m2) for nhat, m2 in d.eta)
         for n in N.lattice.elements
     }
 
 
-def lambda_of_rho(rho: dict, N: BModule, L: BModule, d: DualityData):
+def lambda_of_rho(rho: dict, L: BModule, d: DualityData):
     Llat = L.lattice
 
     def lam(n, nhat):
@@ -256,15 +255,15 @@ def transpose_roundtrip_ok(lam, N: BModule, L: BModule, d: DualityData,
                            T: TensorLattice | None = None) -> bool:
     """lambda -> rho -> lambda is the identity, and rho -> lambda -> rho
     holds up to equality in L (x)_B M."""
-    rho = rho_of_lambda(lam, N, L, d)
-    lam2 = lambda_of_rho(rho, N, L, d)
+    rho = rho_of_lambda(lam, N, d)
+    lam2 = lambda_of_rho(rho, L, d)
     for n in N.lattice.elements:
         for nhat in d.dual.lattice.elements:
             if lam(n, nhat) != lam2(n, nhat):
                 return False
     if T is None:
         T = tensor_over(L.B, L, d.module)
-    rho2 = rho_of_lambda(lam2, N, L, d)
+    rho2 = rho_of_lambda(lam2, N, d)
     for n in N.lattice.elements:
         if tensor_element(T, rho[n]) != tensor_element(T, rho2[n]):
             return False

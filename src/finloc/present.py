@@ -5,7 +5,8 @@ A relation (S, T) asserts that the joins of the two generator subsets
 coincide in the quotient.  The least closure operator collapsing every
 relation is computed by worklist saturation of the two implication rules
 S => T and T => S; equality of presented elements is equality of closures,
-so nothing needs to be materialized to decide it.
+so nothing needs to be materialized to decide it.  Materializing the
+closed sets stops with SizeBound as soon as they pass `MAX_CARRIER`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainMismatch, Mismatch, RelationViolated, SizeBound
-from .lattice import FiniteSupLattice, SupMorphism, is_frame
-
-DEFAULT_CARRIER_CAP = 65536
+from .errors import DomainMismatch, Mismatch, RelationViolated
+from .lattice import FiniteSupLattice, SupMorphism, check_carrier, is_frame
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,9 @@ class PElement:
 class PresentedSupLattice:
     """Quotient of the free sup-lattice on `gens` by join relations."""
 
-    def __init__(self, presentation: JoinPresentation,
-                 carrier_cap: int = DEFAULT_CARRIER_CAP):
+    def __init__(self, presentation: JoinPresentation):
         self.presentation = presentation
         self.gens = presentation.gens
-        self.carrier_cap = carrier_cap
         self._gi = {g: i for i, g in enumerate(self.gens)}
         rules = []
         for s, t in presentation.relations:
@@ -171,9 +168,7 @@ class PresentedSupLattice:
                 if c not in seen:
                     seen.add(c)
                     work.append(c)
-                    if len(seen) > self.carrier_cap:
-                        raise SizeBound(
-                            f"materialized carrier exceeds cap {self.carrier_cap}")
+                    check_carrier(len(seen), "the presented lattice")
         self._lattice = FiniteSupLattice.from_order(
             tuple(sorted(seen, key=lambda s: (len(s), sorted(map(repr, s))))),
             lambda a, b: a <= b,
@@ -193,9 +188,8 @@ class PresentedSupLattice:
                 f"{len(self.presentation.relations)} relations>")
 
 
-def quotient(p: JoinPresentation,
-             carrier_cap: int = DEFAULT_CARRIER_CAP) -> PresentedSupLattice:
-    return PresentedSupLattice(p, carrier_cap)
+def quotient(p: JoinPresentation) -> PresentedSupLattice:
+    return PresentedSupLattice(p)
 
 
 def induced_morphism(q: PresentedSupLattice, assign: dict,
@@ -218,8 +212,7 @@ def induced_morphism(q: PresentedSupLattice, assign: dict,
     return SupMorphism(lat, M, table)
 
 
-def induced_value(q: PresentedSupLattice, assign: dict, M: FiniteSupLattice,
-                  x: PElement):
+def induced_value(assign: dict, M: FiniteSupLattice, x: PElement):
     """Value of the induced morphism on one element, without materializing."""
     return M.join_all(assign[g] for g in x.raw)
 
@@ -288,11 +281,11 @@ class TensorLattice(PresentedSupLattice):
     """M (x) N presented on pairs of generators, with the universal bimorphism."""
 
     def __init__(self, pm: ModulePresentation, pn: ModulePresentation,
-                 relations, carrier_cap: int = DEFAULT_CARRIER_CAP):
+                 relations):
         self.left = pm
         self.right = pn
         gens = tuple((g, h) for g in pm.gens for h in pn.gens)
-        super().__init__(JoinPresentation(gens, tuple(relations)), carrier_cap)
+        super().__init__(JoinPresentation(gens, tuple(relations)))
 
     def pair(self, m, n) -> PElement:
         """The image of (m, n) under the universal bimorphism."""
@@ -318,8 +311,7 @@ def _tensor_relations(pm: ModulePresentation, pn: ModulePresentation):
 
 def tensor(M: FiniteSupLattice, N: FiniteSupLattice,
            pm: ModulePresentation | None = None,
-           pn: ModulePresentation | None = None,
-           carrier_cap: int = DEFAULT_CARRIER_CAP) -> TensorLattice:
+           pn: ModulePresentation | None = None) -> TensorLattice:
     """The sup-lattice tensor product M (x) N.
 
     With the default all-element presentations this is exactly the quotient of
@@ -329,11 +321,10 @@ def tensor(M: FiniteSupLattice, N: FiniteSupLattice,
         pm = lattice_presentation(M, tag="L")
     if pn is None:
         pn = lattice_presentation(N, tag="R")
-    return TensorLattice(pm, pn, _tensor_relations(pm, pn), carrier_cap)
+    return TensorLattice(pm, pn, _tensor_relations(pm, pn))
 
 
-def tensor_over(B, Mmod, Nmod,
-                carrier_cap: int = DEFAULT_CARRIER_CAP) -> TensorLattice:
+def tensor_over(B, Mmod, Nmod) -> TensorLattice:
     """M (x)_B N: the tensor with (b.m, n) identified with (m, b.n).
 
     Mmod / Nmod provide .lattice, .act(b, m) and .presentation; the right
@@ -351,4 +342,4 @@ def tensor_over(B, Mmod, Nmod,
                     frozenset((g2, h) for g2 in pm.decompose(bg)),
                     frozenset((g, h2) for h2 in pn.decompose(bh)),
                 ))
-    return TensorLattice(pm, pn, rels, carrier_cap)
+    return TensorLattice(pm, pn, rels)

@@ -135,7 +135,7 @@ class DiscreteModule:
         return out
 
 
-def build_Xd(X: FiniteSheaf, carrier_cap: int = 4096) -> DiscreteModule:
+def build_Xd(X: FiniteSheaf) -> DiscreteModule:
     """Materialize the subsheaf lattice with its P-action and delta generators."""
     P = X.P
     gens = X.total()
@@ -151,8 +151,7 @@ def build_Xd(X: FiniteSheaf, carrier_cap: int = 4096) -> DiscreteModule:
                     continue
                 rels.append((frozenset({(p, x)}),
                              frozenset((q, X.res(p, q, x)) for q in cover)))
-    q = PresentedSupLattice(JoinPresentation(tuple(gens), tuple(rels)),
-                            carrier_cap)
+    q = PresentedSupLattice(JoinPresentation(tuple(gens), tuple(rels)))
     lat = q.lattice()
     delta = {(p, x): q.gen_class((p, x)).closure for (p, x) in gens}
 
@@ -407,7 +406,7 @@ def constant_sheaf(P: FiniteLocale, X) -> FiniteSheaf:
     return check_sheaf(P, sections, restrict)
 
 
-def constant_section(P: FiniteLocale, sheaf: FiniteSheaf, x, p=None):
+def constant_section(P: FiniteLocale, x, p=None):
     """The image of x under the unit at level p (default: the top level)."""
     if p is None:
         p = P.top

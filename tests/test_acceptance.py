@@ -73,13 +73,13 @@ def test_criterion_2_inverse_image_criterion():
             for ny in (0, 1, 2):
                 X = tuple(range(nx))
                 Y = tuple(f"y{i}" for i in range(ny))
-                fx = function_lattice(H, X, cap=256)
-                fy = function_lattice(H, Y, cap=256)
+                fx = function_lattice(H, X)
+                fy = function_lattice(H, Y)
                 top_x = fx.from_map({x: H.top for x in X})
                 top_y = fy.from_map({y: H.top for y in Y})
                 for r in _all_relations(H, X, Y):
                     rep = check_axioms(r)
-                    _, inverse = images(r, cap=256)
+                    _, inverse = images(r)
                     assert (inverse(top_y) == top_x) == rep.everywhere_defined
                     meets = all(
                         inverse(fy.meet(p, q)) == fx.meet(inverse(p), inverse(q))

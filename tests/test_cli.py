@@ -213,3 +213,21 @@ def test_every_check_kind_reports_unresolved_names(item):
     (result,) = report["results"]
     assert result["status"] == "fail"
     assert result["detail"]["error"].startswith("UnresolvedReference: unknown")
+
+
+def test_declared_chain_of_100_validates(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"version": 1, "lattices": [
+        {"name": "c100", "elements": list(range(100)),
+         "covers": [[i, i + 1] for i in range(99)]}]}))
+    assert main(["validate", "--input", str(path)]) == 0
+
+
+def test_declared_carrier_past_the_bound_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"version": 1, "lattices": [
+        {"name": "big", "elements": list(range(4097)), "covers": []}]}))
+    assert main(["validate", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "over the carrier bound 4096" in err
+    assert "Traceback" not in err

@@ -601,6 +601,23 @@ def _run_python_O(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
+def test_reconstruct_past_the_carrier_bound_raises_size_bound():
+    # P(13) exhausts 1 GB of address space; the bound must stop it first
+    proc = _run_python_O(
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from finloc import galois\n"
+        "from finloc.errors import SizeBound\n"
+        "from finloc.fixtures import z_mod\n"
+        "t = time.perf_counter()\n"
+        "try:\n"
+        "    galois.reconstruct(z_mod(13))\n"
+        "except SizeBound:\n"
+        "    print(time.perf_counter() - t)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 5
+
+
 def test_equivalence_check_fails_under_python_O():
     # a wrong set-level route must stop the check even with asserts stripped
     proc = _run_python_O(

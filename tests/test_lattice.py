@@ -12,10 +12,12 @@ from finloc.errors import (
     DomainMismatch,
     MissingJoin,
     NotAPartialOrder,
+    SizeBound,
 )
 from finloc.fixtures import CH3, M3, P2, TWO, chain, codiscrete, trivial_group, z_mod
 from finloc.galois import GaloisCoend, default_site
 from finloc.lattice import (
+    MAX_CARRIER,
     FiniteLocale,
     FiniteSupLattice,
     SupMorphism,
@@ -209,7 +211,7 @@ def test_power_locale():
 def test_power_locale_matches_generic_construction():
     # dual route: every table equals the set operations, up to P(8)
     for k in range(9):
-        p = power_locale(range(k), cap=256)
+        p = power_locale(range(k))
         els = p.elements
         ix = {e: i for i, e in enumerate(els)}
         assert len(els) == 2 ** k
@@ -262,7 +264,7 @@ def test_extend_to_free_constant_bottom():
 
 def test_extend_to_free_random_assignments_exhaustive():
     H = CH3()
-    fl = function_lattice(H, ("a", "b", "c"), cap=27)
+    fl = function_lattice(H, ("a", "b", "c"))
     mod = self_module(H)
     import random
 
@@ -330,7 +332,7 @@ def _brute_points(H):
 
 def test_points_counts_and_brute_force():
     for H, expected in ((TWO(), 1), (P2(), 2), (CH3(), 2),
-                        (power_locale((1, 2, 3), cap=8), 3)):
+                        (power_locale((1, 2, 3)), 3)):
         ps = points(H)
         assert len(ps) == expected
         assert {tuple(sorted(p.table.items(), key=repr)) for p in ps} \
@@ -491,3 +493,19 @@ def test_from_order_missing_join_matches_oracle(elements, covers):
         FiniteSupLattice.from_order(elements, leq)
     assert got.value.witness == want.value.witness
     assert want.value.witness in (frozenset({"a", "b"}), frozenset())
+
+
+# -- the one carrier bound ---------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: power_locale(range(13)),
+    lambda: function_lattice(CH3(), range(8)),
+    lambda: build_suplattice(range(MAX_CARRIER + 1), []),
+    lambda: FiniteSupLattice.from_order(range(MAX_CARRIER + 1),
+                                        lambda a, b: a <= b),
+], ids=["power_locale", "function_lattice", "build_suplattice",
+        "from_order"])
+def test_carrier_past_the_bound_raises_size_bound(build):
+    with pytest.raises(SizeBound, match=f"over the carrier bound {MAX_CARRIER}$"):
+        build()

@@ -71,7 +71,7 @@ def test_transpose_unit_example():
     B = CH3()
     mod = BModule.self_module(B)
     d = DualityData(mod, mod, B.meet, ((B.top, B.top),))
-    rho = rho_of_lambda(lambda n, nhat: B.meet(n, nhat), mod, mod, d)
+    rho = rho_of_lambda(lambda n, nhat: B.meet(n, nhat), mod, d)
     for b in B.elements:
         assert rho[b] == ((b, B.top),)
     assert transpose_roundtrip_ok(lambda n, nhat: B.meet(n, nhat), mod, mod, d)
@@ -162,9 +162,9 @@ def test_transpose_naturality_square():
         # bilinear: evaluate membership of 1 scaled by the dual slot
         return B.meet(1 if 1 in n else 0, nhat[0])
 
-    rho = rho_of_lambda(lam, N, BModule.self_module(B), d)
+    rho = rho_of_lambda(lam, N, d)
     lam_after = lambda n, nhat: lam(h(n), nhat)
-    rho_after = rho_of_lambda(lam_after, Np, BModule.self_module(B), d)
+    rho_after = rho_of_lambda(lam_after, Np, d)
     for n in Np.lattice.elements:
         assert rho_after[n] == rho[h(n)]
 
@@ -177,7 +177,7 @@ def test_transpose_roundtrip_on_groupoid_comodule():
     G = z_mod(2)
     act = representable_action(G, "*")
     mod, dual = etale_module(G, act)
-    L = power_locale(G.arrows, cap=16)
+    L = power_locale(G.arrows)
 
     def left(b, U):
         return frozenset(g for g in U if G.target[g] in b)
@@ -193,7 +193,7 @@ def test_transpose_roundtrip_on_groupoid_comodule():
 
     d = DualityData(mod, mod, dual.eps, dual.eta)
     assert transpose_roundtrip_ok(lam, mod, Lmod, d)
-    rho = rho_of_lambda(lam, mod, Lmod, d)
+    rho = rho_of_lambda(lam, mod, d)
     for x in act.carrier:
         got = {(l, m) for (l, m) in rho[frozenset({x})] if l}
         expected = {(transporter(act, y, x), frozenset({y}))
@@ -206,7 +206,7 @@ def test_bimodule_commuting_actions():
     from finloc.modb import BBimodule
 
     G = z_mod(2)
-    L = power_locale(G.arrows, cap=16)
+    L = power_locale(G.arrows)
     B = power_locale(G.objects)
     bb = BBimodule(
         B, L,

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from finloc.errors import RelationViolated
+from finloc import lattice
+from finloc.errors import RelationViolated, SizeBound
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import check_sup_morphism, power_locale
 from finloc.modb import BModule, self_module
@@ -234,7 +235,7 @@ def test_tensor_over_codiscrete_arrow_powerset():
 
     G = codiscrete(2)
     B = power_locale(G.objects)
-    L = power_locale(G.arrows, cap=16)
+    L = power_locale(G.arrows)
 
     def left(b, U):  # through the target map
         return frozenset(g for g in U if G.target[g] in b)
@@ -267,8 +268,8 @@ def test_tensor_over_split_base_collapses():
     P = power_locale([("a1", "b1"), ("a1", "b2")])
     X = ("x1", "x2")
     Y = ("y1",)
-    MX = power_locale([(x, b) for x in X for b in ("b1", "b2")], cap=16)
-    MY = power_locale([(y, a) for y in Y for a in ("a1",)], cap=16)
+    MX = power_locale([(x, b) for x in X for b in ("b1", "b2")])
+    MY = power_locale([(y, a) for y in Y for a in ("a1",)])
 
     def actx(p, U):  # X pulled back along the first projection
         return frozenset((x, b) for (x, b) in U if ("a1", b) in p)
@@ -323,7 +324,7 @@ def test_induced_value_matches_materialized_morphism():
     for raw in (frozenset(), frozenset({"g"}), frozenset({"h"}),
                 frozenset({"g", "h"})):
         el = q.element(raw)
-        assert induced_value(q, assign, p2, el) == f(el.closure)
+        assert induced_value(assign, p2, el) == f(el.closure)
 
 
 def test_dropped_presentation_is_freed_without_the_cycle_collector():
@@ -346,3 +347,10 @@ def test_dropped_presentation_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_presented_lattice_past_the_bound_raises_size_bound(monkeypatch):
+    # P(2) (x) P(3) has 64 closed sets; saturation stops once it passes 16
+    monkeypatch.setattr(lattice, "MAX_CARRIER", 16)
+    with pytest.raises(SizeBound, match="presented lattice has 17 elements"):
+        tensor(power_locale((1, 2)), power_locale("abc")).lattice()

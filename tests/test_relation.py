@@ -98,7 +98,7 @@ def test_images_of_graph_are_image_and_preimage():
     f = {1: "a", 2: "a", 3: "b"}
     X, Y = (1, 2, 3), ("a", "b")
     r = graph(f, X, Y)
-    direct, inverse = images(r, cap=256)
+    direct, inverse = images(r)
     fx = direct.dom
     fy = direct.cod
     for theta in fx.elements:

@@ -309,7 +309,7 @@ def test_constant_sheaf_over_two_is_identity():
     P = TWO()
     X = constant_sheaf(P, ("a", "b"))
     assert len(X.sections[1]) == 2
-    assert constant_section(P, X, "a") == ("a",)
+    assert constant_section(P, "a") == ("a",)
 
 
 def test_constant_sheaf_p2_singleton():
