@@ -29,6 +29,7 @@ from .galois import (
 from .lattice import (
     FiniteLocale,
     build_suplattice,
+    check_carrier,
     is_frame,
     points,
 )
@@ -82,25 +83,22 @@ class Document:
         if raw.get("version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported document version {raw.get('version')!r}")
         self.lattices = {}
-        self.locales = {}
+        self.locales = dict(fixtures.standard_locales())
         self.relations = {}
         self.groupoids = dict(fixtures.fixture_groupoids())
         self.actions = {}
-        for i, spec in enumerate(_section(raw, "lattices")):
-            with _entry("lattices", i):
-                self.lattices[spec["name"]] = build_suplattice(
-                    [_hashable(e) for e in spec["elements"]],
-                    [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
-                )
-        for name, loc in fixtures.standard_locales().items():
-            self.locales.setdefault(name, loc)
-        for i, spec in enumerate(_section(raw, "locales")):
-            with _entry("locales", i):
-                base = build_suplattice(
-                    [_hashable(e) for e in spec["elements"]],
-                    [tuple(map(_hashable, p)) for p in spec.get("covers", [])],
-                )
-                self.locales[spec["name"]] = FiniteLocale.from_lattice(base)
+        declared = 0  # all declared carriers together fit the bound
+        for section in ("lattices", "locales"):
+            for i, spec in enumerate(_section(raw, section)):
+                with _entry(section, i):
+                    elements = [_hashable(e) for e in spec["elements"]]
+                    declared += len(elements)
+                    check_carrier(declared, "the sum of the declared carriers")
+                    L = build_suplattice(elements, [
+                        tuple(map(_hashable, p)) for p in spec.get("covers", [])])
+                    if section == "locales":
+                        L = FiniteLocale.from_lattice(L)
+                    getattr(self, section)[spec["name"]] = L
         for i, spec in enumerate(_section(raw, "groupoids")):
             with _entry("groupoids", i):
                 self.groupoids[spec["name"]] = FiniteGroupoid(

@@ -6,12 +6,12 @@ coincide in the quotient.  The least closure operator collapsing every
 relation is computed by worklist saturation of the two implication rules
 S => T and T => S; equality of presented elements is equality of closures,
 so nothing needs to be materialized to decide it.  Materializing the
-closed sets stops with SizeBound as soon as they pass `MAX_CARRIER`.
+closed sets, or the relations presenting a lattice or a tensor (which grow
+as a square), stops with SizeBound as soon as they pass `MAX_CARRIER`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, Mismatch, RelationViolated
@@ -254,17 +254,20 @@ def lattice_presentation(M: FiniteSupLattice, tag=None) -> ModulePresentation:
                 if j != k and M.leq(j, k):
                     rels.append((frozenset({_lab(tag, j), _lab(tag, k)}),
                                  frozenset({_lab(tag, k)})))
+            check_carrier(len(rels), "the relation list of the presentation")
     else:
         gens_e = tuple(e for e in M.elements)
         rels = [(frozenset({_lab(tag, M.bottom)}), frozenset())]
-        for a, b in itertools.combinations_with_replacement(gens_e, 2):
-            j = M.join(a, b)
-            if j != a and j != b:
-                rels.append((frozenset({_lab(tag, j)}),
-                             frozenset({_lab(tag, a), _lab(tag, b)})))
-            elif j == a and b != a:
-                rels.append((frozenset({_lab(tag, a), _lab(tag, b)}),
-                             frozenset({_lab(tag, a)})))
+        for i, a in enumerate(gens_e):
+            for b in gens_e[i:]:
+                j = M.join(a, b)
+                if j != a and j != b:
+                    rels.append((frozenset({_lab(tag, j)}),
+                                 frozenset({_lab(tag, a), _lab(tag, b)})))
+                elif j == a and b != a:
+                    rels.append((frozenset({_lab(tag, a), _lab(tag, b)}),
+                                 frozenset({_lab(tag, a)})))
+            check_carrier(len(rels), "the relation list of the presentation")
     gens = tuple(_lab(tag, e) for e in gens_e)
     value = {_lab(tag, e): e for e in gens_e}
     return ModulePresentation(M, gens, value, tuple(rels))
@@ -297,16 +300,16 @@ class TensorLattice(PresentedSupLattice):
 
 
 def _tensor_relations(pm: ModulePresentation, pn: ModulePresentation):
-    rels = []
-    for s, t in pm.relations:
-        for h in pn.gens:
-            rels.append((frozenset((g, h) for g in s),
-                         frozenset((g, h) for g in t)))
-    for s, t in pn.relations:
-        for g in pm.gens:
-            rels.append((frozenset((g, h) for h in s),
-                         frozenset((g, h) for h in t)))
-    return rels
+    """Bilinearity relations of pm (x) pn, built once they and its generator
+    pairs are known to fit the carrier bound."""
+    check_carrier(len(pm.gens) * len(pn.gens), "the generator pairs of the tensor")
+    check_carrier(len(pm.relations) * len(pn.gens)
+                  + len(pn.relations) * len(pm.gens),
+                  "the relation list of the tensor")
+    return ([(frozenset((g, h) for g in s), frozenset((g, h) for g in t))
+             for s, t in pm.relations for h in pn.gens]
+            + [(frozenset((g, h) for h in s), frozenset((g, h) for h in t))
+               for s, t in pn.relations for g in pm.gens])
 
 
 def tensor(M: FiniteSupLattice, N: FiniteSupLattice,
@@ -317,10 +320,8 @@ def tensor(M: FiniteSupLattice, N: FiniteSupLattice,
     With the default all-element presentations this is exactly the quotient of
     the free lattice on M x N by bilinearity of binary and empty joins.
     """
-    if pm is None:
-        pm = lattice_presentation(M, tag="L")
-    if pn is None:
-        pn = lattice_presentation(N, tag="R")
+    pm = lattice_presentation(M, tag="L") if pm is None else pm
+    pn = lattice_presentation(N, tag="R") if pn is None else pn
     return TensorLattice(pm, pn, _tensor_relations(pm, pn))
 
 
@@ -330,9 +331,10 @@ def tensor_over(B, Mmod, Nmod) -> TensorLattice:
     Mmod / Nmod provide .lattice, .act(b, m) and .presentation; the right
     action on M is its left action (B commutative).
     """
-    pm = Mmod.presentation
-    pn = Nmod.presentation
+    pm, pn = Mmod.presentation, Nmod.presentation
     rels = _tensor_relations(pm, pn)
+    check_carrier(len(B) * len(pm.gens) * len(pn.gens),
+                  "the B-balanced relation list of the tensor")
     for b in B.elements:
         for g in pm.gens:
             bg = Mmod.act(b, pm.value[g])

@@ -244,14 +244,17 @@ def selfduality(H: FiniteLocale, X, cap: int = MAX_CARRIER) -> DualityData:
         raise SizeBound(f"|H|^|X| = {len(H) ** len(X)} exceeds cap {cap}")
     fl = function_lattice(H, X)
     mod = BModule.function_module(fl)
-    eps_table = {}
-    for theta in fl.elements:
-        for psi in fl.elements:
-            eps_table[(theta, psi)] = H.join_all(
-                H.meet(a, b) for a, b in zip(theta, psi)
-            )
+    jn, mt = H.join_table, H.meet_table
+    ix = {t: tuple(map(H.index, t)) for t in fl.elements}
+
+    def eps(theta, psi):  # per call: a table would hold |H^X|^2 entries
+        i = H.bottom_index
+        for a, b in zip(ix[theta], ix[psi]):
+            i = jn[i][mt[a][b]]
+        return H.elements[i]
+
     eta = tuple((fl.singleton(x), fl.singleton(x)) for x in fl.domain)
-    d = DualityData(mod, mod, lambda m, n: eps_table[(m, n)], eta)
+    d = DualityData(mod, mod, eps, eta)
     check_duality(d)
     return d
 

@@ -1,10 +1,15 @@
 """Document parsing, check execution, report emission, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from finloc import cli, lattice
 from finloc.cli import Document, emit, main, parse, run, run_check
 from finloc.errors import ParseError, UnresolvedReference
 
@@ -231,3 +236,48 @@ def test_declared_carrier_past_the_bound_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "over the carrier bound 4096" in err
     assert "Traceback" not in err
+
+
+def _chain(name, n):
+    return {"name": name, "elements": list(range(n)),
+            "covers": [[i, i + 1] for i in range(n - 1)]}
+
+
+def test_declared_carriers_are_bounded_together(tmp_path, capsys, monkeypatch):
+    # each chain fits the bound, the two together do not
+    monkeypatch.setattr(lattice, "MAX_CARRIER", 16)
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps({"version": 1, "lattices": [_chain("a", 9)],
+                                "locales": [_chain("b", 8)]}))
+    assert main(["validate", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("the sum of the declared carriers has 17 elements, over the "
+            "carrier bound 16") in err
+    assert "Traceback" not in err
+
+
+def test_tensor_of_declared_chains_fails_within_a_memory_limit(tmp_path):
+    # each chain's presentation has 11,026 relations and their tensor would
+    # have 3.3 million; under 1 GB of address space the check must fail
+    # with SizeBound, not end in MemoryError
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps({
+        "version": 1, "locales": [_chain("c", 150), _chain("d", 150)],
+        "checks": [{"check": "tensor", "first": "c", "second": "d"}]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys\n"
+         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+         "from finloc.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n",
+         "check", "--input", str(path), "--format", "json"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (result,) = json.loads(proc.stdout)["results"]
+    assert result["status"] == "fail"
+    assert result["detail"]["error"].startswith(
+        "SizeBound: the relation list of the presentation")

@@ -349,6 +349,43 @@ def test_dropped_presentation_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def _chain(n):
+    return lattice.build_locale(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def test_presentation_past_the_bound_raises_size_bound():
+    # a chain of n elements is presented on its n - 1 join-irreducibles,
+    # with one relation per comparable pair of them
+    assert len(lattice_presentation(_chain(92)).relations) == 91 * 90 // 2
+    with pytest.raises(SizeBound, match="relation list of the presentation"):
+        lattice_presentation(_chain(93))
+
+
+def test_tensor_past_the_bound_raises_before_its_relations_are_built():
+    # 64 x 64 generator pairs fit, 2 x 2,016 x 64 relations do not
+    with pytest.raises(SizeBound, match="relation list of the tensor has 258048"):
+        tensor(_chain(65), _chain(65))
+
+
+def test_tensor_generator_pairs_are_bounded(monkeypatch):
+    M, N = power_locale("abcde"), power_locale("wxyz")
+    monkeypatch.setattr(lattice, "MAX_CARRIER", 16)
+    with pytest.raises(SizeBound, match="generator pairs of the tensor has 20"):
+        tensor(M, N)
+
+
+def test_tensor_over_counts_its_balanced_relations(monkeypatch):
+    # P2 is presented on its 2 atoms with no relations; over P2 the tensor
+    # adds one relation per (b, g, h): 4 x 2 x 2
+    B = P2()
+    mod = self_module(B)
+    monkeypatch.setattr(lattice, "MAX_CARRIER", 15)
+    with pytest.raises(SizeBound, match="balanced relation list of the tensor has 16"):
+        tensor_over(B, mod, mod)
+    monkeypatch.setattr(lattice, "MAX_CARRIER", 16)
+    assert len(tensor_over(B, mod, mod).lattice()) == len(B)
+
+
 def test_presented_lattice_past_the_bound_raises_size_bound(monkeypatch):
     # P(2) (x) P(3) has 64 closed sets; saturation stops once it passes 16
     monkeypatch.setattr(lattice, "MAX_CARRIER", 16)

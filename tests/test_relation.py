@@ -1,11 +1,16 @@
 """The four axioms, images, tabulation, self-duality, and diagram checks."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from finloc.errors import NotEverywhereDefined, NotUnivalued
+from finloc import relation
+from finloc.errors import NotEverywhereDefined, NotUnivalued, SizeBound
 from finloc.fixtures import CH3, P2, TWO
 from finloc.lattice import check_locale_morphism, function_lattice
 from finloc.relation import (
@@ -206,6 +211,26 @@ def test_selfduality_two_and_empty():
 def test_selfduality_ch3_p2():
     selfduality(CH3(), (0, 1))
     selfduality(P2(), (0,))
+
+
+def test_selfduality_keeps_no_table_over_pairs_of_its_carrier():
+    # TWO^10 has 1,024 elements: its own tables fit in 128 MB of address
+    # space, a dict of eps over all its pairs (about 100 MB more) does not
+    src = str(Path(relation.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource\n"
+         "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+         "from finloc.fixtures import TWO\n"
+         "from finloc.relation import selfduality\n"
+         "print(len(selfduality(TWO(), range(10)).module.lattice))\n"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1024"]
+    with pytest.raises(SizeBound):
+        selfduality(TWO(), range(13))
 
 
 def test_inverse_image_via_duality_equals_inverse_image():
