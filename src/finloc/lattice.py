@@ -3,10 +3,13 @@
 Elements are opaque hashable ids.  The order is stored as one bitmask per
 element (its up-set over element indices); join and meet tables are
 precomputed at validation time so every later check is a table lookup.
-Every table is built by `FiniteSupLattice.from_order`.  Preservation of
-joins is tested by adjunction (`join_failure`), and of meets by the same
-test on the order duals; the frame law is join preservation by each meet
-row.  Every carrier has at most `MAX_CARRIER` elements, checked by
+Two builders validate and tabulate: `FiniteSupLattice.from_closed_sets`
+for families of closed sets ordered by inclusion, given as int masks
+(power sets, down-set lattices, presented lattices), and
+`FiniteSupLattice.from_order` for an order given as a predicate.
+Preservation of joins is tested by adjunction (`join_failure`), and of
+meets by the same test on the order duals; the frame law is join
+preservation by each meet row.  Every carrier has at most `MAX_CARRIER` elements, checked by
 `check_carrier` before the carrier is enumerated.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -30,7 +34,7 @@ from .errors import (
 )
 
 # The one carrier bound.  Each carrier keeps two n x n index tables, so
-# memory grows as n^2: P(12), 4,096 elements, builds in 17.6 s at 282 MB
+# memory grows as n^2: P(12), 4,096 elements, builds in 4.1 s at 281 MB
 # peak RSS, while P(13) exhausts a 1 GB address space (2 cores, Python 3.11).
 MAX_CARRIER = 4096
 
@@ -68,8 +72,9 @@ class FiniteSupLattice:
     __slots__ = ("elements", "_ix", "_up", "_jn", "_mt", "_bot_i", "_top_i",
                  "_downs")
 
-    def __init__(self, elements, up, jn, mt, bot_i, top_i):
-        # Trusted constructor; use build_suplattice / from_order to validate.
+    def __init__(self, elements, up, jn, mt, bot_i, top_i, downs):
+        # Trusted constructor; use build_suplattice / from_order /
+        # from_closed_sets to validate.  downs is (down-set rows, row -> index).
         self.elements = elements
         self._ix = {e: i for i, e in enumerate(elements)}
         self._up = up
@@ -77,7 +82,7 @@ class FiniteSupLattice:
         self._mt = mt
         self._bot_i = bot_i
         self._top_i = top_i
-        self._downs = None
+        self._downs = downs
 
     # -- construction ---------------------------------------------------
 
@@ -128,9 +133,49 @@ class FiniteSupLattice:
                               witness=frozenset())
         jn = _pair_table(elements, up, up_ix, "least upper")
         mt = _pair_table(elements, down, down_ix, "greatest lower")
-        lat = cls(elements, up, jn, mt, bot_i, down_ix[full])
-        lat._downs = (down, down_ix)
-        return lat
+        return cls(elements, up, jn, mt, bot_i, down_ix[full], (down, down_ix))
+
+    @classmethod
+    def from_closed_sets(cls, elements, masks, close=None):
+        """A family of closed sets ordered by inclusion, with no order calls.
+
+        masks[i] is the closed set elements[i] as an int over a small ground
+        set.  The family must be closed under intersection, so the meet of i
+        and j is the member masks[i] & masks[j].  Their join is the member
+        masks[i] | masks[j], or else close() of it, which must be a member
+        containing the union; without `close`, the intersection of the
+        members containing it.  Every table entry is one operation on masks
+        and one lookup keyed by a mask, and the up- and down-set rows come
+        from the masks as well (`_inclusion_rows`).
+        """
+        elements, masks = tuple(elements), tuple(masks)
+        n = len(elements)
+        check_carrier(n, "the closed-set family")
+        if len(masks) != n:
+            raise DomainMismatch(f"{len(masks)} closed sets for {n} elements")
+        ix = {m: i for i, m in enumerate(masks)}
+        if len(ix) != n or len(set(elements)) != n:
+            raise NotAPartialOrder("duplicate elements or closed sets")
+        bot_i = ix.get(functools.reduce(operator.and_, masks, -1))
+        if bot_i is None:
+            raise MissingJoin("no least element (empty subset has no join)",
+                              witness=frozenset())
+        # a miss raises KeyError, so complete tables need no scan for gaps
+        at = ix.__getitem__
+        try:
+            mt = [list(map(at, map(m.__and__, masks))) for m in masks]
+        except KeyError:
+            i, j = next((i, j) for i, m in enumerate(masks)
+                        for j, m2 in enumerate(masks) if m & m2 not in ix)
+            _no_bound(elements, i, j, "greatest lower")
+        try:
+            jn = [list(map(at, map(m.__or__, masks))) for m in masks]
+        except KeyError:  # some union is no member: close it
+            jn = _closed_joins(elements, masks, ix, close)
+        up, down = _inclusion_rows(masks)
+        down_ix = {d: i for i, d in enumerate(down)}
+        return cls(elements, up, jn, mt, bot_i, down_ix[(1 << n) - 1],
+                   (down, down_ix))
 
     # -- basic queries ----------------------------------------------------
 
@@ -196,16 +241,6 @@ class FiniteSupLattice:
         """meet_table[i][j] is the index of the meet of elements i and j."""
         return self._mt
 
-    def _down_rows(self) -> tuple[list, dict]:
-        """Down-set bitmask of every element, and the inverse row -> index."""
-        if self._downs is None:
-            down = [0] * len(self.elements)
-            for j, u in enumerate(self._up):
-                for i in _bits(u):
-                    down[i] |= 1 << j
-            self._downs = (down, {d: i for i, d in enumerate(down)})
-        return self._downs
-
     def join_irreducibles(self) -> tuple:
         """Elements that are not the join of their strict down-set."""
         out = []
@@ -240,13 +275,81 @@ def _pair_table(elements, rows, row_ix: dict, bound: str) -> list:
     for i, ri in enumerate(rows):
         row = [row_ix.get(ri & r) for r in rows]
         if None in row:
-            j = row.index(None)
-            raise MissingJoin(
-                f"{{{elements[i]!r}, {elements[j]!r}}} has no {bound} bound",
-                witness=frozenset({elements[i], elements[j]}),
-            )
+            _no_bound(elements, i, row.index(None), bound)
         t.append(row)
     return t
+
+
+class _JoinIndex(dict):
+    """Mask -> index of the least member containing it.  Members map to
+    their own index, and any other union is closed on its first lookup; a
+    closure that is no member, or does not contain the union, maps to None
+    and sets `failed`."""
+
+    def __init__(self, ix: dict, close):
+        super().__init__(ix)
+        self.members, self.close, self.failed = ix, close, False
+
+    def __missing__(self, u):
+        c = self.close(u)
+        k = self[u] = self.members.get(c) if c & u == u else None
+        self.failed |= k is None
+        return k
+
+
+def _closed_joins(elements, masks, ix: dict, close) -> list:
+    """The join table of a family whose unions are not all members: the
+    join of i and j is close(masks[i] | masks[j]), by default the
+    intersection of the members containing it."""
+    if close is None:
+        def close(u):  # -1, no member, when none contains u
+            c = -1
+            for m in masks:
+                if not u & ~m:
+                    c &= m
+            return c
+    joins = _JoinIndex(ix, close)
+    at = joins.__getitem__
+    jn = []
+    for i, m in enumerate(masks):
+        row = list(map(at, map(m.__or__, masks)))
+        if joins.failed:
+            _no_bound(elements, i, row.index(None), "least upper")
+        jn.append(row)
+    return jn
+
+
+def _inclusion_rows(masks) -> tuple[list, list]:
+    """Up-set and down-set rows of a family of int masks under inclusion.
+
+    has[x] is the set of members containing ground element x, so the
+    members above masks[i] are the AND of has[x] over its elements, and
+    those below it the AND of the complements over the rest.
+    """
+    has = [0] * max(masks).bit_length()
+    for j, m in enumerate(masks):
+        for x in _bits(m):
+            has[x] |= 1 << j
+    up, down = [], []
+    full = (1 << len(masks)) - 1
+    for m in masks:
+        u = d = full
+        for h in has:
+            if m & 1:
+                u &= h
+            else:
+                d &= ~h
+            m >>= 1
+        up.append(u)
+        down.append(d)
+    return up, down
+
+
+def _no_bound(elements, i, j, bound: str):
+    raise MissingJoin(
+        f"{{{elements[i]!r}, {elements[j]!r}}} has no {bound} bound",
+        witness=frozenset({elements[i], elements[j]}),
+    )
 
 
 def build_suplattice(elements, leq_pairs) -> FiniteSupLattice:
@@ -309,7 +412,7 @@ class FiniteLocale(FiniteSupLattice):
             raise NotAFrame(
                 f"meet does not distribute over join at {witness!r}", witness=witness
             )
-        return cls(L.elements, L._up, L._jn, L._mt, L._bot_i, L._top_i)
+        return cls(L.elements, L._up, L._jn, L._mt, L._bot_i, L._top_i, L._downs)
 
 
 def build_locale(elements, leq_pairs) -> FiniteLocale:
@@ -392,7 +495,7 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
     for v, mask in bucket.items():
         for c in _bits(C._up[v]):
             pre[c] |= mask
-    down, down_ix = D._down_rows()
+    down, down_ix = D._downs
     djn, cjn = D._jn, C._jn
     for s in pre:
         if s in down_ix:
@@ -410,10 +513,9 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
 def _dual(L: FiniteSupLattice) -> FiniteSupLattice:
     """L with the order reversed, a view on L's own rows and tables: down
     rows become up rows, join and meet swap, and so do bottom and top."""
-    down, _ = L._down_rows()
-    d = FiniteSupLattice(L.elements, down, L._mt, L._jn, L._top_i, L._bot_i)
-    d._downs = (L._up, {u: i for i, u in enumerate(L._up)})
-    return d
+    down, _ = L._downs
+    return FiniteSupLattice(L.elements, down, L._mt, L._jn, L._top_i, L._bot_i,
+                            (L._up, {u: i for i, u in enumerate(L._up)}))
 
 
 def _preservation(f, D, C, bottom: str, join: str) -> Violation | None:
@@ -470,7 +572,10 @@ def power_locale(X) -> PowerLocale:
     subsets = [frozenset()]
     for x in base:
         subsets += [s | {x} for s in subsets]
-    loc = PowerLocale.from_order(_canon(subsets), lambda a, b: a <= b)
+    subsets = _canon(subsets)
+    bit = {x: 1 << k for k, x in enumerate(base)}
+    loc = PowerLocale.from_closed_sets(
+        subsets, [sum(map(bit.__getitem__, s)) for s in subsets])
     loc.base_set = frozenset(base)
     return loc
 
@@ -675,11 +780,9 @@ def all_locales(max_size: int) -> tuple[FiniteLocale, ...]:
                 return
         reps.setdefault(key, []).append(up)
         dss = downsets(list(up))
-        elements = tuple(
-            frozenset(i for i in range(len(up)) if (m >> i) & 1) for m in dss
-        )
-        L = FiniteSupLattice.from_order(
-            _canon(elements), lambda a, b: a <= b)
+        elements = _canon(frozenset(_bits(m)) for m in dss)
+        L = FiniteSupLattice.from_closed_sets(
+            elements, [sum(1 << i for i in s) for s in elements])
         locales.append(FiniteLocale.from_lattice(L))
 
     def grow(up):

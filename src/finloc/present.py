@@ -3,11 +3,14 @@ sup-lattice on generators, plus tensor products built from presentations.
 
 A relation (S, T) asserts that the joins of the two generator subsets
 coincide in the quotient.  The least closure operator collapsing every
-relation is computed by worklist saturation of the two implication rules
-S => T and T => S; equality of presented elements is equality of closures,
-so nothing needs to be materialized to decide it.  Materializing the
-closed sets, or the relations presenting a lattice or a tensor (which grow
-as a square), stops with SizeBound as soon as they pass `MAX_CARRIER`.
+relation is computed by saturation of the two implication rules S => T and
+T => S on int masks over generator indices; equality of presented elements
+is equality of closures, so nothing needs to be materialized to decide it.
+`lattice()` materializes the closed sets as masks and orders them by
+inclusion with `FiniteSupLattice.from_closed_sets`, so its tables take no
+order calls.  Materializing the closed sets, or the relations presenting a
+lattice or a tensor (which grow as a square), stops with SizeBound as soon
+as they pass `MAX_CARRIER`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, Mismatch, RelationViolated
-from .lattice import FiniteSupLattice, SupMorphism, check_carrier, is_frame
+from .lattice import FiniteSupLattice, SupMorphism, _bits, check_carrier, is_frame
 
 
 @dataclass(frozen=True)
@@ -82,15 +85,17 @@ class PresentedSupLattice:
             t = frozenset(self._gi[g] for g in t)
             rules.append((s, t - s))
             rules.append((t, s - t))
-        self._rules = [(tuple(p), tuple(c)) for p, c in rules if c or not p]
+        rules = [(p, c) for p, c in rules if c or not p]
+        # rule r fires once its premise is inside the set: it adds _cons[r]
+        self._cons = [sum(1 << g for g in c) for _, c in rules]
         self._by_gen = [[] for _ in self.gens]
         self._free = []  # rules with empty premise always fire
-        for r, (prem, _) in enumerate(self._rules):
+        for r, (prem, _) in enumerate(rules):
             if not prem:
                 self._free.append(r)
             for g in prem:
                 self._by_gen[g].append(r)
-        self._premlen = [len(p) for p, _ in self._rules]
+        self._premlen = [len(p) for p, _ in rules]
         self._gen_closures = {}
         self._lattice = None
         self._locale = None
@@ -98,24 +103,32 @@ class PresentedSupLattice:
     # -- closure ---------------------------------------------------------
 
     def closure(self, raw) -> frozenset:
-        seen = {self._gi[g] for g in raw}
-        counts = list(self._premlen)
-        stack = list(self._free)
-        for g in seen:
-            for r in self._by_gen[g]:
-                counts[r] -= 1
-                if counts[r] == 0:
-                    stack.append(r)
-        while stack:
-            r = stack.pop()
-            for g in self._rules[r][1]:
-                if g not in seen:
-                    seen.add(g)
-                    for r2 in self._by_gen[g]:
-                        counts[r2] -= 1
-                        if counts[r2] == 0:
-                            stack.append(r2)
-        return frozenset(self.gens[i] for i in seen)
+        mask = 0
+        for g in raw:
+            mask |= 1 << self._gi[g]
+        return frozenset(map(self.gens.__getitem__, _bits(self._close(mask))))
+
+    def _close(self, mask: int) -> int:
+        """The least closed superset of a set of generator indices, as masks:
+        each round decrements the premise counts of the rules that watch the
+        bits just added, and adds the consequents of the rules that fire."""
+        counts = self._premlen.copy()
+        by_gen, cons = self._by_gen, self._cons
+        fired = list(self._free)
+        new = mask
+        while new or fired:
+            for g in _bits(new):
+                for r in by_gen[g]:
+                    counts[r] -= 1
+                    if not counts[r]:
+                        fired.append(r)
+            new = 0
+            for r in fired:
+                new |= cons[r]
+            fired.clear()
+            new &= ~mask
+            mask |= new
+        return mask
 
     # -- elements ----------------------------------------------------------
 
@@ -151,28 +164,31 @@ class PresentedSupLattice:
     # -- materialization ---------------------------------------------------
 
     def lattice(self) -> FiniteSupLattice:
-        """All closed sets, ordered by inclusion (join-saturation from atoms)."""
+        """All closed sets, ordered by inclusion, as generator-index masks.
+
+        Every closed set is the closure of a union of generator classes, so
+        the family is saturated one class at a time: each class that is not
+        yet a member is joined with every member found so far.
+        """
         if self._lattice is not None:
             return self._lattice
-        seen = {self.closure(())}
-        for g in self.gens:
-            seen.add(self.closure((g,)))
-        work = list(seen)
-        while work:
-            a = work.pop()
-            for b in list(seen):
-                u = a | b
-                if u in seen:
-                    continue
-                c = self.closure(u)
-                if c not in seen:
-                    seen.add(c)
-                    work.append(c)
+        close = self._close
+        seen = {close(0)}
+        for g in range(len(self.gens)):
+            cg = close(1 << g)
+            if cg in seen:  # a join of earlier classes: nothing new
+                continue
+            for a in list(seen):
+                u = a | cg
+                if u not in seen:
+                    seen.add(close(u))
                     check_carrier(len(seen), "the presented lattice")
-        self._lattice = FiniteSupLattice.from_order(
-            tuple(sorted(seen, key=lambda s: (len(s), sorted(map(repr, s))))),
-            lambda a, b: a <= b,
-        )
+        gens = self.gens
+        family = sorted(((frozenset(map(gens.__getitem__, _bits(m))), m)
+                         for m in seen),
+                        key=lambda sm: (len(sm[0]), sorted(map(repr, sm[0]))))
+        self._lattice = FiniteSupLattice.from_closed_sets(
+            [s for s, _ in family], [m for _, m in family], close)
         return self._lattice
 
     def locale(self):

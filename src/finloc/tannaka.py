@@ -284,6 +284,7 @@ class Coend:
                     ))
         self.quotient = PresentedSupLattice(
             JoinPresentation(tuple(gens), tuple(rels)))
+        self._cocomposed = {}
 
     def inject(self, obj: str, m, n) -> PElement:
         """lambda_C(m (x) n) for module elements m, n."""
@@ -300,16 +301,19 @@ class Coend:
     # cogebroide structure ---------------------------------------------------
 
     def cocompose(self, gen) -> frozenset:
-        """c on a generator, as a formal set of generator pairs in L (x)_B L."""
-        obj, a, b = gen
-        o = self.objects[obj]
-        pres = o.module.presentation
-        out = set()
-        for nhat, m2 in o.duality.eta:
-            for u in pres.decompose(nhat):
-                for v in pres.decompose(m2):
-                    out.add(((obj, a, u), (obj, v, b)))
-        return frozenset(out)
+        """c on a generator, as a formal set of generator pairs in L (x)_B L,
+        computed from eta on the first call for each generator."""
+        out = self._cocomposed.get(gen)
+        if out is None:
+            obj, a, b = gen
+            o = self.objects[obj]
+            pres = o.module.presentation
+            out = self._cocomposed[gen] = frozenset(
+                ((obj, a, u), (obj, v, b))
+                for nhat, m2 in o.duality.eta
+                for u in pres.decompose(nhat)
+                for v in pres.decompose(m2))
+        return out
 
     def counit(self, gen):
         obj, a, b = gen

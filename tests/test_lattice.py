@@ -495,6 +495,95 @@ def test_from_order_missing_join_matches_oracle(elements, covers):
     assert want.value.witness in (frozenset({"a", "b"}), frozenset())
 
 
+# -- from_closed_sets against from_order --------------------------------------
+
+
+def _tables(L):
+    return (L.elements, L._up, L.join_table, L.meet_table, L.bottom_index,
+            L.top_index, L._downs)
+
+
+def _closed_set_lattices():
+    """Every lattice the library builds through from_closed_sets, with the
+    presentation when it has one."""
+    from finloc.present import lattice_presentation, tensor
+    from finloc.sheaf import build_Xd, enumerate_sheaves
+
+    for k in range(9):
+        yield power_locale(range(k)), None
+    for L in all_locales(8):
+        yield L, None
+    for a, b in itertools.product(range(1, 10), repeat=2):
+        if a * b <= 9:
+            t = tensor(power_locale(range(a)), power_locale(range(b)))
+            yield t.lattice(), t
+    assert not is_frame(M3())[0]  # the all-element presentation, with rules
+    assert lattice_presentation(M3(), "L").relations
+    t = tensor(M3(), TWO())
+    yield t.lattice(), t
+    for X in enumerate_sheaves(CH3(), 3):
+        d = build_Xd(X)
+        yield d.module.lattice, d.quotient
+
+
+def test_from_closed_sets_tables_match_from_order():
+    count = 0
+    for L, q in _closed_set_lattices():
+        want = FiniteSupLattice.from_order(L.elements, lambda a, b: a <= b)
+        assert _tables(L) == _tables(want)
+        if q is not None:  # and the family is every closure of a generator set
+            subsets = itertools.chain.from_iterable(
+                itertools.combinations(q.gens, r) for r in range(len(q.gens) + 1))
+            assert set(L.elements) == {q.closure(s) for s in subsets}
+        count += 1
+    assert count == 9 + 36 + 23 + 1 + 60  # P(0)..P(8), locales, tensors, M3 (x) TWO, X_d
+
+
+def _family(*sets):
+    """Elements and masks of a family of subsets of 'abc'."""
+    return sets, [sum(1 << "abc".index(x) for x in s) for s in sets]
+
+
+def test_from_closed_sets_without_close_joins_by_intersection():
+    # {a} | {b} is no member: the join is the least member containing it
+    els, masks = _family("", "a", "b", "abc")
+    L = FiniteSupLattice.from_closed_sets(els, masks)
+    assert L.join("a", "b") == "abc"
+    assert _tables(L) == _tables(FiniteSupLattice.from_order(
+        els, lambda x, y: set(x) <= set(y)))
+
+
+def test_from_closed_sets_missing_intersection():
+    els, masks = _family("", "ab", "ac", "abc")
+    with pytest.raises(MissingJoin, match="no greatest lower bound") as e:
+        FiniteSupLattice.from_closed_sets(els, masks)
+    x, y = e.value.witness
+    assert masks[els.index(x)] & masks[els.index(y)] not in masks
+
+
+@pytest.mark.parametrize("close", [lambda u: u, lambda u: 0],
+                         ids=["outside the family", "below the union"])
+def test_from_closed_sets_close_that_is_no_upper_bound(close):
+    els, masks = _family("", "a", "b", "abc")
+    with pytest.raises(MissingJoin, match="no least upper bound") as e:
+        FiniteSupLattice.from_closed_sets(els, masks, close=close)
+    x, y = e.value.witness
+    u = masks[els.index(x)] | masks[els.index(y)]
+    assert u not in masks and (close(u) not in masks or close(u) & u != u)
+
+
+def test_from_closed_sets_no_least_element_and_duplicates():
+    with pytest.raises(MissingJoin, match="no least element") as e:
+        FiniteSupLattice.from_closed_sets((), ())
+    assert e.value.witness == frozenset()
+    with pytest.raises(MissingJoin, match="no least element"):
+        FiniteSupLattice.from_closed_sets(*_family("ab", "ac", "abc"))
+    with pytest.raises(NotAPartialOrder, match="duplicate"):
+        FiniteSupLattice.from_closed_sets(("x", "y"), (1, 1))
+    with pytest.raises(NotAPartialOrder, match="duplicate"):
+        FiniteSupLattice.from_closed_sets(("x", "x"), (0, 1))
+
+
 # -- the one carrier bound ---------------------------------------------------
 
 
@@ -504,8 +593,10 @@ def test_from_order_missing_join_matches_oracle(elements, covers):
     lambda: build_suplattice(range(MAX_CARRIER + 1), []),
     lambda: FiniteSupLattice.from_order(range(MAX_CARRIER + 1),
                                         lambda a, b: a <= b),
+    lambda: FiniteSupLattice.from_closed_sets(range(MAX_CARRIER + 1),
+                                              range(MAX_CARRIER + 1)),
 ], ids=["power_locale", "function_lattice", "build_suplattice",
-        "from_order"])
+        "from_order", "from_closed_sets"])
 def test_carrier_past_the_bound_raises_size_bound(build):
     with pytest.raises(SizeBound, match=f"over the carrier bound {MAX_CARRIER}$"):
         build()

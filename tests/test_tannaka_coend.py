@@ -3,7 +3,7 @@
 import pytest
 
 from finloc import tannaka
-from finloc.errors import SizeBound
+from finloc.errors import Mismatch, SizeBound
 from finloc.fixtures import TWO
 from finloc.lattice import SupMorphism, power_locale
 from finloc.modb import BModule, DualityData, check_duality
@@ -94,6 +94,21 @@ def test_unique_cogebroide_out_of_budget_raises():
     L, _ = _z2_coend()
     with pytest.raises(SizeBound):
         unique_cogebroide(L, max_candidates=0)
+
+
+def test_check_cogebroide_rejects_a_broken_eta():
+    # eta without the point "s" is no coevaluation; the coend is built from
+    # it before cocompose is first called, and every call answers from it
+    P = power_locale(("e", "s"))
+    mod = BModule.omega_module(P)
+    eta = ((frozenset({"e"}), frozenset({"e"})),)
+    d = DualityData(mod, mod, lambda u, v: 1 if u & v else 0, eta)
+    L = Coend(TWO(), [CoendObject("G", mod, d)], [])
+    for _ in range(2):  # the second pass reads the cached values
+        with pytest.raises(Mismatch, match="counit law fails"):
+            L.check_cogebroide()
+    gen = L.quotient.gens[0]
+    assert L.cocompose(gen) is L.cocompose(gen)
 
 
 def _record_tensor_equal(monkeypatch):
