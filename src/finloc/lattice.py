@@ -3,14 +3,17 @@
 Elements are opaque hashable ids.  The order is stored as one bitmask per
 element (its up-set over element indices); join and meet tables are
 precomputed at validation time so every later check is a table lookup.
-Two builders validate and tabulate: `FiniteSupLattice.from_closed_sets`
-for families of closed sets ordered by inclusion, given as int masks
-(power sets, down-set lattices, presented lattices), and
-`FiniteSupLattice.from_order` for an order given as a predicate.
-Preservation of joins is tested by adjunction (`join_failure`), and of
-meets by the same test on the order duals; the frame law is join
-preservation by each meet row.  Every carrier has at most `MAX_CARRIER` elements, checked by
-`check_carrier` before the carrier is enumerated.
+Every finite lattice is its family of principal down-sets ordered by
+inclusion, so one step fills all tables: `FiniteSupLattice._tabulate`, for
+a family of sets closed under intersection, given as int masks.
+`from_closed_sets` passes such families on (power sets, down-set
+lattices, presented lattices, and function lattices as blocks of down-set
+rows), and `from_order` checks an order given as a predicate and passes on
+its principal down-sets.  Preservation of joins is tested by adjunction
+(`join_failure`), and of meets by the same test on the order duals; the
+frame law is join preservation by each meet row.  Every carrier has at most
+`MAX_CARRIER` elements, checked by `check_carrier` before the carrier is
+enumerated.
 """
 
 from __future__ import annotations
@@ -46,9 +49,18 @@ def check_carrier(size: int, what: str) -> None:
                         f"{MAX_CARRIER}")
 
 
+def _set_key(s) -> tuple:
+    """A total order on finite sets: by size, then by sorted member reprs."""
+    return len(s), sorted(map(repr, s))
+
+
 def _canon(elements) -> tuple:
-    """Deterministic element order: natural sort when possible, repr otherwise."""
+    """Deterministic element order: sets by `_set_key` (their `<` is
+    inclusion, a partial order), others by natural sort when possible,
+    repr otherwise."""
     elements = list(elements)
+    if all(isinstance(e, (set, frozenset)) for e in elements):
+        return tuple(sorted(elements, key=_set_key))
     try:
         return tuple(sorted(elements))
     except TypeError:
@@ -73,8 +85,9 @@ class FiniteSupLattice:
                  "_downs")
 
     def __init__(self, elements, up, jn, mt, bot_i, top_i, downs):
-        # Trusted constructor; use build_suplattice / from_order /
-        # from_closed_sets to validate.  downs is (down-set rows, row -> index).
+        # Trusted constructor; build_suplattice, from_order and
+        # from_closed_sets validate, and all fill the tables in _tabulate.
+        # downs is (down-set rows, row -> index).
         self.elements = elements
         self._ix = {e: i for i, e in enumerate(elements)}
         self._up = up
@@ -90,10 +103,10 @@ class FiniteSupLattice:
     def from_order(cls, elements, leq: Callable[[object, object], bool]):
         """Validate a reflexive order predicate and precompute all tables.
 
-        The order checks walk the set bits of each up-set row.  The join of
-        i and j is the element whose up-set is up[i] & up[j], and their meet
-        the element whose down-set is down[i] & down[j]: one lookup each,
-        and a miss means the pair has no least upper (greatest lower) bound.
+        The order checks walk the set bits of each up-set row.  The tables
+        are those of the principal down-sets under inclusion (`_tabulate`),
+        so the join of i and j is the element whose up-set is up[i] & up[j]
+        and their meet the one whose down-set is down[i] & down[j].
         """
         elements = tuple(elements)
         n = len(elements)
@@ -124,29 +137,19 @@ class FiniteSupLattice:
                         witness=(elements[i], elements[j]),
                     )
                 down[j] |= bit_i
-        full = (1 << n) - 1
-        up_ix = {u: i for i, u in enumerate(up)}  # rows differ by antisymmetry
-        down_ix = {d: i for i, d in enumerate(down)}
-        bot_i = up_ix.get(full)
-        if bot_i is None:
-            raise MissingJoin("no least element (empty subset has no join)",
-                              witness=frozenset())
-        jn = _pair_table(elements, up, up_ix, "least upper")
-        mt = _pair_table(elements, down, down_ix, "greatest lower")
-        return cls(elements, up, jn, mt, bot_i, down_ix[full], (down, down_ix))
+        # i <= j iff down[i] is inside down[j]: the principal down-sets are
+        # a family under inclusion, with up and down rows already at hand
+        ix = {d: i for i, d in enumerate(down)}  # rows differ by antisymmetry
+        return cls._tabulate(elements, down, ix, _bottom_index(down, ix), up, down)
 
     @classmethod
-    def from_closed_sets(cls, elements, masks, close=None):
+    def from_closed_sets(cls, elements, masks):
         """A family of closed sets ordered by inclusion, with no order calls.
 
         masks[i] is the closed set elements[i] as an int over a small ground
-        set.  The family must be closed under intersection, so the meet of i
-        and j is the member masks[i] & masks[j].  Their join is the member
-        masks[i] | masks[j], or else close() of it, which must be a member
-        containing the union; without `close`, the intersection of the
-        members containing it.  Every table entry is one operation on masks
-        and one lookup keyed by a mask, and the up- and down-set rows come
-        from the masks as well (`_inclusion_rows`).
+        set, and the family must be closed under intersection.  Once its
+        bottom is found, the up- and down-set rows come from the masks
+        (`_inclusion_rows`), and the tables from `_tabulate`.
         """
         elements, masks = tuple(elements), tuple(masks)
         n = len(elements)
@@ -156,25 +159,40 @@ class FiniteSupLattice:
         ix = {m: i for i, m in enumerate(masks)}
         if len(ix) != n or len(set(elements)) != n:
             raise NotAPartialOrder("duplicate elements or closed sets")
-        bot_i = ix.get(functools.reduce(operator.and_, masks, -1))
-        if bot_i is None:
-            raise MissingJoin("no least element (empty subset has no join)",
-                              witness=frozenset())
+        bot_i = _bottom_index(masks, ix)
+        return cls._tabulate(elements, masks, ix, bot_i, *_inclusion_rows(masks))
+
+    @classmethod
+    def _tabulate(cls, elements, masks, ix: dict, bot_i: int, up, down):
+        """The lattice of distinct masks under inclusion, given the index of
+        each mask, the bottom's index and the up- and down-set rows.
+
+        The join of i and j is the member masks[i] | masks[j], or else the
+        member whose up-set row is up[i] & up[j]: the least member
+        containing both.  Their meet is the member masks[i] & masks[j].
+        Joins are checked before meets, and the first pair in row-major
+        order without one raises MissingJoin.
+        """
         # a miss raises KeyError, so complete tables need no scan for gaps
         at = ix.__getitem__
+        try:
+            jn = [list(map(at, map(m.__or__, masks))) for m in masks]
+        except KeyError:  # some union is no member
+            up_ix = {u: i for i, u in enumerate(up)}
+            jn = []
+            for i, u in enumerate(up):
+                row = list(map(up_ix.get, map(u.__and__, up)))
+                if None in row:
+                    _no_bound(elements, i, row.index(None), "least upper")
+                jn.append(row)
         try:
             mt = [list(map(at, map(m.__and__, masks))) for m in masks]
         except KeyError:
             i, j = next((i, j) for i, m in enumerate(masks)
                         for j, m2 in enumerate(masks) if m & m2 not in ix)
             _no_bound(elements, i, j, "greatest lower")
-        try:
-            jn = [list(map(at, map(m.__or__, masks))) for m in masks]
-        except KeyError:  # some union is no member: close it
-            jn = _closed_joins(elements, masks, ix, close)
-        up, down = _inclusion_rows(masks)
         down_ix = {d: i for i, d in enumerate(down)}
-        return cls(elements, up, jn, mt, bot_i, down_ix[(1 << n) - 1],
+        return cls(elements, up, jn, mt, bot_i, down_ix[(1 << len(masks)) - 1],
                    (down, down_ix))
 
     # -- basic queries ----------------------------------------------------
@@ -264,59 +282,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _pair_table(elements, rows, row_ix: dict, bound: str) -> list:
-    """t[i][j] = the index whose row is rows[i] & rows[j].
-
-    With up-set rows this is the join table, with down-set rows the meet
-    table.  The first pair in row-major order without such an element is
-    reported; by symmetry it has j >= i.
-    """
-    t = []
-    for i, ri in enumerate(rows):
-        row = [row_ix.get(ri & r) for r in rows]
-        if None in row:
-            _no_bound(elements, i, row.index(None), bound)
-        t.append(row)
-    return t
-
-
-class _JoinIndex(dict):
-    """Mask -> index of the least member containing it.  Members map to
-    their own index, and any other union is closed on its first lookup; a
-    closure that is no member, or does not contain the union, maps to None
-    and sets `failed`."""
-
-    def __init__(self, ix: dict, close):
-        super().__init__(ix)
-        self.members, self.close, self.failed = ix, close, False
-
-    def __missing__(self, u):
-        c = self.close(u)
-        k = self[u] = self.members.get(c) if c & u == u else None
-        self.failed |= k is None
-        return k
-
-
-def _closed_joins(elements, masks, ix: dict, close) -> list:
-    """The join table of a family whose unions are not all members: the
-    join of i and j is close(masks[i] | masks[j]), by default the
-    intersection of the members containing it."""
-    if close is None:
-        def close(u):  # -1, no member, when none contains u
-            c = -1
-            for m in masks:
-                if not u & ~m:
-                    c &= m
-            return c
-    joins = _JoinIndex(ix, close)
-    at = joins.__getitem__
-    jn = []
-    for i, m in enumerate(masks):
-        row = list(map(at, map(m.__or__, masks)))
-        if joins.failed:
-            _no_bound(elements, i, row.index(None), "least upper")
-        jn.append(row)
-    return jn
+def _bottom_index(masks, ix: dict) -> int:
+    """The index of the member that is the intersection of all masks."""
+    bot_i = ix.get(functools.reduce(operator.and_, masks, -1))
+    if bot_i is None:
+        raise MissingJoin("no least element (empty subset has no join)",
+                          witness=frozenset())
+    return bot_i
 
 
 def _inclusion_rows(masks) -> tuple[list, list]:
@@ -569,10 +541,9 @@ class PowerLocale(FiniteLocale):
 def power_locale(X) -> PowerLocale:
     base = _canon(X)
     check_carrier(2 ** len(base), f"P(X) with |X| = {len(base)}")
-    subsets = [frozenset()]
+    subsets = [frozenset()]  # doubling keeps every subset after its subsets
     for x in base:
         subsets += [s | {x} for s in subsets]
-    subsets = _canon(subsets)
     bit = {x: 1 << k for k, x in enumerate(base)}
     loc = PowerLocale.from_closed_sets(
         subsets, [sum(map(bit.__getitem__, s)) for s in subsets])
@@ -607,12 +578,17 @@ class FunctionLocale(FiniteLocale):
 
 
 def function_lattice(H: FiniteLocale, X) -> FunctionLocale:
+    """H^X under the pointwise order: theta is the mask of the down-sets of
+    its values in H, one block of |H| bits per point of X, so the pointwise
+    order is inclusion."""
     base = _canon(X)
     check_carrier(len(H) ** len(base), f"H^X with |X| = {len(base)}")
-    leq = H.leq
-    loc = FunctionLocale.from_order(
-        itertools.product(H.elements, repeat=len(base)),
-        lambda e, f: all(leq(a, b) for a, b in zip(e, f)))
+    down, h = H._downs[0], len(H)
+    masks = [0]
+    for k in range(len(base)):  # the last point varies fastest, as in product
+        masks = [m | d << k * h for m in masks for d in down]
+    loc = FunctionLocale.from_closed_sets(
+        itertools.product(H.elements, repeat=len(base)), masks)
     loc.base = H
     loc.domain = base
     loc._pos = {x: k for k, x in enumerate(base)}
@@ -779,10 +755,9 @@ def all_locales(max_size: int) -> tuple[FiniteLocale, ...]:
             if poset_iso(list(up), list(other)):
                 return
         reps.setdefault(key, []).append(up)
-        dss = downsets(list(up))
-        elements = _canon(frozenset(_bits(m)) for m in dss)
+        dss = downsets(list(up))  # ascending masks: subsets come first
         L = FiniteSupLattice.from_closed_sets(
-            elements, [sum(1 << i for i in s) for s in elements])
+            [frozenset(_bits(m)) for m in dss], dss)
         locales.append(FiniteLocale.from_lattice(L))
 
     def grow(up):

@@ -7,8 +7,10 @@ relation is computed by saturation of the two implication rules S => T and
 T => S on int masks over generator indices; equality of presented elements
 is equality of closures, so nothing needs to be materialized to decide it.
 `lattice()` materializes the closed sets as masks and orders them by
-inclusion with `FiniteSupLattice.from_closed_sets`, so its tables take no
-order calls.  Materializing the closed sets, or the relations presenting a
+inclusion with `FiniteSupLattice.from_closed_sets`, the one builder of
+lattice tables: the join of two closed sets is the least closed set
+containing their union, found among the members without calling the
+closure again.  Materializing the closed sets, or the relations presenting a
 lattice or a tensor (which grow as a square), stops with SizeBound as soon
 as they pass `MAX_CARRIER`.
 """
@@ -18,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, Mismatch, RelationViolated
-from .lattice import FiniteSupLattice, SupMorphism, _bits, check_carrier, is_frame
+from .lattice import (
+    FiniteSupLattice,
+    SupMorphism,
+    _bits,
+    _set_key,
+    check_carrier,
+    is_frame,
+)
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,9 @@ class PresentedSupLattice:
                     check_carrier(len(seen), "the presented lattice")
         gens = self.gens
         family = sorted(((frozenset(map(gens.__getitem__, _bits(m))), m)
-                         for m in seen),
-                        key=lambda sm: (len(sm[0]), sorted(map(repr, sm[0]))))
+                         for m in seen), key=lambda sm: _set_key(sm[0]))
         self._lattice = FiniteSupLattice.from_closed_sets(
-            [s for s, _ in family], [m for _, m in family], close)
+            [s for s, _ in family], [m for _, m in family])
         return self._lattice
 
     def locale(self):

@@ -1,5 +1,7 @@
 """Document parsing, check execution, report emission, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finloc import cli, lattice
 from finloc.cli import Document, emit, main, parse, run, run_check
@@ -281,3 +285,69 @@ def test_tensor_of_declared_chains_fails_within_a_memory_limit(tmp_path):
     assert result["status"] == "fail"
     assert result["detail"]["error"].startswith(
         "SizeBound: the relation list of the presentation")
+
+
+# -- fuzzing: any document exits 0, 1 or 2 ------------------------------------
+
+
+_ATOMS = st.one_of(st.integers(0, 5), st.sampled_from(["a", "b", "top"]),
+                   st.booleans(), st.none())
+_NAMES = st.sampled_from(["L", "M", "TWO", "P2", "nope"])
+
+
+@st.composite
+def _declared_order(draw):
+    """Random covers i <= j over range(n), often with a bottom or a top:
+    a lattice, a frame or not, or a pair without a join; now and then a
+    cycle (no partial order) or a malformed entry."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    covers = [sorted(p) for p in draw(st.lists(st.tuples(node, node), max_size=8))]
+    bottom, top = draw(st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]))
+    covers += [[0, k] for k in range(1, n) if bottom]
+    covers += [[k, n - 1] for k in range(n - 1) if top]
+    spec = {"name": draw(_NAMES), "elements": list(range(n)), "covers": covers}
+    junk = draw(st.integers(0, 9))
+    if junk == 0:
+        spec["elements"] = draw(st.lists(_ATOMS, max_size=6))
+    elif junk == 1 and covers:
+        covers.append(covers[0][::-1])
+    elif junk == 2:
+        covers.append(draw(st.lists(_ATOMS, max_size=3)))
+    elif junk == 3:
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    return spec
+
+
+_CHECKS = st.one_of(
+    st.fixed_dictionaries({"check": st.just("frame"), "lattice": _NAMES}),
+    st.fixed_dictionaries({"check": st.just("points"), "locale": _NAMES}),
+    st.fixed_dictionaries({"check": st.just("tensor"), "first": _NAMES,
+                           "second": _NAMES}),
+    st.fixed_dictionaries({"check": st.just("axioms"), "relation": _NAMES}),
+    st.fixed_dictionaries({"check": st.sampled_from(["coend", "nope"]),
+                           "groupoid": st.sampled_from(["trivial", "G"])}),
+    _ATOMS,
+)
+
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"version": st.just(1),
+         "lattices": st.lists(_declared_order(), min_size=1, max_size=2)},
+        optional={"locales": st.lists(_declared_order(), max_size=2),
+                  "checks": st.lists(_CHECKS, max_size=4)}),
+    st.one_of(st.fixed_dictionaries({"version": st.sampled_from([0, 2, None])}),
+              st.lists(_ATOMS, max_size=2), _ATOMS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_check_on_any_document_exits_0_1_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,5 +1,6 @@
 """Lattice and locale construction, frame law, morphism checks, free objects."""
 
+import functools
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from finloc.lattice import (
     FiniteLocale,
     FiniteSupLattice,
     SupMorphism,
+    _canon,
     all_locales,
     build_suplattice,
     check_locale_morphism,
@@ -412,7 +414,7 @@ def test_random_posets_complete_or_witnessed(n, data):
     _check_algebra(L)
 
 
-# -- from_order against the tables it used to build ---------------------------
+# -- from_order against the oracle of least upper bounds ------------------
 
 
 def _least_of(mask, up):
@@ -495,17 +497,23 @@ def test_from_order_missing_join_matches_oracle(elements, covers):
     assert want.value.witness in (frozenset({"a", "b"}), frozenset())
 
 
-# -- from_closed_sets against from_order --------------------------------------
+# -- from_closed_sets against the oracle --------------------------------------
 
 
-def _tables(L):
-    return (L.elements, L._up, L.join_table, L.meet_table, L.bottom_index,
-            L.top_index, L._downs)
+def _assert_matches_oracle(L, leq):
+    """L's rows and tables are those of the order leq on its elements."""
+    els = L.elements
+    up = [sum(1 << j for j, f in enumerate(els) if leq(e, f)) for e in els]
+    down = [sum(1 << j for j, u in enumerate(up) if u >> i & 1)
+            for i in range(len(els))]
+    assert (L._up, L._downs[0]) == (up, down)
+    assert (L.join_table, L.meet_table, L.bottom_index, L.top_index) \
+        == _least_of_tables(els, leq)
 
 
 def _closed_set_lattices():
-    """Every lattice the library builds through from_closed_sets, with the
-    presentation when it has one."""
+    """Every lattice the library builds through from_closed_sets from a
+    family of sets, with the presentation when it has one."""
     from finloc.present import lattice_presentation, tensor
     from finloc.sheaf import build_Xd, enumerate_sheaves
 
@@ -526,22 +534,59 @@ def _closed_set_lattices():
         yield d.module.lattice, d.quotient
 
 
-def test_from_closed_sets_tables_match_from_order():
+def test_from_closed_sets_tables_match_least_of_oracle():
     count = 0
     for L, q in _closed_set_lattices():
-        want = FiniteSupLattice.from_order(L.elements, lambda a, b: a <= b)
-        assert _tables(L) == _tables(want)
+        _assert_matches_oracle(L, lambda a, b: a <= b)
         if q is not None:  # and the family is every closure of a generator set
             subsets = itertools.chain.from_iterable(
                 itertools.combinations(q.gens, r) for r in range(len(q.gens) + 1))
             assert set(L.elements) == {q.closure(s) for s in subsets}
+            # and the join of two closed sets is the closure of their union
+            masks = [sum(1 << q._gi[g] for g in s) for s in L.elements]
+            close = functools.cache(q._close)  # many pairs share a union
+            for mi, row in zip(masks, L.join_table):
+                assert [masks[k] for k in row] == [close(mi | mj) for mj in masks]
         count += 1
     assert count == 9 + 36 + 23 + 1 + 60  # P(0)..P(8), locales, tensors, M3 (x) TWO, X_d
 
 
+@pytest.mark.parametrize("H", [TWO, CH3, P2])
+def test_function_lattice_tables_match_least_of_oracle(H):
+    H = H()
+    for k in range(5):
+        fl = function_lattice(H, range(k))
+        assert fl.elements == tuple(itertools.product(H.elements, repeat=k))
+        _assert_matches_oracle(
+            fl, lambda e, f: all(H.leq(a, b) for a, b in zip(e, f)))
+
+
+def test_function_lattice_makes_no_order_calls(monkeypatch):
+    H = P2()
+
+    def leq(self, x, y):
+        raise AssertionError("leq called")
+
+    monkeypatch.setattr(FiniteSupLattice, "leq", leq)
+    assert len(function_lattice(H, range(3))) == 64
+
+
+def test_canon_orders_sets_by_size_then_members():
+    subsets = [frozenset(c) for r in range(4)
+               for c in itertools.combinations((1, 2, 3), r)]
+    orders = {_canon(p) for p in itertools.permutations(subsets)}
+    assert orders == {tuple(subsets)}
+
+
+def test_power_locale_and_all_locales_list_subsets_first():
+    for L in [power_locale(range(k)) for k in range(6)] + list(all_locales(6)):
+        els = L.elements
+        assert all(not b < a for i, a in enumerate(els) for b in els[i:])
+
+
 def _family(*sets):
-    """Elements and masks of a family of subsets of 'abc'."""
-    return sets, [sum(1 << "abc".index(x) for x in s) for s in sets]
+    """Elements and masks of a family of subsets of 'abcd'."""
+    return sets, [sum(1 << "abcd".index(x) for x in s) for s in sets]
 
 
 def test_from_closed_sets_without_close_joins_by_intersection():
@@ -549,8 +594,7 @@ def test_from_closed_sets_without_close_joins_by_intersection():
     els, masks = _family("", "a", "b", "abc")
     L = FiniteSupLattice.from_closed_sets(els, masks)
     assert L.join("a", "b") == "abc"
-    assert _tables(L) == _tables(FiniteSupLattice.from_order(
-        els, lambda x, y: set(x) <= set(y)))
+    _assert_matches_oracle(L, lambda x, y: set(x) <= set(y))
 
 
 def test_from_closed_sets_missing_intersection():
@@ -561,15 +605,13 @@ def test_from_closed_sets_missing_intersection():
     assert masks[els.index(x)] & masks[els.index(y)] not in masks
 
 
-@pytest.mark.parametrize("close", [lambda u: u, lambda u: 0],
-                         ids=["outside the family", "below the union"])
-def test_from_closed_sets_close_that_is_no_upper_bound(close):
-    els, masks = _family("", "a", "b", "abc")
+def test_from_closed_sets_union_with_two_minimal_members_above():
+    # abc and abd both contain {a} | {b}, and neither contains the other;
+    # {a} | {c} lies below abc and acd, later in the same row
+    els, masks = _family("", "a", "b", "c", "abc", "abd", "acd")
     with pytest.raises(MissingJoin, match="no least upper bound") as e:
-        FiniteSupLattice.from_closed_sets(els, masks, close=close)
-    x, y = e.value.witness
-    u = masks[els.index(x)] | masks[els.index(y)]
-    assert u not in masks and (close(u) not in masks or close(u) & u != u)
+        FiniteSupLattice.from_closed_sets(els, masks)
+    assert e.value.witness == frozenset({"a", "b"})  # the first pair, row-major
 
 
 def test_from_closed_sets_no_least_element_and_duplicates():
