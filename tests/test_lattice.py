@@ -605,10 +605,16 @@ def test_from_closed_sets_missing_intersection():
     assert masks[els.index(x)] & masks[els.index(y)] not in masks
 
 
-def test_from_closed_sets_union_with_two_minimal_members_above():
+@pytest.mark.parametrize("sets", [
     # abc and abd both contain {a} | {b}, and neither contains the other;
     # {a} | {c} lies below abc and acd, later in the same row
-    els, masks = _family("", "a", "b", "c", "abc", "abd", "acd")
+    ("", "a", "b", "c", "abc", "abd", "acd"),
+    # every member lies below {a} | {b}: none contains it
+    ("", "a", "b"),
+], ids=["outside the family", "below the union"])
+def test_from_closed_sets_close_that_is_no_upper_bound(sets):
+    """The closure of {a} | {b}, the least member containing it, is missing."""
+    els, masks = _family(*sets)
     with pytest.raises(MissingJoin, match="no least upper bound") as e:
         FiniteSupLattice.from_closed_sets(els, masks)
     assert e.value.witness == frozenset({"a", "b"})  # the first pair, row-major
