@@ -189,7 +189,9 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
                 return fail(out["detail"], witness)
         elif kind == "points":
             H = _resolve(doc.locales, item.get("locale"), "locale")
-            out["detail"] = {"check_id": "lattice.points", "count": len(points(H))}
+            # Birkhoff: one point of H per join-irreducible (`points`)
+            out["detail"] = {"check_id": "lattice.points",
+                             "count": len(H.join_irreducibles())}
             want = item.get("expect_count")
             if want is not None and want != out["detail"]["count"]:
                 return fail(out["detail"])

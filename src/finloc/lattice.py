@@ -260,15 +260,15 @@ class FiniteSupLattice:
         return self._mt
 
     def join_irreducibles(self) -> tuple:
-        """Elements that are not the join of their strict down-set."""
-        out = []
-        for e in self.elements:
-            if e == self.bottom:
-                continue
-            below = [d for d in self.down_set(e) if d != e]
-            if self.join_all(below) != e:
-                out.append(e)
-        return tuple(out)
+        """Elements that are not the join of their strict down-set.
+
+        j is join-irreducible iff its strict down-set is principal, i.e. is
+        the down-set row of its one lower cover.  The bottom's strict
+        down-set is empty, and no row is.
+        """
+        down, down_ix = self._downs
+        return tuple(e for i, e in enumerate(self.elements)
+                     if down[i] & ~(1 << i) in down_ix)
 
     def __repr__(self):
         return f"<{type(self).__name__} {len(self.elements)} elements>"

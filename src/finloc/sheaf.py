@@ -1,10 +1,13 @@
 """Finite sheaves on a finite locale P and their discrete modules.
 
-A sheaf is stored as explicit section sets with restriction maps; gluing is
-checked against every cover inside P.  The discrete module of a sheaf is the
-lattice of its subsheaves, presented by one generator per section with
-restriction and cover relations, so that the delta elements are generator
-classes and the P-action is a table lookup.
+A sheaf is stored as explicit section sets with restriction maps.  Gluing is
+checked on one cover per open p, the join-irreducibles below p: in a finite
+locale every join-irreducible is join-prime, so this cover refines every
+other cover of p, and gluing over it at every open gives gluing over all
+covers.  The discrete module of a sheaf is the lattice of its subsheaves,
+presented by one generator per section with restriction relations and that
+one cover relation, so that the delta elements are generator classes and
+the P-action is a table lookup.
 """
 
 from __future__ import annotations
@@ -16,16 +19,14 @@ from .errors import (
     DomainMismatch,
     GluingFails,
     Mismatch,
+    NotALocale,
     NotAModule,
-    SizeBound,
     ValidationError,
 )
 from .lattice import FiniteLocale, FiniteSupLattice, _canon, is_frame, power_locale
 from .modb import BModule, DualityData, check_duality
 from .present import JoinPresentation, ModulePresentation, PresentedSupLattice
 from .relation import AxiomReport, table_axioms
-
-MAX_COVER_BASE = 14
 
 
 class FiniteSheaf:
@@ -49,21 +50,24 @@ class FiniteSheaf:
         return f"<FiniteSheaf over {len(self.P)}-locale, {len(self.total())} sections>"
 
 
-def covers_of(P: FiniteLocale, p) -> list:
-    """All subsets of the down-set of p whose join is p."""
-    down = [q for q in P.down_set(p)]
-    if len(down) > MAX_COVER_BASE:
-        raise SizeBound(f"down-set of {p!r} too large for cover enumeration")
-    out = []
-    for r in range(len(down) + 1):
-        for sub in itertools.combinations(down, r):
-            if P.join_all(sub) == p:
-                out.append(frozenset(sub))
-    return out
+def irreducibles_below(P: FiniteLocale, p) -> tuple:
+    """J(down p), the join-irreducibles below p: the cover of p that refines
+    every other, since each of them is join-prime and so lies below some
+    member of any cover of p."""
+    return tuple(j for j in P.join_irreducibles() if P.leq(j, p))
 
 
 def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
-    """Validate functoriality and gluing; returns the sheaf or raises."""
+    """Validate functoriality and gluing; returns the sheaf or raises.
+
+    Gluing is checked over J(down p) at every open p.  A compatible family
+    over any other cover C of p restricts to one over J(down p), whose glued
+    section restricts to the family's members on C by uniqueness over
+    J(down c); so existence and uniqueness over every cover follow.  A
+    GluingFails witness is (p, frozenset(J(down p))).
+    """
+    if not isinstance(P, FiniteLocale):
+        raise NotALocale("gluing on join-irreducibles needs a distributive base")
     X = FiniteSheaf(P, sections, restrict)
     if len(X.sections[P.bottom]) != 1:
         raise ValidationError("sections over bottom must be a single point",
@@ -86,23 +90,19 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
                         raise ValidationError(
                             "restrictions do not compose", witness=(p, q, r, x))
     for p in P.elements:
-        for cover in covers_of(P, p):
-            cov = sorted(cover, key=repr)
-            fams = []
-            for choice in itertools.product(*(X.sections[q] for q in cov)):
-                fam = dict(zip(cov, choice))
-                if all(
-                    X.res(q1, P.meet(q1, q2), fam[q1])
-                    == X.res(q2, P.meet(q1, q2), fam[q2])
-                    for q1 in cov for q2 in cov
-                ):
-                    fams.append(tuple(fam[q] for q in cov))
-            images = [tuple(X.res(p, q, x) for q in cov) for x in X.sections[p]]
-            if len(set(images)) != len(images) or set(images) != set(fams):
-                raise GluingFails(
-                    f"X({p!r}) does not match compatible families over a cover",
-                    witness=(p, frozenset(cover)),
-                )
+        cov = irreducibles_below(P, p)
+        fams = [()]  # compatible families over cov[:k], one member at a time
+        for k, j in enumerate(cov):
+            meets = [(i, P.meet(i, j)) for i in cov[:k]]
+            fams = [f + (x,) for f in fams for x in X.sections[j]
+                    if all(X.res(i, m, y) == X.res(j, m, x)
+                           for (i, m), y in zip(meets, f))]
+        images = [tuple(X.res(p, j, x) for j in cov) for x in X.sections[p]]
+        if len(set(images)) != len(images) or set(images) != set(fams):
+            raise GluingFails(
+                f"X({p!r}) does not match compatible families over a cover",
+                witness=(p, frozenset(cov)),
+            )
     return X
 
 
@@ -136,21 +136,27 @@ class DiscreteModule:
 
 
 def build_Xd(X: FiniteSheaf) -> DiscreteModule:
-    """Materialize the subsheaf lattice with its P-action and delta generators."""
+    """Materialize the subsheaf lattice with its P-action and delta generators.
+
+    The relations are delta(q, x|q) <= delta(p, x) for q < p, and
+    delta(p, x) = V delta(j, x|j) over j in J(down p) when p is not
+    join-irreducible (a join-irreducible p is in its own cover).  Any other
+    cover C of p needs no relation: each j lies below some c in C, so
+    delta(j, x|j) <= delta(c, x|c) already.
+    """
     P = X.P
     gens = X.total()
     rels = []
     for p in P.elements:
+        cover = irreducibles_below(P, p)
         for x in X.sections[p]:
             for q in P.down_set(p):
                 if q != p:
                     rels.append((frozenset({(p, x)}),
                                  frozenset({(p, x), (q, X.res(p, q, x))})))
-            for cover in covers_of(P, p):
-                if cover == frozenset({p}):
-                    continue
+            if p not in cover:
                 rels.append((frozenset({(p, x)}),
-                             frozenset((q, X.res(p, q, x)) for q in cover)))
+                             frozenset((j, X.res(p, j, x)) for j in cover)))
     q = PresentedSupLattice(JoinPresentation(tuple(gens), tuple(rels)))
     lat = q.lattice()
     delta = {(p, x): q.gen_class((p, x)).closure for (p, x) in gens}
@@ -353,32 +359,17 @@ def selfdual_Xd(d: DiscreteModule) -> DualityData:
 
 
 def _components(P: FiniteLocale, p) -> tuple:
-    """Connected components of the join-irreducibles below p."""
-    irr = [j for j in P.join_irreducibles() if P.leq(j, p)]
+    """Connected components of the join-irreducibles below p, two of them
+    linked when their meet is not the bottom; each new j merges the
+    components it links to."""
     comps = []
-    for j in irr:
-        linked = [c for c in comps
-                  if any(P.leq(j, k) or P.leq(k, j)
-                         or P.meet(j, k) != P.bottom for k in c)]
+    for j in irreducibles_below(P, p):
+        linked = [c for c in comps if any(P.meet(j, k) != P.bottom for k in c)]
         merged = {j}
         for c in linked:
             merged |= c
             comps.remove(c)
         comps.append(merged)
-    changed = True
-    while changed:
-        changed = False
-        for a in comps:
-            for b in comps:
-                if a is not b and any(
-                    P.meet(x, y) != P.bottom for x in a for y in b
-                ):
-                    comps.remove(b)
-                    a |= b
-                    changed = True
-                    break
-            if changed:
-                break
     return tuple(frozenset(c) for c in
                  sorted(comps, key=lambda c: sorted(map(repr, c))))
 
@@ -523,15 +514,15 @@ def enumerate_sheaves(P: FiniteLocale, max_total: int):
                                 ok = False
             if not ok:
                 continue
-            sheaf = _sheaf_from_stalks(P, irr, stalks, rmaps)
+            sheaf = _sheaf_from_stalks(P, stalks, rmaps)
             if sheaf is not None:
                 yield sheaf
 
 
-def _sheaf_from_stalks(P, irr, stalks, rmaps):
+def _sheaf_from_stalks(P, stalks, rmaps):
     sections = {}
     for p in P.elements:
-        js = [j for j in irr if P.leq(j, p)]
+        js = irreducibles_below(P, p)
         fams = []
         for choice in itertools.product(*(stalks[j] for j in js)):
             fam = dict(zip(js, choice))
@@ -543,11 +534,11 @@ def _sheaf_from_stalks(P, irr, stalks, rmaps):
         sections[p] = tuple(fams)
     restrict = {}
     for p in P.elements:
-        js = [j for j in irr if P.leq(j, p)]
+        js = irreducibles_below(P, p)
         for q in P.down_set(p):
             if q == p:
                 continue
-            ks = [j for j in irr if P.leq(j, q)]
+            ks = irreducibles_below(P, q)
             table = {}
             for s in sections[p]:
                 fam = dict(zip(js, s))

@@ -260,6 +260,27 @@ def test_declared_carriers_are_bounded_together(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_points_check_counts_without_building_points(monkeypatch):
+    # the count is |J(H)|, one point per join-irreducible (Birkhoff)
+    def boom(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(cli, "points", boom)
+    monkeypatch.setattr(lattice, "locale_morphisms", boom)
+    counts = {"TWO": 1, "CH3": 2, "P2": 2, "c6": 5}
+    doc = {"version": 1, "locales": [_chain("c6", 6)],
+           "checks": [{"check": "points", "locale": name, "expect_count": n}
+                      for name, n in counts.items()]}
+    report, _ = run(parse(json.dumps(doc)))
+    assert [(r["status"], r["detail"]["count"]) for r in report["results"]] \
+        == [("pass", n) for n in counts.values()]
+
+
+def test_points_count_is_the_number_of_points():
+    for H in lattice.all_locales(8):
+        assert len(H.join_irreducibles()) == len(lattice.points(H))
+
+
 def test_tensor_of_declared_chains_fails_within_a_memory_limit(tmp_path):
     # each chain's presentation has 11,026 relations and their tensor would
     # have 3.3 million; under 1 GB of address space the check must fail

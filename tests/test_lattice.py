@@ -341,6 +341,23 @@ def test_points_counts_and_brute_force():
             == _brute_points(H)
 
 
+def _join_irreducibles_oracle(L):
+    """J(L) by the fold definition: the elements that are not the join of
+    their strict down-set."""
+    return tuple(e for e in L.elements if e != L.bottom
+                 and L.join_all(d for d in L.down_set(e) if d != e) != e)
+
+
+def test_join_irreducibles_match_the_fold_oracle():
+    # as tuples: lattice_presentation and locale_morphisms read J(L) in order
+    from finloc.present import tensor
+
+    lattices = list(all_locales(10)) + [M3(), _N5(), tensor(M3(), TWO()).lattice()]
+    for L in lattices:
+        assert L.join_irreducibles() == _join_irreducibles_oracle(L)
+    assert len(lattices) == 112
+
+
 def _brute_locale_morphisms(L, A):
     # oracle: every choice of values on J(L), extended by joins, filtered by
     # the all-pairs definition and deduplicated

@@ -1,15 +1,19 @@
 """Sheaf validation, discrete modules, the transpose, and the axioms."""
 
+import collections
 import itertools
+import random
 
 import pytest
 
-from finloc.errors import GluingFails
-from finloc.fixtures import CH3, P2, TWO
-from finloc.lattice import power_locale
+from finloc.errors import GluingFails, NotALocale
+from finloc.fixtures import CH3, M3, P2, TWO
+from finloc.lattice import all_locales, power_locale
 from finloc.modb import BModule, check_duality, self_module
+from finloc.present import JoinPresentation, PresentedSupLattice
 from finloc.relation import LRelation, check_axioms
 from finloc.sheaf import (
+    FiniteSheaf,
     build_Xd,
     check_module_axioms,
     check_sheaf,
@@ -60,6 +64,120 @@ def test_gluing_failure_detected():
     with pytest.raises(GluingFails) as e:
         check_sheaf(P, sections, restrict)
     assert e.value.witness[0] == t
+    assert e.value.witness == (t, frozenset({a1, a2}))  # J(down t)
+
+
+# -- gluing over every cover: the oracle for the one cover per open ----------
+
+
+def _all_covers(P, p):
+    """Every subset of the down-set of p whose join is p."""
+    down = P.down_set(p)
+    return [frozenset(sub) for r in range(len(down) + 1)
+            for sub in itertools.combinations(down, r) if P.join_all(sub) == p]
+
+
+def _glues_over_every_cover(X):
+    """Existence and uniqueness of gluing over every cover of every open."""
+    P = X.P
+    for p in P.elements:
+        for cover in _all_covers(P, p):
+            cov = sorted(cover, key=repr)
+            fams = {fam for fam in itertools.product(*(X.sections[q] for q in cov))
+                    if all(X.res(q1, P.meet(q1, q2), x1)
+                           == X.res(q2, P.meet(q1, q2), x2)
+                           for q1, x1 in zip(cov, fam) for q2, x2 in zip(cov, fam))}
+            images = [tuple(X.res(p, q, x) for q in cov) for x in X.sections[p]]
+            if len(set(images)) != len(images) or set(images) != fams:
+                return False
+    return True
+
+
+def _random_presheaf(rng, P, sheaves):
+    """A functorial presheaf: a random subpresheaf of one of the sheaves
+    (a section stays only if its restrictions do), with some sections
+    doubled by a copy that restricts as its original does."""
+    X = rng.choice(sheaves)
+    keep = {}
+    for p in sorted(P.elements, key=lambda p: len(P.down_set(p))):
+        keep[p] = [x for x in X.sections[p]
+                   if (p == P.bottom or rng.random() < 0.85)
+                   and all(X.res(p, q, x) in keep[q] for q in P.down_set(p) if q != p)]
+    restrict = {(p, q): {x: X.res(p, q, x) for x in keep[p]}
+                for p in P.elements for q in P.down_set(p) if q != p}
+    for p in P.elements:
+        if p != P.bottom and keep[p] and rng.random() < 0.15:
+            x = rng.choice(keep[p])
+            keep[p] = keep[p] + [(x, "copy")]
+            for q in P.down_set(p):
+                if q != p:
+                    restrict[(p, q)][(x, "copy")] = X.res(p, q, x)
+    return keep, restrict
+
+
+def test_check_sheaf_matches_gluing_over_every_cover():
+    rng = random.Random(17)
+    verdicts = collections.Counter()
+    for P in all_locales(6):
+        # the 6-chain has 959 sheaves, and listing them all takes 20 s
+        sheaves = list(itertools.islice(enumerate_sheaves(P, 2), 150))
+        for _ in range(100):
+            sections, restrict = _random_presheaf(rng, P, sheaves)
+            want = _glues_over_every_cover(FiniteSheaf(P, sections, restrict))
+            try:
+                check_sheaf(P, sections, restrict)
+                got = True
+            except GluingFails:
+                got = False
+            assert got == want
+            verdicts[got] += 1
+    assert min(verdicts[True], verdicts[False]) > 100
+
+
+def _Xd_over_every_cover(X):
+    """The subsheaf lattice presented with a relation for every cover."""
+    P = X.P
+    rels = []
+    for p in P.elements:
+        for x in X.sections[p]:
+            for q in P.down_set(p):
+                rels.append((frozenset({(p, x)}),
+                             frozenset({(p, x), (q, X.res(p, q, x))})))
+            for cover in _all_covers(P, p):
+                rels.append((frozenset({(p, x)}),
+                             frozenset((q, X.res(p, q, x)) for q in cover)))
+    return PresentedSupLattice(JoinPresentation(X.total(), tuple(rels)))
+
+
+def test_build_Xd_matches_the_every_cover_presentation():
+    count = 0
+    for P in (TWO(), CH3(), P2()):
+        for X in enumerate_sheaves(P, 2):
+            d, q = build_Xd(X), _Xd_over_every_cover(X)
+            L = q.lattice()
+            assert (d.lattice.elements, d.lattice._up) == (L.elements, L._up)
+            assert d.delta == {g: q.gen_class(g).closure for g in X.total()}
+            count += 1
+    assert count == 23
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_etale_sheaf_over_a_power_set_of_four_or_five_points(n):
+    # the top's down-set has 16 or 32 elements, its cover n atoms
+    points = tuple(range(n))
+    X = etale_sheaf(points, tuple(f"e{o}" for o in points),
+                    {f"e{o}": o for o in points})
+    assert len(build_Xd(X).lattice) == 2 ** n
+
+
+def test_check_sheaf_needs_a_locale():
+    # M3 is not distributive: its atoms are join-irreducible, not join-prime
+    P = M3()
+    sections = {p: ("pt",) for p in P.elements}
+    restrict = {(p, q): {"pt": "pt"}
+                for p in P.elements for q in P.down_set(p) if q != p}
+    with pytest.raises(NotALocale):
+        check_sheaf(P, sections, restrict)
 
 
 def test_build_Xd_over_two_is_powerset():
