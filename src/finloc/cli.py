@@ -160,10 +160,19 @@ def _witness_json(w):
     return w if isinstance(w, (str, int, float, bool, type(None))) else repr(w)
 
 
+def _valid_max_size(value) -> bool:
+    """A carrier bound: an int >= 0 (a bool is an int in Python, not here)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 def _check_item(item, place: str) -> None:
     if not isinstance(item, dict):
         raise ParseError(f"{place} must be an object, not "
                          f"{type(item).__name__}")
+    if "max_size" in item and not _valid_max_size(item["max_size"]):
+        raise ParseError(f"{place}.max_size must be an int >= 0, not "
+                         f"{item['max_size']!r}")
 
 
 def run_check(doc: Document, item: dict, max_size: int) -> dict:
@@ -260,8 +269,7 @@ def run_check(doc: Document, item: dict, max_size: int) -> dict:
                 return fail(out["detail"])
         elif kind == "equivalence":
             G = _resolve(doc.groupoids, item.get("groupoid"), "groupoid")
-            bound = int(item.get("max_size", max_size))
-            rep = equivalence_check(G, bound)
+            rep = equivalence_check(G, item.get("max_size", max_size))
             out["detail"] = {
                 "check_id": "galois.equivalence",
                 "objects": rep.object_count,
@@ -384,6 +392,17 @@ def _load_doc(path) -> Document:
         return parse(fh.read())
 
 
+def _max_size_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if not _valid_max_size(value):
+        raise argparse.ArgumentTypeError(
+            f"must be an int >= 0, not {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="finloc",
@@ -397,7 +416,7 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="append", dest="checks",
                     help="restrict `check` to these kinds")
     ap.add_argument("--groupoid", help="fixture or declared groupoid name")
-    ap.add_argument("--max-size", type=int, default=4)
+    ap.add_argument("--max-size", type=_max_size_arg, default=4)
     ap.add_argument("--parallel", type=int, default=1)
     ns = ap.parse_args(argv)
     try:

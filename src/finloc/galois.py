@@ -126,6 +126,7 @@ class DiscreteAction:
         self.act = dict(act)
         self.name = name
         self._mu = None  # transporter table, built by action_mu
+        self._pred = {}  # other action -> _PairPredicates, by _pair_predicates
         self._validate()
 
     def apply(self, g, x):
@@ -703,54 +704,164 @@ def invariant_relations(A: DiscreteAction, B: DiscreteAction) -> list:
     return out
 
 
+def _union(bits: int, masks: list) -> int:
+    """The OR of masks[i] over the set bits i of `bits`."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc |= masks[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def _or(masks) -> int:
+    """The OR of the masks, 0 for none."""
+    acc = 0
+    for m in masks:
+        acc |= m
+    return acc
+
+
+class _PairPredicates:
+    """The four set-level hom predicates of two actions, built once per
+    (A, B) and evaluated on relations given as ints over the fiberwise pairs
+    (bit i: `pairs[i]` is in R); arrow sets are ints over `G.arrows`.
+
+    Everything is derived from the actions and `action_mu`, never from
+    `_HomSpace`, so that checking the sliced tables against it stays an
+    independent check.  A pair outside `pairs` is never in R.
+    """
+
+    def __init__(self, A: DiscreteAction, B: DiscreteAction):
+        G = A.groupoid
+        bit = {g: 1 << i for i, g in enumerate(G.arrows)}
+
+        def mask(arrows):
+            return _or(bit[g] for g in arrows)
+
+        muA = {k: mask(v) for k, v in action_mu(A).items()}
+        muB = {k: mask(v) for k, v in action_mu(B).items()}
+        self.pairs, _ = _pair_orbits(A, B)
+        self.pos = {p: i for i, p in enumerate(self.pairs)}
+        n = len(self.pairs)
+        # the restricted transporters mu((x, y), (x2, y2)), by rows and columns
+        self.rows = [[muA[(x, x2)] & muB[(y, y2)] for (x2, y2) in self.pairs]
+                     for (x, y) in self.pairs]
+        self.cols = [list(col) for col in zip(*self.rows)]
+        self.into = [mask(G.arrows_into(A.anchor[x])) for x, _ in self.pairs]
+        self.out = [mask(G.arrows_from(A.anchor[x])) for x, _ in self.pairs]
+        # comodule-morphism instances: (x, g.y) in R iff (g^-1.x, y) in R;
+        # both sides are false unless anchor(x) = target(g)
+        self.couples = [0] * n
+        for x in A.carrier:
+            for y in B.carrier:
+                for g in G.arrows_from(B.anchor[y]):
+                    if A.anchor[x] != G.target[g]:
+                        continue
+                    left = self.pos[(x, B.apply(g, y))]
+                    right = self.pos[(A.apply(G.inverse[g], x), y)]
+                    self.couples[left] |= 1 << right
+                    self.couples[right] |= 1 << left
+        # the images of each pair under the arrows out of its anchor
+        self.images = [_or(1 << self.pos[(A.apply(g, x), B.apply(g, y))]
+                           for g in G.arrows_from(A.anchor[x]))
+                       for (x, y) in self.pairs]
+        # diamond terms, one slot of len(G.arrows) bits per (a, b') in A x B:
+        # pair (y, b') brings mu_A(a, y) into slot (a, b') of the left side,
+        # pair (a, x') brings mu_B(x', b') into slot (a, b') of the right
+        width = len(G.arrows)
+        slot = {ab: width * k for k, ab in
+                enumerate(itertools.product(A.carrier, B.carrier))}
+        self.lhs = [_or(muA[(a, y)] << slot[(a, bp)] for a in A.carrier)
+                    for (y, bp) in self.pairs]
+        self.rhs = [_or(muB[(xp, bp)] << slot[(a, bp)] for bp in B.carrier)
+                    for (a, xp) in self.pairs]
+
+    def index(self, p) -> int:
+        try:
+            return self.pos[p]
+        except KeyError:
+            raise DomainMismatch(f"{p!r} is not a fiberwise pair",
+                                 witness=p) from None
+
+    def bits_of(self, R) -> int:
+        return _or(1 << self.index(p) for p in R)
+
+    def axioms(self, order) -> AxiomReport:
+        """`comodule_axioms` of the restricted pairing on the members
+        `order` (pair indices), scanned in that order: the same flags and
+        the same witnesses."""
+        pairs, wit = self.pairs, {}
+        for join_key, clash_key, lines, tops in (
+                ("ed", "uv", self.rows, self.into),
+                ("su", "in", self.cols, self.out)):
+            short = overlap = None  # first line off its top / not disjoint
+            for i in order:
+                line = lines[i]
+                acc, disjoint = 0, True
+                for j in order:
+                    if acc & line[j]:
+                        disjoint = False
+                    acc |= line[j]
+                if short is None and acc != tops[i]:
+                    short = i
+                if overlap is None and not disjoint:
+                    overlap = i
+                if short is not None and overlap is not None:
+                    break
+            if short is not None:
+                wit[join_key] = (pairs[short],)
+            if overlap is not None:
+                line = lines[overlap]
+                j1, j2 = next((j1, j2) for j1 in order for j2 in order
+                              if j1 != j2 and line[j1] & line[j2])
+                ends = (pairs[j1], pairs[j2])
+                wit[clash_key] = ((pairs[overlap],) + ends if clash_key == "uv"
+                                  else ends + (pairs[overlap],))
+        return AxiomReport("ed" not in wit, "uv" not in wit, "su" not in wit,
+                           "in" not in wit, wit)
+
+    def morphism(self, bits: int) -> bool:
+        return _union(bits, self.couples) & ~bits == 0
+
+    def invariant(self, bits: int) -> bool:
+        return _union(bits, self.images) & ~bits == 0
+
+    def diamond(self, bits: int) -> bool:
+        return _union(bits, self.lhs) == _union(bits, self.rhs)
+
+
+def _pair_predicates(A: DiscreteAction, B: DiscreteAction) -> _PairPredicates:
+    """The predicates of (A, B), built once and kept on A."""
+    ev = A._pred.get(B)
+    if ev is None:
+        ev = A._pred[B] = _PairPredicates(A, B)
+    return ev
+
+
 def restricted_theta_axioms(R, A: DiscreteAction, B: DiscreteAction) -> AxiomReport:
-    """Module-level axioms of the product pairing restricted to R."""
-    muA, muB = action_mu(A), action_mu(B)
-    carrier = tuple(sorted(R, key=repr))
-    anchor = {p: A.anchor[p[0]] for p in carrier}
-    mu = {(p, q): muA[(p[0], q[0])] & muB[(p[1], q[1])]
-          for p in carrier for q in carrier}
-    return comodule_axioms(Comodule(A.groupoid, carrier, anchor, mu))
+    """Module-level axioms of the product pairing restricted to R, with R
+    scanned in `repr` order."""
+    ev = _pair_predicates(A, B)
+    return ev.axioms([ev.index(p) for p in sorted(R, key=repr)])
 
 
 def relation_is_invariant(R, A: DiscreteAction, B: DiscreteAction) -> bool:
-    G = A.groupoid
-    return all(
-        (A.apply(g, x), B.apply(g, y)) in R
-        for (x, y) in R for g in G.arrows_from(A.anchor[x])
-    )
+    """g . R lies in R for every arrow g."""
+    ev = _pair_predicates(A, B)
+    return ev.invariant(ev.bits_of(R))
 
 
 def comodule_morphism_holds(R, A: DiscreteAction, B: DiscreteAction) -> bool:
     """rho_B o R = (L (x) R) o rho_A on every generator."""
-    G = A.groupoid
-    for x in A.carrier:
-        for y in B.carrier:
-            for g in G.arrows_from(B.anchor[y]):
-                lhs = (x, B.apply(g, y)) in R
-                if A.anchor[x] == G.target[g]:
-                    rhs = (A.apply(G.inverse[g], x), y) in R
-                else:
-                    rhs = False
-                if lhs != rhs:
-                    return False
-    return True
+    ev = _pair_predicates(A, B)
+    return ev.morphism(ev.bits_of(R))
 
 
 def diamond_on_relation(R, A: DiscreteAction, B: DiscreteAction) -> bool:
     """The diamond equation for (mu_A, mu_B) across R, on generator pairs."""
-    muA, muB = action_mu(A), action_mu(B)
-    for a in A.carrier:
-        for bp in B.carrier:
-            lhs = frozenset().union(
-                *(muA[(a, y)] for y in A.carrier if (y, bp) in R),
-                frozenset())
-            rhs = frozenset().union(
-                *(muB[(xp, bp)] for xp in B.carrier if (a, xp) in R),
-                frozenset())
-            if lhs != rhs:
-                return False
-    return True
+    ev = _pair_predicates(A, B)
+    return ev.diamond(ev.bits_of(R))
 
 
 @dataclass
@@ -1252,7 +1363,11 @@ def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
     over every fiberwise candidate between class representatives, the
     bijectivity of the restricted pairing and the comodule-morphism
     equation hold or fail together (and both coincide with stability of the
-    relation, counted through the orbit decomposition).
+    relation, counted through the orbit decomposition).  The sliced tables
+    of `_HomSpace` decide this; on every space of at most 2 ** 9 candidates
+    the four set-level predicates of `_PairPredicates`, built once per
+    (A, B) from the actions alone, are checked against those tables on
+    every candidate, and a disagreement raises `Mismatch`.
     """
     actions = enumerate_actions(G, max_size)
     comodules = enumerate_comodules(G, max_size)
@@ -1291,21 +1406,23 @@ def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
             if hs.n > 9:
                 continue
             # cross-validate the sliced tables on the small spaces
+            ev = _pair_predicates(A, B)
             for block, rel, _ in hs.tables():
                 for b, bits in enumerate(block):
-                    R = hs.set_of(bits)
                     hom = bool((rel >> b) & 1)
-                    if restricted_theta_axioms(R, A, B).is_bijection != hom:
+                    members = [i for i in range(hs.n) if (bits >> i) & 1]
+                    if ev.axioms(members).is_bijection != hom:
                         raise Mismatch(f"restricted pairing disagrees with "
-                                       f"the sliced table at {R!r}")
-                    if comodule_morphism_holds(R, A, B) != hom:
+                                       f"the sliced table at "
+                                       f"{hs.set_of(bits)!r}")
+                    if ev.morphism(bits) != hom:
                         raise Mismatch(f"comodule-morphism equation disagrees "
-                                       f"with the sliced table at {R!r}")
+                                       f"with the sliced table at "
+                                       f"{hs.set_of(bits)!r}")
                     inv = hs.invariant(bits)
-                    if relation_is_invariant(R, A, B) != inv \
-                            or diamond_on_relation(R, A, B) != inv:
+                    if ev.invariant(bits) != inv or ev.diamond(bits) != inv:
                         raise Mismatch(f"stability disagrees with the orbit "
-                                       f"masks at {R!r}")
+                                       f"masks at {hs.set_of(bits)!r}")
     # composition closure of the homs on the small representatives
     small = [a for a in reps if len(a.carrier) <= 2][:6]
     for A in small:

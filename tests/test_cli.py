@@ -199,6 +199,38 @@ def test_malformed_section_exits_2(tmp_path, capsys, raw, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1], -1, True, 2.7])
+def test_bad_max_size_in_a_document_exits_2(tmp_path, capsys, value):
+    raw = {"version": 1, "checks": [
+        {"check": "equivalence", "groupoid": "Z2", "max_size": value}]}
+    message = f"checks[0].max_size must be an int >= 0, not {value!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        Document(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--max-size", "-3"], ["--max-size=-3"],
+                                  ["--max-size", "abc"], ["--max-size", "2.7"]])
+def test_bad_max_size_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(["equivalence", "--groupoid", "Z2", *argv])
+    assert e.value.code == 2
+    assert "--max-size: must be an int >= 0" in capsys.readouterr().err
+
+
+def test_max_size_zero_checks_the_empty_action(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"version": 1, "checks": [
+        {"check": "equivalence", "groupoid": "Z2", "max_size": 0}]}))
+    assert main(["check", "--input", str(path), "--format", "json"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["detail"]["objects"] == 1
+    assert main(["equivalence", "--groupoid", "Z2", "--max-size", "0"]) == 0
+
+
 def test_run_check_rejects_non_object_item():
     with pytest.raises(ParseError, match="must be an object"):
         run_check(Document({"version": 1}), 5, 3)

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from finloc import galois
-from finloc.errors import Mismatch, NotACone, NotAGroupoid, NotAModule
+from finloc.errors import (
+    DomainMismatch,
+    Mismatch,
+    NotACone,
+    NotAGroupoid,
+    NotAModule,
+)
 from finloc.fixtures import codiscrete, identities_only, trivial_group, z_mod
 from finloc.galois import (
     DiscreteAction,
@@ -41,6 +47,7 @@ from finloc.galois import (
     product_action,
     reconstruct,
     rel_beta_g,
+    diamond_on_relation,
     relation_is_invariant,
     representable_action,
     restricted_theta_axioms,
@@ -592,6 +599,117 @@ def test_sliced_mismatch_names_first_oracle_mismatch(monkeypatch, block):
     assert str(e.value) == f"hom sets differ at {hs.set_of(first)!r}"
 
 
+# -- the per-pair predicates against the frozenset routes ----------------------
+
+
+def _restricted_theta_oracle(R, A, B):
+    muA, muB = action_mu(A), action_mu(B)
+    carrier = tuple(sorted(R, key=repr))
+    anchor = {p: A.anchor[p[0]] for p in carrier}
+    mu = {(p, q): muA[(p[0], q[0])] & muB[(p[1], q[1])]
+          for p in carrier for q in carrier}
+    return comodule_axioms(Comodule(A.groupoid, carrier, anchor, mu))
+
+
+def _relation_is_invariant_oracle(R, A, B) -> bool:
+    G = A.groupoid
+    return all(
+        (A.apply(g, x), B.apply(g, y)) in R
+        for (x, y) in R for g in G.arrows_from(A.anchor[x])
+    )
+
+
+def _comodule_morphism_oracle(R, A, B) -> bool:
+    G = A.groupoid
+    for x in A.carrier:
+        for y in B.carrier:
+            for g in G.arrows_from(B.anchor[y]):
+                lhs = (x, B.apply(g, y)) in R
+                if A.anchor[x] == G.target[g]:
+                    rhs = (A.apply(G.inverse[g], x), y) in R
+                else:
+                    rhs = False
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def _diamond_on_relation_oracle(R, A, B) -> bool:
+    muA, muB = action_mu(A), action_mu(B)
+    for a in A.carrier:
+        for bp in B.carrier:
+            lhs = frozenset().union(
+                *(muA[(a, y)] for y in A.carrier if (y, bp) in R),
+                frozenset())
+            rhs = frozenset().union(
+                *(muB[(xp, bp)] for xp in B.carrier if (a, xp) in R),
+                frozenset())
+            if lhs != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("G, max_size", [
+    (trivial_group(), 4), (codiscrete(2), 4), (z_mod(2), 3),
+    (identities_only(2), 3), (z_mod(3), 3),
+], ids=["trivial", "codiscrete2", "Z2", "discrete2", "Z3"])
+def test_pair_predicates_match_frozenset_oracles(G, max_size):
+    for hs in _hom_spaces(G, max_size):
+        if hs.n > 9:
+            continue
+        A, B = hs.A, hs.B
+        ev = galois._pair_predicates(A, B)
+        for bits in range(1 << hs.n):
+            R = hs.set_of(bits)
+            want = _restricted_theta_oracle(R, A, B)
+            got = restricted_theta_axioms(R, A, B)
+            assert (got, got.witnesses) == (want, want.witnesses)
+            members = [i for i in range(hs.n) if (bits >> i) & 1]
+            assert ev.axioms(members) == want
+            assert comodule_morphism_holds(R, A, B) \
+                == ev.morphism(bits) == _comodule_morphism_oracle(R, A, B)
+            assert relation_is_invariant(R, A, B) \
+                == ev.invariant(bits) == _relation_is_invariant_oracle(R, A, B)
+            assert diamond_on_relation(R, A, B) \
+                == ev.diamond(bits) == _diamond_on_relation_oracle(R, A, B)
+
+
+def test_pair_axioms_witnesses_match_comodule_axioms_on_random_tables():
+    # restricted transporters of actions never overlap, so the uv and in
+    # witnesses are reached only through tables that are not transporters
+    import random
+
+    G = z_mod(2)
+    R = representable_action(G, "*")
+    ev = galois._PairPredicates(R, R)
+    bit = {g: 1 << i for i, g in enumerate(G.arrows)}
+    n = len(ev.pairs)
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(400):
+        ev.rows = [[rng.randrange(4) for _ in range(n)] for _ in range(n)]
+        ev.cols = [list(col) for col in zip(*ev.rows)]
+        order = rng.sample(range(n), rng.randrange(n + 1))
+        carrier = tuple(ev.pairs[i] for i in order)
+        mu = {(ev.pairs[i], ev.pairs[j]):
+              frozenset(g for g in G.arrows if ev.rows[i][j] & bit[g])
+              for i in order for j in order}
+        want = comodule_axioms(Comodule(G, carrier, {p: "*" for p in carrier},
+                                        mu))
+        got = ev.axioms(order)
+        assert (got, got.witnesses) == (want, want.witnesses)
+        seen |= set(want.witnesses)
+    assert seen == {"ed", "uv", "su", "in"}
+
+
+def test_pair_predicates_reject_a_pair_that_is_not_fiberwise():
+    G = identities_only(2)
+    A, B = (DiscreteAction(G, (o,), {o: o}, {(G.unit[o], o): o})
+            for o in G.objects)
+    with pytest.raises(DomainMismatch):
+        relation_is_invariant({(A.carrier[0], B.carrier[0])}, A, B)
+
+
 def _run_python_O(code: str) -> subprocess.CompletedProcess:
     """Run code in a `python -O` child that imports this finloc."""
     src = str(Path(galois.__file__).resolve().parents[1])
@@ -618,12 +736,19 @@ def test_reconstruct_past_the_carrier_bound_raises_size_bound():
     assert float(proc.stdout) < 5
 
 
-def test_equivalence_check_fails_under_python_O():
+@pytest.mark.parametrize("mutant", [
+    "axioms = lambda self, order: AxiomReport(True, True, True, True)",
+    "morphism = lambda self, bits: True",
+    "invariant = lambda self, bits: True",
+    "diamond = lambda self, bits: False",
+], ids=["axioms", "morphism", "invariant", "diamond"])
+def test_equivalence_check_fails_under_python_O(mutant):
     # a wrong set-level route must stop the check even with asserts stripped
     proc = _run_python_O(
         "from finloc import galois\n"
         "from finloc.fixtures import z_mod\n"
-        "galois.comodule_morphism_holds = lambda R, A, B: True\n"
+        "from finloc.relation import AxiomReport\n"
+        f"galois._PairPredicates.{mutant}\n"
         "galois.equivalence_check(z_mod(2), 3)\n")
     assert proc.returncode == 1
     assert "finloc.errors.Mismatch" in proc.stderr
