@@ -40,7 +40,7 @@ from .lattice import (
     power_locale,
 )
 from .modb import BBimodule, BModule, DualityData
-from .present import ModulePresentation, induced_morphism
+from .present import ModulePresentation, check_relations, induced_morphism
 from .relation import AxiomReport, table_axioms
 from .tannaka import Coend, CoendArrow, CoendObject
 
@@ -301,17 +301,23 @@ def _law(holds: bool, law: str, witness=None, error=Mismatch) -> None:
 
 def verify_hopf_laws(H: GroupoidHopf) -> None:
     """All structure laws of the dual groupoid: s and t by
-    `check_locale_morphism`, the commuting actions by `BBimodule`, the
-    rest as set identities."""
+    `check_locale_morphism`, the commuting actions by `BBimodule`, a o s = t
+    on every b, the rest as set identities on atoms.
+
+    Every other map of O(G) is a preimage or image map, so a union over
+    singletons, and so is each side of each remaining law.  A law that holds
+    on the empty set and on every singleton {g} therefore holds on every
+    subset, and product = meet, bilinear in (U, V), holds once it holds on
+    every pair of singletons."""
     G = H.groupoid
     arrows = G.arrows
-    subsets = H.L.elements
     for name, f in (("s", H.s), ("t", H.t)):
         bad = check_locale_morphism(
             SupMorphism(H.B, H.L, {b: f(b) for b in H.B.elements}))
         _law(bad is None, f"{name} is a locale morphism", bad)
     BBimodule(H.B, H.L, H.left, H.right)  # commuting bimodule actions
-    for U in subsets:
+    atoms = [frozenset()] + [frozenset({g}) for g in arrows]
+    for U in atoms:
         cu = H.c(U)
         _law(frozenset(g for g in arrows
                        if (G.unit[G.target[g]], g) in cu) == U,
@@ -334,8 +340,8 @@ def verify_hopf_laws(H: GroupoidHopf) -> None:
     # m is idempotent commutative with unit the full pair set
     full_pairs = frozenset((G.target[g], G.source[g]) for g in arrows)
     _law(H.u(full_pairs) == frozenset(arrows), "the unit law", full_pairs)
-    for U in subsets:
-        for V in subsets:
+    for U in atoms:
+        for V in atoms:
             S = frozenset((f, g) for (f, g) in H.parallel
                           if f in U and g in V)
             _law(H.m(S) == U & V, "product = meet", (U, V))
@@ -389,33 +395,6 @@ def b2_holds(c: Comodule) -> bool:
     return True
 
 
-def c1_holds(c: Comodule) -> bool:
-    G = c.groupoid
-    for x in c.carrier:
-        lhs = set()
-        for (g, y) in c.rho(x):
-            for (f, h) in ((f, h) for f in G.arrows for h in G.arrows
-                           if G.source[f] == G.target[h]):
-                if G.comp(f, h) == g:
-                    lhs.add((f, h, y))
-        rhs = set()
-        for (g, y) in c.rho(x):
-            for (h, z) in c.rho(y):
-                rhs.add((g, h, z))
-        if lhs != rhs:
-            return False
-    return True
-
-
-def c2_holds(c: Comodule) -> bool:
-    for x in c.carrier:
-        back = {y for (g, y) in c.rho(x)
-                if g == c.groupoid.unit[c.anchor[y]]}
-        if back != {x}:
-            return False
-    return True
-
-
 def _disjoint(sets) -> bool:
     """The sets are pairwise disjoint: their sizes add up to their union's."""
     union, total = set(), 0
@@ -461,10 +440,10 @@ def comodule_axioms(c: Comodule) -> AxiomReport:
 
 
 def action_comodule_transpose(act: DiscreteAction) -> Comodule:
-    """Action -> mu -> coaction, with the laws and round trips verified."""
+    """Action -> mu -> coaction, with B1, B2 and the round trip verified
+    (C1 and C2 are the same laws in coaction form)."""
     c = Comodule(act.groupoid, act.carrier, act.anchor, action_mu(act))
-    for law, holds in (("B1", b1_holds), ("B2", b2_holds), ("C1", c1_holds),
-                       ("C2", c2_holds)):
+    for law, holds in (("B1", b1_holds), ("B2", b2_holds)):
         if not holds(c):
             raise Mismatch(f"the transpose of {act!r} fails {law}")
     if action_from_comodule(c).act != act.act:
@@ -487,24 +466,20 @@ def action_from_comodule(c: Comodule) -> DiscreteAction:
 
 
 def comodule_is_locale_morphism(c: Comodule) -> None:
-    """rho: P(Y) -> P(compatible pairs) preserves joins, meets, 0, 1."""
+    """rho: P(Y) -> P(compatible pairs), the union of the rho(x) over a
+    subset, preserves joins and 0 by definition.  It preserves the top when
+    the rho(x) cover the compatible pairs, and meets exactly when they are
+    pairwise disjoint; the witness is the first overlapping pair of
+    singletons."""
     G = c.groupoid
     pairs = frozenset((g, y) for y in c.carrier
                       for g in G.arrows_from(c.anchor[y]))
-    subsets = [frozenset(s) for r in range(len(c.carrier) + 1)
-               for s in itertools.combinations(c.carrier, r)]
-
-    def rho_set(S):
-        return frozenset().union(*(c.rho(x) for x in S)) if S else frozenset()
-
-    _law(rho_set(frozenset(c.carrier)) == pairs, "rho preserves the top",
+    rho = {x: c.rho(x) for x in c.carrier}
+    _law(frozenset().union(*rho.values()) == pairs, "rho preserves the top",
          c.carrier)
-    for S in subsets:
-        for T in subsets:
-            _law(rho_set(S | T) == rho_set(S) | rho_set(T),
-                 "rho preserves joins", (S, T))
-            _law(rho_set(S & T) == rho_set(S) & rho_set(T),
-                 "rho preserves meets", (S, T))
+    bad = next(((frozenset({x}), frozenset({y})) for x in c.carrier
+                for y in c.carrier if x != y and rho[x] & rho[y]), None)
+    _law(bad is None, "rho preserves meets", bad)
 
 
 def check_action_morphism(f: dict, A: DiscreteAction, B: DiscreteAction) -> bool:
@@ -1089,9 +1064,10 @@ class GaloisCoend:
         Checked here: the cone extension is well defined, the antipode is an
         involution with a o s = t, and both pentagons hold.  The frame law,
         product = meet on all elements and s, t being locale morphisms are
-        not re-proved over the materialized coend: `reconstruct` shows that
-        phi is a locale isomorphism onto O(G) that carries m, s and t to
-        their set-level versions, whose laws `verify_hopf_laws` checks."""
+        not re-proved over the materialized coend: `reconstruct` shows on
+        atoms that phi is an order isomorphism onto O(G) that carries m, s
+        and t to their set-level versions, whose laws `verify_hopf_laws`
+        checks on atoms too."""
         q = self.quotient
         for name, act in self.site.objects.items():
             for a in act.carrier:
@@ -1130,7 +1106,7 @@ class GaloisCoend:
 class ReconstructReport:
     coend: GaloisCoend
     hopf: GroupoidHopf
-    iso: SupMorphism
+    assign: dict  # generator -> its transporter, the comparison phi
     coend_size: int
     expected_size: int
 
@@ -1138,41 +1114,54 @@ class ReconstructReport:
     def sizes_match(self):
         return self.coend_size == self.expected_size
 
+    @functools.cached_property
+    def iso(self) -> SupMorphism:
+        """phi tabulated on the materialized coend, built only when read."""
+        q = self.coend.quotient
+        phi = induced_morphism(q, self.assign, self.hopf.L)
+        return SupMorphism(q.locale(), self.hopf.L, phi.table)
+
 
 def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     """Build the coend of the action fiber functor and exhibit the Hopf
     isomorphism onto O(G), verifying all seven structure maps.
 
-    The comparison phi sends each generator to its transporter.  It is
-    checked to be a bijective locale morphism onto P(arrows), and e, c, a,
-    m, u, s and t are checked to transport along it on generators (m on
-    every pair of them, s and t on every b).  With `verify_hopf_laws` on
-    O(G), this proves the coend a frame whose product is the meet and whose
-    s and t are locale morphisms; `GaloisCoend.verify_hopf` checks the rest
-    on generators."""
+    The comparison phi sends each generator to its transporter.  It is shown
+    bijective on atoms, without materializing the coend: (i) phi respects
+    the relations of the presentation; (ii) each arrow f has an atom
+    (R[s(f)], f, 1_{s(f)}) with transporter {f}; (iii) each generator's
+    class is the join of the atoms of the arrows in its transporter.  By
+    (iii) the |arrows| atoms generate the coend; by (ii) phi maps it onto
+    P(arrows).  So phi is a bijective sup-map, an order isomorphism.  Then
+    e, c, a, m, u, s and t are checked to transport along phi on generators
+    (m on every pair of them, s and t on every b).  With `verify_hopf_laws`
+    on O(G), this proves the coend a frame whose product is the meet and
+    whose s and t are locale morphisms; `GaloisCoend.verify_hopf` checks
+    the rest on generators."""
     site = default_site(G)
     gc = GaloisCoend(site)
     gc.coend.check_cogebroide()
     gc.verify_hopf()
     hopf = groupoid_to_hopf(G)
-    lat = gc.quotient.lattice()
-    # canonical comparison: each atom goes to the transporter of its object
-    assign = {}
-    for (cname, a, b) in gc.quotient.gens:
-        act = site.objects[cname]
-        assign[(cname, a, b)] = transporter(act, b, a)
+    q = gc.quotient
+    # canonical comparison: each generator goes to its transporter
+    assign = {(cname, a, b): transporter(site.objects[cname], b, a)
+              for (cname, a, b) in q.gens}
     try:
-        phi = induced_morphism(gc.quotient, assign, hopf.L)
+        check_relations(q, assign, hopf.L)
     except RelationViolated as exc:
         raise NoIsomorphismFound(
             "the transporter cone does not respect the coend presentation",
             witness=exc.witness) from exc
-    if len(set(phi.table.values())) != len(lat) or len(lat) != len(hopf.L):
-        raise NoIsomorphismFound(
-            f"comparison is not bijective: {len(lat)} vs {len(hopf.L)}")
-    phi = SupMorphism(gc.quotient.locale(), hopf.L, phi.table)
-    bad = check_locale_morphism(phi)
-    _law(bad is None, "phi is a locale morphism", bad, NoIsomorphismFound)
+    atom = {f: (f"R[{G.source[f]}]", f, G.unit[G.source[f]])
+            for f in G.arrows}
+    for f, gen in atom.items():
+        _law(assign.get(gen) == frozenset({f}),
+             "phi is onto: the atom of each arrow", f, NoIsomorphismFound)
+    for gen in q.gens:
+        _law(q.gen_class(gen) == q.element(atom[f] for f in assign[gen]),
+             "each generator is the join of its arrows' atoms", gen,
+             NoIsomorphismFound)
 
     def phi_el(pel):
         return hopf.L.join_all(assign[g] for g in pel.raw)
@@ -1180,7 +1169,7 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     def transports(holds, law, witness):
         _law(holds, f"phi transports {law}", witness, NoIsomorphismFound)
 
-    for gen in gc.quotient.gens:
+    for gen in q.gens:
         transports(hopf.e(assign[gen]) == gc.coend.counit(gen), "e", gen)
         lhs = {(f, g) for (g1, g2) in gc.coend.cocompose(gen)
                for f in assign[g1] for g in assign[g2]
@@ -1188,7 +1177,7 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
         transports(lhs == hopf.c(assign[gen]), "c", gen)
         transports(assign[gc.antipode_gen(gen)] == hopf.a(assign[gen]),
                    "a", gen)
-        for gen2 in gc.quotient.gens:
+        for gen2 in q.gens:
             transports(phi_el(gc.multiply_gens(gen, gen2))
                        == assign[gen] & assign[gen2], "m", (gen, gen2))
     for o in G.objects:
@@ -1198,7 +1187,8 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     for bset in hopf.B.elements:
         transports(phi_el(gc.t_map(bset)) == hopf.t(bset), "t", bset)
         transports(phi_el(gc.s_map(bset)) == hopf.s(bset), "s", bset)
-    return ReconstructReport(gc, hopf, phi, len(lat), 2 ** len(G.arrows))
+    return ReconstructReport(gc, hopf, assign, 2 ** len(atom),
+                             2 ** len(G.arrows))
 
 
 # -- the equivalence of categories ---------------------------------------------

@@ -216,10 +216,11 @@ def quotient(p: JoinPresentation) -> PresentedSupLattice:
     return PresentedSupLattice(p)
 
 
-def induced_morphism(q: PresentedSupLattice, assign: dict,
-                     M: FiniteSupLattice) -> SupMorphism:
-    """The unique sup-morphism from the quotient extending a relation-respecting
-    generator assignment; raises RelationViolated with the failing relation."""
+def check_relations(q: PresentedSupLattice, assign: dict,
+                    M: FiniteSupLattice) -> None:
+    """The generator assignment is defined everywhere and sends both sides of
+    every relation to one join in M, so it extends to a sup-morphism out of
+    the quotient; raises RelationViolated with the failing relation."""
     for g in q.gens:
         if g not in assign:
             raise DomainMismatch(f"assignment undefined on generator {g!r}")
@@ -231,6 +232,13 @@ def induced_morphism(q: PresentedSupLattice, assign: dict,
                 f"assignment sends relation sides to {lhs!r} != {rhs!r}",
                 witness=(s, t),
             )
+
+
+def induced_morphism(q: PresentedSupLattice, assign: dict,
+                     M: FiniteSupLattice) -> SupMorphism:
+    """The unique sup-morphism from the quotient extending a relation-respecting
+    generator assignment, tabulated on the materialized quotient."""
+    check_relations(q, assign, M)
     lat = q.lattice()
     table = {c: M.join_all(assign[g] for g in c) for c in lat.elements}
     return SupMorphism(lat, M, table)

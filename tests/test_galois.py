@@ -11,6 +11,7 @@ import pytest
 from finloc import galois
 from finloc.errors import (
     DomainMismatch,
+    KernelError,
     Mismatch,
     NotACone,
     NotAGroupoid,
@@ -29,8 +30,6 @@ from finloc.galois import (
     anchored_carriers,
     b1_holds,
     b2_holds,
-    c1_holds,
-    c2_holds,
     check_action_morphism,
     Comodule,
     comodule_axioms,
@@ -64,6 +63,7 @@ from finloc.lattice import (
     locale_morphisms,
     power_locale,
 )
+from finloc.modb import BBimodule
 from finloc.present import PresentedSupLattice
 from finloc.relation import table_axioms
 
@@ -94,21 +94,21 @@ def test_hopf_codiscrete():
     assert H.a(frozenset({(0, 1)})) == frozenset({(1, 0)})
 
 
+class NonemptyToAll(GroupoidHopf):
+    def s(self, b):  # keeps joins, breaks the meet of the two objects
+        return frozenset(self.groupoid.arrows) if b else frozenset()
+
+
+class IgnoresB(GroupoidHopf):
+    def left(self, b, U):  # the empty b no longer acts as zero
+        return U
+
+
 def test_hopf_laws_reject_a_broken_source_map_and_action():
     H = groupoid_to_hopf(codiscrete(2))
     fields = (H.groupoid, H.B, H.L, H.composable, H.parallel)
-
-    class NonemptyToAll(GroupoidHopf):
-        def s(self, b):  # keeps joins, breaks the meet of the two objects
-            return frozenset(self.groupoid.arrows) if b else frozenset()
-
     with pytest.raises(Mismatch, match="s is a locale morphism"):
         verify_hopf_laws(NonemptyToAll(*fields))
-
-    class IgnoresB(GroupoidHopf):
-        def left(self, b, U):  # the empty b no longer acts as zero
-            return U
-
     with pytest.raises(NotAModule):
         verify_hopf_laws(IgnoresB(*fields))
 
@@ -138,12 +138,42 @@ def test_action_comodule_transpose_regular_z2():
             assert len(c.mu[(x, y)]) == 1
 
 
+def c1_holds(c: Comodule) -> bool:
+    """Coassociativity of the coaction: the oracle form of B1."""
+    G = c.groupoid
+    for x in c.carrier:
+        lhs = set()
+        for (g, y) in c.rho(x):
+            for (f, h) in ((f, h) for f in G.arrows for h in G.arrows
+                           if G.source[f] == G.target[h]):
+                if G.comp(f, h) == g:
+                    lhs.add((f, h, y))
+        rhs = set()
+        for (g, y) in c.rho(x):
+            for (h, z) in c.rho(y):
+                rhs.add((g, h, z))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def c2_holds(c: Comodule) -> bool:
+    """The counit law of the coaction: the oracle form of B2."""
+    for x in c.carrier:
+        back = {y for (g, y) in c.rho(x)
+                if g == c.groupoid.unit[c.anchor[y]]}
+        if back != {x}:
+            return False
+    return True
+
+
 def test_comodule_roundtrip_through_action():
     for G in (z_mod(2), codiscrete(2)):
         for act in enumerate_actions(G, 3):
             c = action_comodule_transpose(act)
             back = action_from_comodule(c)
             assert back.act == act.act
+            assert c1_holds(c) and c2_holds(c)
 
 
 def test_enumerated_comodules_are_bijections_and_locale_morphisms():
@@ -169,6 +199,18 @@ def test_c1c2_and_b1b2_fail_together_on_perturbations():
             c_side = c1_holds(c) and c2_holds(c)
             assert b_side == c_side
             assert not b_side
+
+
+def test_overlapping_coaction_is_not_a_locale_morphism():
+    # every transporter is the whole group: rho covers the top, but rho(a)
+    # and rho(b) overlap, so the meet of {a} and {b} is not preserved
+    G = z_mod(2)
+    carrier = ("a", "b", "c")
+    mu = {(x, y): frozenset(G.arrows) for x in carrier for y in carrier}
+    c = Comodule(G, carrier, {x: "*" for x in carrier}, mu)
+    with pytest.raises(Mismatch, match="rho preserves meets") as exc:
+        comodule_is_locale_morphism(c)
+    assert exc.value.witness == (frozenset({"a"}), frozenset({"b"}))
 
 
 def test_comodule_axioms_report_first_witnesses():
@@ -468,9 +510,10 @@ def test_uniqueness_search_builds_each_coaction_once(monkeypatch):
     assert sorted(built) == sorted(gc.coend.objects)
 
 
-def test_reconstruct_disconnected_groupoid():
-    # two components with different isotropy: no cross arrows at all
-    G = FiniteGroupoid(
+def two_components():
+    """Z2 at object 0 beside the trivial group at object 1: two components
+    with different isotropy and no cross arrows at all."""
+    return FiniteGroupoid(
         objects=(0, 1),
         arrows=("e0", "s0", "e1"),
         source={"e0": 0, "s0": 0, "e1": 1},
@@ -481,8 +524,12 @@ def test_reconstruct_disconnected_groupoid():
                  ("e1", "e1"): "e1"},
         inverse={"e0": "e0", "s0": "s0", "e1": "e1"},
     )
+
+
+def test_reconstruct_disconnected_groupoid():
     from finloc.galois import equivalence_check
 
+    G = two_components()
     rep = reconstruct(G)
     assert rep.coend_size == 2 ** 3 == rep.expected_size
     r = equivalence_check(G, 3)
@@ -939,16 +986,135 @@ def test_generator_checks_agree_with_materialized_oracle(name):
     assert len(gc.quotient.lattice()) == 2 ** len(G.arrows)
 
 
-@pytest.mark.parametrize("G", [z_mod(3), codiscrete(2)])
-def test_verify_hopf_never_materializes_the_coend(monkeypatch, G):
-    gc = GaloisCoend(default_site(G))
+def _verify_hopf(G):
+    GaloisCoend(default_site(G)).verify_hopf()
 
+
+@pytest.mark.parametrize("check, G", [
+    pytest.param(_verify_hopf, z_mod(3), id="G0"),
+    pytest.param(_verify_hopf, codiscrete(2), id="G1"),
+    *(pytest.param(reconstruct, G, id=f"reconstruct-{name}")
+      for name, G in (("Z3", z_mod(3)), ("codiscrete2", codiscrete(2)),
+                      ("Z8", z_mod(8)), ("codiscrete3", codiscrete(3)))),
+])
+def test_verify_hopf_never_materializes_the_coend(monkeypatch, check, G):
     def refuse(self):
-        raise AssertionError("verify_hopf materialized the coend")
+        raise AssertionError(f"{check.__name__} materialized the coend")
 
     monkeypatch.setattr(PresentedSupLattice, "lattice", refuse)
     monkeypatch.setattr(PresentedSupLattice, "locale", refuse)
-    gc.verify_hopf()
+    check(G)
+
+
+EMPTY = FiniteGroupoid((), (), {}, {}, {}, {}, {})
+
+# every fixture whose coend has at most 256 elements
+COENDS_UP_TO_256 = {**SMALL_COENDS, "empty": EMPTY, "S3": s3(),
+                    "two_components": two_components(), "Z8": z_mod(8)}
+
+
+@pytest.mark.parametrize("name", COENDS_UP_TO_256)
+def test_atom_certificate_counts_the_materialized_coend(name):
+    G = COENDS_UP_TO_256[name]
+    rep = reconstruct(G)
+    assert len(rep.coend.quotient.lattice()) == rep.coend_size
+    assert rep.coend_size == 2 ** len(G.arrows) <= 256
+
+
+def _verify_hopf_laws_all_subsets(H: GroupoidHopf) -> None:
+    """The all-subsets route: every law of `verify_hopf_laws` on every subset
+    of arrows, and product = meet on every pair of them."""
+    G = H.groupoid
+    arrows = G.arrows
+    subsets = H.L.elements
+    for name, f in (("s", H.s), ("t", H.t)):
+        bad = check_locale_morphism(
+            SupMorphism(H.B, H.L, {b: f(b) for b in H.B.elements}))
+        galois._law(bad is None, f"{name} is a locale morphism", bad)
+    BBimodule(H.B, H.L, H.left, H.right)
+    for U in subsets:
+        cu = H.c(U)
+        galois._law(frozenset(g for g in arrows
+                              if (G.unit[G.target[g]], g) in cu) == U,
+                    "the left counit law", U)
+        galois._law(frozenset(f for f in arrows
+                              if (f, G.unit[G.source[f]]) in cu) == U,
+                    "the right counit law", U)
+        lhs = {(f, g, h) for (u, h) in cu for (f, g) in H.c(frozenset({u}))}
+        rhs = {(f, g, h) for (f, v) in cu for (g, h) in H.c(frozenset({v}))}
+        galois._law(lhs == rhs, "coassociativity", U)
+        galois._law(H.a(H.a(U)) == U, "the antipode involution", U)
+        galois._law(frozenset(f for (f, g) in cu if f == G.inverse[g])
+                    == H.t(H.e(U)), "the pentagon (L x a)", U)
+        galois._law(frozenset(g for (f, g) in cu if g == G.inverse[f])
+                    == H.s(H.e(U)), "the pentagon (a x L)", U)
+    for b in H.B.elements:
+        galois._law(H.a(H.s(b)) == H.t(b), "a o s = t", b)
+        galois._law(H.a(H.t(b)) == H.s(b), "a o t = s", b)
+    full_pairs = frozenset((G.target[g], G.source[g]) for g in arrows)
+    galois._law(H.u(full_pairs) == frozenset(arrows), "the unit law",
+                full_pairs)
+    for U in subsets:
+        for V in subsets:
+            S = frozenset((f, g) for (f, g) in H.parallel
+                          if f in U and g in V)
+            galois._law(H.m(S) == U & V, "product = meet", (U, V))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, G in COENDS_UP_TO_256.items() if len(G.arrows) <= 6])
+def test_hopf_laws_on_atoms_agree_with_all_subsets(name):
+    H = groupoid_to_hopf(COENDS_UP_TO_256[name])  # the atom route
+    _verify_hopf_laws_all_subsets(H)
+
+
+# atom-level mutants: each map is still a union over singletons, so the
+# atom argument covers them, and each breaks one law at one atom of Z3
+class DropsACounitPair(GroupoidHopf):
+    def c(self, U):
+        return super().c(U) - {("g0", "g0")}
+
+
+class ExtraCoproductPair(GroupoidHopf):
+    def c(self, U):
+        return super().c(U) | ({("g1", "g1")} if "g1" in U else set())
+
+
+class CyclicAntipode(GroupoidHopf):
+    def a(self, U):
+        return frozenset({"g0": "g1", "g1": "g2", "g2": "g0"}[g] for g in U)
+
+
+class CounitOfAnArrow(GroupoidHopf):
+    def e(self, U):
+        return super().e(U) | ({"*"} if "g1" in U else set())
+
+
+class ProductOfTwoArrows(GroupoidHopf):
+    def m(self, S):
+        return super().m(S) | {f for (f, g) in S if (f, g) == ("g1", "g2")}
+
+
+@pytest.mark.parametrize("G, mutant, law", [
+    pytest.param(G, mutant, law, id=mutant.__name__) for G, mutant, law in (
+        (codiscrete(2), NonemptyToAll, "s is a locale morphism"),
+        (codiscrete(2), IgnoresB, None),  # a NotAModule from BBimodule
+        (z_mod(3), DropsACounitPair, "counit"),
+        (z_mod(3), ExtraCoproductPair, "coassociativity"),
+        (z_mod(3), CyclicAntipode, "the antipode involution"),
+        (z_mod(3), CounitOfAnArrow, "the pentagon"),
+        (z_mod(3), ProductOfTwoArrows, "product = meet"))])
+def test_hopf_law_mutants_fail_on_atoms_and_on_all_subsets(G, mutant, law):
+    H = groupoid_to_hopf(G)
+    H = mutant(H.groupoid, H.B, H.L, H.composable, H.parallel)
+    errors = []
+    for route in (verify_hopf_laws, _verify_hopf_laws_all_subsets):
+        with pytest.raises(KernelError) as exc:
+            route(H)
+        errors.append(exc.value)
+    assert type(errors[0]) is type(errors[1])
+    if law is not None:
+        assert all(law in str(e) for e in errors)
 
 
 @pytest.mark.parametrize("G", [z_mod(4), z2_x_z2(), s3()],
@@ -975,3 +1141,40 @@ def test_hopf_repros_fail_under_python_O():
         "    galois.GroupoidHopf.a = lambda self, U: U\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["Mismatch", "NoIsomorphismFound"]
+
+
+@pytest.mark.parametrize("mutant, clause", [
+    # representables acted on trivially: every other check still passes, but
+    # no generator's transporter is the single arrow g0
+    ("rep = galois.representable_action\n"
+     "def fixed(G, o):\n"
+     "    R = rep(G, o)\n"
+     "    return galois.DiscreteAction(G, R.carrier, R.anchor,\n"
+     "                                 {k: k[1] for k in R.act}, R.name)\n"
+     "galois.representable_action = fixed\n",
+     "phi is onto: the atom of each arrow fails at 'g0'"),
+    # a copy of R[*] with no relation to the rest of the site: its free
+    # generators are no joins of atoms (verify_hopf would see it first)
+    ("site = galois.default_site\n"
+     "def with_copy(G):\n"
+     "    s = site(G)\n"
+     "    R = s.objects['R[*]']\n"
+     "    s.objects['C'] = galois.DiscreteAction(G, R.carrier, R.anchor,\n"
+     "                                           R.act, 'C')\n"
+     "    return s\n"
+     "galois.default_site = with_copy\n"
+     "galois.GaloisCoend.verify_hopf = lambda self: None\n",
+     "each generator is the join of its arrows' atoms fails at ('C',"),
+], ids=["ii", "iii"])
+def test_atom_certificate_rejects_its_mutant_under_python_O(mutant, clause):
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.errors import NoIsomorphismFound\n"
+        "from finloc.fixtures import z_mod\n"
+        f"{mutant}"
+        "try:\n"
+        "    galois.reconstruct(z_mod(2))\n"
+        "except NoIsomorphismFound as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(clause)
