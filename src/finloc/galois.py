@@ -25,6 +25,7 @@ from .errors import (
     NoIsomorphismFound,
     NotACone,
     NotAGroupoid,
+    NotAModule,
     NotAnAction,
     NotBijection,
     NotDense,
@@ -39,7 +40,7 @@ from .lattice import (
     locale_morphisms,
     power_locale,
 )
-from .modb import BBimodule, BModule, DualityData
+from .modb import BModule, DualityData
 from .present import ModulePresentation, check_relations, induced_morphism
 from .relation import AxiomReport, table_axioms
 from .tannaka import Coend, CoendArrow, CoendObject
@@ -238,11 +239,10 @@ def action_mu(act: DiscreteAction) -> Mapping:
 
 @dataclass
 class GroupoidHopf:
-    """O(G): the powerset of arrows with its full dual-groupoid structure."""
+    """O(G) as maps on frozensets of arrows, with no P(arrows) lattice."""
 
     groupoid: FiniteGroupoid
     B: PowerLocale
-    L: PowerLocale
     composable: tuple = field(repr=False)
     parallel: tuple = field(repr=False)
 
@@ -283,12 +283,11 @@ class GroupoidHopf:
 
 def groupoid_to_hopf(G: FiniteGroupoid) -> GroupoidHopf:
     B = power_locale(G.objects)
-    L = power_locale(G.arrows)
     composable = tuple((f, g) for f in G.arrows for g in G.arrows
                        if G.source[f] == G.target[g])
     parallel = tuple((f, g) for f in G.arrows for g in G.arrows
                      if G.source[f] == G.source[g] and G.target[f] == G.target[g])
-    H = GroupoidHopf(G, B, L, composable, parallel)
+    H = GroupoidHopf(G, B, composable, parallel)
     verify_hopf_laws(H)
     return H
 
@@ -299,24 +298,47 @@ def _law(holds: bool, law: str, witness=None, error=Mismatch) -> None:
         raise error(f"{law} fails at {witness!r}", witness=witness)
 
 
-def verify_hopf_laws(H: GroupoidHopf) -> None:
-    """All structure laws of the dual groupoid: s and t by
-    `check_locale_morphism`, the commuting actions by `BBimodule`, a o s = t
-    on every b, the rest as set identities on atoms.
+def _union_map_is_locale_morphism(images: dict, top: frozenset, laws: tuple,
+                                  top_witness) -> None:
+    """The union of `images` over each subset of their keys preserves joins
+    and 0.  It preserves the top iff the images cover `top` (laws[0]), and
+    meets iff they are pairwise disjoint (laws[1], witnessed by the first
+    overlapping pair of singletons)."""
+    _law(frozenset().union(*images.values()) == top, laws[0], top_witness)
+    bad = next(((frozenset({x}), frozenset({y})) for x in images
+                for y in images if x != y and images[x] & images[y]), None)
+    _law(bad is None, laws[1], bad)
 
-    Every other map of O(G) is a preimage or image map, so a union over
-    singletons, and so is each side of each remaining law.  A law that holds
-    on the empty set and on every singleton {g} therefore holds on every
-    subset, and product = meet, bilinear in (U, V), holds once it holds on
-    every pair of singletons."""
+
+def verify_hopf_laws(H: GroupoidHopf) -> None:
+    """All structure laws of the dual groupoid, checked on atoms.
+
+    Every map of O(G) is a preimage or image map, so a union over
+    singletons, and so is each side of each law.  A law that holds on the
+    empty set and on every singleton holds on every subset, and a law
+    bilinear in two slots (product = meet, commuting actions) once it holds
+    on pairs of them.  s and t are union maps out of P(objects) with
+    disjoint values on the {o} that cover the arrows, so locale morphisms;
+    the actions are t(b) & U and s(b) & U, so modules (else NotAModule)."""
     G = H.groupoid
     arrows = G.arrows
+    top = frozenset(arrows)
+    points = [frozenset({o}) for o in G.objects]
     for name, f in (("s", H.s), ("t", H.t)):
-        bad = check_locale_morphism(
-            SupMorphism(H.B, H.L, {b: f(b) for b in H.B.elements}))
-        _law(bad is None, f"{name} is a locale morphism", bad)
-    BBimodule(H.B, H.L, H.left, H.right)  # commuting bimodule actions
+        law = f"{name} is a locale morphism"
+        images = {o: f(b) for o, b in zip(G.objects, points)}
+        for b in H.B.elements:
+            _law(f(b) == frozenset().union(*map(images.get, b)), law, b)
+        _union_map_is_locale_morphism(images, top, (law, law), G.objects)
     atoms = [frozenset()] + [frozenset({g}) for g in arrows]
+    # zero (U = 0), unit (b = top) and agreement with t(b) & U, s(b) & U
+    for name, act, f in (("left", H.left, H.t), ("right", H.right, H.s)):
+        for b, U in itertools.product([frozenset(), *points, H.B.top], atoms):
+            _law(act(b, U) == f(b) & U, f"the {name} action on atoms", (b, U),
+                 NotAModule)
+    for b, b2, U in itertools.product(points, points, atoms):
+        _law(H.left(b, H.right(b2, U)) == H.right(b2, H.left(b, U)),
+             "commuting left and right actions", (b, b2, U), NotAModule)
     for U in atoms:
         cu = H.c(U)
         _law(frozenset(g for g in arrows
@@ -339,7 +361,7 @@ def verify_hopf_laws(H: GroupoidHopf) -> None:
         _law(H.a(H.t(b)) == H.s(b), "a o t = s", b)
     # m is idempotent commutative with unit the full pair set
     full_pairs = frozenset((G.target[g], G.source[g]) for g in arrows)
-    _law(H.u(full_pairs) == frozenset(arrows), "the unit law", full_pairs)
+    _law(H.u(full_pairs) == top, "the unit law", full_pairs)
     for U in atoms:
         for V in atoms:
             S = frozenset((f, g) for (f, g) in H.parallel
@@ -467,19 +489,14 @@ def action_from_comodule(c: Comodule) -> DiscreteAction:
 
 def comodule_is_locale_morphism(c: Comodule) -> None:
     """rho: P(Y) -> P(compatible pairs), the union of the rho(x) over a
-    subset, preserves joins and 0 by definition.  It preserves the top when
-    the rho(x) cover the compatible pairs, and meets exactly when they are
-    pairwise disjoint; the witness is the first overlapping pair of
-    singletons."""
+    subset, is a locale morphism when the rho(x) cover the compatible pairs
+    and are pairwise disjoint."""
     G = c.groupoid
     pairs = frozenset((g, y) for y in c.carrier
                       for g in G.arrows_from(c.anchor[y]))
-    rho = {x: c.rho(x) for x in c.carrier}
-    _law(frozenset().union(*rho.values()) == pairs, "rho preserves the top",
-         c.carrier)
-    bad = next(((frozenset({x}), frozenset({y})) for x in c.carrier
-                for y in c.carrier if x != y and rho[x] & rho[y]), None)
-    _law(bad is None, "rho preserves meets", bad)
+    _union_map_is_locale_morphism(
+        {x: c.rho(x) for x in c.carrier}, pairs,
+        ("rho preserves the top", "rho preserves meets"), c.carrier)
 
 
 def check_action_morphism(f: dict, A: DiscreteAction, B: DiscreteAction) -> bool:
@@ -940,11 +957,10 @@ def etale_module(G: FiniteGroupoid, act: DiscreteAction):
     return mod, d
 
 
-def relation_morphism(mod_src, mod_dst, pairs) -> SupMorphism:
-    """The direct-image module morphism of a fiberwise relation."""
-    table = {U: frozenset(y for (x, y) in pairs if x in U)
-             for U in mod_src.lattice.elements}
-    return SupMorphism(mod_src.lattice, mod_dst.lattice, table)
+def relation_morphism(pairs):
+    """The direct-image map of a fiberwise relation on subsets, a union
+    over their points, so join-preserving."""
+    return lambda U: frozenset(y for (x, y) in pairs if x in U)
 
 
 class GaloisCoend:
@@ -955,18 +971,10 @@ class GaloisCoend:
         self.site = site
         self.G = site.groupoid
         self.B = power_locale(self.G.objects)
-        self.modules = {}
-        objects = []
-        for name, act in site.objects.items():
-            mod, dual = etale_module(self.G, act)
-            self.modules[name] = (mod, dual)
-            objects.append(CoendObject(name, mod, dual))
-        arrows = []
-        for (name, src, dst, pairs) in site.rel_gens:
-            arrows.append(CoendArrow(
-                name, src, dst,
-                relation_morphism(self.modules[src][0],
-                                  self.modules[dst][0], pairs)))
+        objects = [CoendObject(name, *etale_module(self.G, act))
+                   for name, act in site.objects.items()]
+        arrows = [CoendArrow(name, src, dst, relation_morphism(pairs))
+                  for (name, src, dst, pairs) in site.rel_gens]
         self.coend = Coend(self.B, objects, arrows)
         self.quotient = self.coend.quotient
         self._mul_cache = {}
@@ -1110,34 +1118,31 @@ class ReconstructReport:
     coend_size: int
     expected_size: int
 
-    @property
-    def sizes_match(self):
-        return self.coend_size == self.expected_size
-
     @functools.cached_property
     def iso(self) -> SupMorphism:
-        """phi tabulated on the materialized coend, built only when read."""
+        """phi from the materialized coend to P(arrows), built when read."""
         q = self.coend.quotient
-        phi = induced_morphism(q, self.assign, self.hopf.L)
-        return SupMorphism(q.locale(), self.hopf.L, phi.table)
+        L = power_locale(self.hopf.groupoid.arrows)
+        phi = induced_morphism(q, self.assign, L)
+        return SupMorphism(q.locale(), L, phi.table)
 
 
 def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     """Build the coend of the action fiber functor and exhibit the Hopf
     isomorphism onto O(G), verifying all seven structure maps.
 
-    The comparison phi sends each generator to its transporter.  It is shown
-    bijective on atoms, without materializing the coend: (i) phi respects
-    the relations of the presentation; (ii) each arrow f has an atom
-    (R[s(f)], f, 1_{s(f)}) with transporter {f}; (iii) each generator's
-    class is the join of the atoms of the arrows in its transporter.  By
-    (iii) the |arrows| atoms generate the coend; by (ii) phi maps it onto
-    P(arrows).  So phi is a bijective sup-map, an order isomorphism.  Then
-    e, c, a, m, u, s and t are checked to transport along phi on generators
-    (m on every pair of them, s and t on every b).  With `verify_hopf_laws`
-    on O(G), this proves the coend a frame whose product is the meet and
-    whose s and t are locale morphisms; `GaloisCoend.verify_hopf` checks
-    the rest on generators."""
+    phi sends each generator to its transporter and extends by unions.  It
+    is shown bijective on atoms, building neither the coend nor P(arrows):
+    (i) phi respects the relations of the presentation; (ii) each arrow f
+    has an atom (R[s(f)], f, 1_{s(f)}) with transporter {f}; (iii) each
+    generator's class is the join of the atoms of the arrows in its
+    transporter.  By (iii) the |arrows| atoms generate the coend; by (ii)
+    phi maps it onto P(arrows).  So phi is a bijective sup-map, an order
+    isomorphism.  Then e, c, a, m, u, s and t are checked to transport
+    along phi on generators (m on every pair of them, s and t on every b).
+    With `verify_hopf_laws` on O(G), this proves the coend a frame whose
+    product is the meet and whose s and t are locale morphisms;
+    `GaloisCoend.verify_hopf` checks the rest on generators."""
     site = default_site(G)
     gc = GaloisCoend(site)
     gc.coend.check_cogebroide()
@@ -1148,7 +1153,7 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     assign = {(cname, a, b): transporter(site.objects[cname], b, a)
               for (cname, a, b) in q.gens}
     try:
-        check_relations(q, assign, hopf.L)
+        check_relations(q, assign, lambda sets: frozenset().union(*sets))
     except RelationViolated as exc:
         raise NoIsomorphismFound(
             "the transporter cone does not respect the coend presentation",
@@ -1164,7 +1169,7 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
              NoIsomorphismFound)
 
     def phi_el(pel):
-        return hopf.L.join_all(assign[g] for g in pel.raw)
+        return frozenset().union(*(assign[g] for g in pel.raw))
 
     def transports(holds, law, witness):
         _law(holds, f"phi transports {law}", witness, NoIsomorphismFound)

@@ -114,29 +114,6 @@ def check_module(B: FiniteLocale, M: FiniteSupLattice, action) -> Violation | No
     return None
 
 
-class BBimodule:
-    """Left and right B-actions that commute; equivalently a B(x)B-module."""
-
-    def __init__(self, B: FiniteLocale, lattice: FiniteSupLattice,
-                 left, right):
-        self.B = B
-        self.lattice = lattice
-        self.left_module = BModule(B, lattice, left)
-        self.right_module = BModule(B, lattice, right)
-        for b in B.elements:
-            for b2 in B.elements:
-                for m in lattice.elements:
-                    lr = self.left_module.act(b, self.right_module.act(b2, m))
-                    rl = self.right_module.act(b2, self.left_module.act(b, m))
-                    if lr != rl:
-                        raise NotAModule(
-                            f"left and right actions do not commute at "
-                            f"({b!r}, {b2!r}, {m!r})", witness=(b, b2, m))
-
-    def act(self, b, b2, m):
-        return self.left_module.act(b, self.right_module.act(b2, m))
-
-
 class DualityData:
     """(M^, eta, eps) witnessing that Mdual is the right dual of M.
 

@@ -216,17 +216,16 @@ def quotient(p: JoinPresentation) -> PresentedSupLattice:
     return PresentedSupLattice(p)
 
 
-def check_relations(q: PresentedSupLattice, assign: dict,
-                    M: FiniteSupLattice) -> None:
+def check_relations(q: PresentedSupLattice, assign: dict, join_all) -> None:
     """The generator assignment is defined everywhere and sends both sides of
-    every relation to one join in M, so it extends to a sup-morphism out of
+    every relation to one `join_all`, so it extends to a sup-morphism out of
     the quotient; raises RelationViolated with the failing relation."""
     for g in q.gens:
         if g not in assign:
             raise DomainMismatch(f"assignment undefined on generator {g!r}")
     for s, t in q.presentation.relations:
-        lhs = M.join_all(assign[g] for g in s)
-        rhs = M.join_all(assign[g] for g in t)
+        lhs = join_all(assign[g] for g in s)
+        rhs = join_all(assign[g] for g in t)
         if lhs != rhs:
             raise RelationViolated(
                 f"assignment sends relation sides to {lhs!r} != {rhs!r}",
@@ -238,7 +237,7 @@ def induced_morphism(q: PresentedSupLattice, assign: dict,
                      M: FiniteSupLattice) -> SupMorphism:
     """The unique sup-morphism from the quotient extending a relation-respecting
     generator assignment, tabulated on the materialized quotient."""
-    check_relations(q, assign, M)
+    check_relations(q, assign, M.join_all)
     lat = q.lattice()
     table = {c: M.join_all(assign[g] for g in c) for c in lat.elements}
     return SupMorphism(lat, M, table)

@@ -10,6 +10,7 @@ table per object; the coend is a presented sup-lattice on triples
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     SizeBound,
 )
-from .lattice import FiniteLocale, FiniteSupLattice, SupMorphism, two
+from .lattice import FiniteLocale, FiniteSupLattice, two
 from .modb import BModule, DualityData, dual_morphism
 from .present import JoinPresentation, PElement, PresentedSupLattice
 from .relation import LRelation, check_diagram, tabulate
@@ -228,8 +229,10 @@ class CoendArrow:
     name: str
     src: str
     dst: str
-    morphism: SupMorphism  # the first functor's value on the arrow
-    gmorphism: SupMorphism | None = None  # second functor's value; defaults
+    # each functor's value on the arrow, a join-preserving map that Coend
+    # calls only on generator values and coevaluation terms
+    morphism: Callable
+    gmorphism: Callable | None = None  # defaults to `morphism`
 
     def __post_init__(self):
         if self.gmorphism is None:
@@ -272,14 +275,14 @@ class Coend:
             psrc, pdst = src.module.presentation, dst.gmodule.presentation
             gsrc = src.gmodule.presentation
             fdual = dual_morphism(f.gmorphism, src.gduality, dst.gduality)
+            fb_dec = {b: gsrc.decompose(fdual(pdst.value[b]))
+                      for b in pdst.gens}
             for a in psrc.gens:
                 fa = f.morphism(psrc.value[a])
                 fa_dec = dst.module.presentation.decompose(fa)
                 for b in pdst.gens:
-                    fb = fdual(pdst.value[b])
-                    fb_dec = gsrc.decompose(fb)
                     rels.append((
-                        frozenset((f.src, a, a2) for a2 in fb_dec),
+                        frozenset((f.src, a, a2) for a2 in fb_dec[b]),
                         frozenset((f.dst, b2, b) for b2 in fa_dec),
                     ))
         self.quotient = PresentedSupLattice(

@@ -1,5 +1,6 @@
 """Groupoids, actions, comodules, the relation category, reconstruction."""
 
+import inspect
 import itertools
 import os
 import subprocess
@@ -63,9 +64,9 @@ from finloc.lattice import (
     locale_morphisms,
     power_locale,
 )
-from finloc.modb import BBimodule
 from finloc.present import PresentedSupLattice
 from finloc.relation import table_axioms
+from test_modb import BBimodule
 
 
 def test_groupoid_validation_rejects_bad_units():
@@ -77,20 +78,22 @@ def test_groupoid_validation_rejects_bad_units():
 def test_hopf_identities_only_is_base():
     G = identities_only(2)
     H = groupoid_to_hopf(G)  # all laws verified inside
-    assert len(H.L) == len(H.B) == 4
+    assert len(power_locale(G.arrows)) == len(H.B) == 4
     # c is the canonical embedding: composable pairs are the identity pairs
     assert len(H.composable) == 2
 
 
 def test_hopf_z2_antipode_fixes_generator():
-    H = groupoid_to_hopf(z_mod(2))
+    G = z_mod(2)
+    H = groupoid_to_hopf(G)
     assert H.a(frozenset({"g1"})) == frozenset({"g1"})
-    assert len(H.L) == 4
+    assert len(power_locale(G.arrows)) == 4
 
 
 def test_hopf_codiscrete():
-    H = groupoid_to_hopf(codiscrete(2))
-    assert len(H.L) == 16
+    G = codiscrete(2)
+    H = groupoid_to_hopf(G)
+    assert len(power_locale(G.arrows)) == 16
     assert H.a(frozenset({(0, 1)})) == frozenset({(1, 0)})
 
 
@@ -106,7 +109,7 @@ class IgnoresB(GroupoidHopf):
 
 def test_hopf_laws_reject_a_broken_source_map_and_action():
     H = groupoid_to_hopf(codiscrete(2))
-    fields = (H.groupoid, H.B, H.L, H.composable, H.parallel)
+    fields = (H.groupoid, H.B, H.composable, H.parallel)
     with pytest.raises(Mismatch, match="s is a locale morphism"):
         verify_hopf_laws(NonemptyToAll(*fields))
     with pytest.raises(NotAModule):
@@ -328,7 +331,7 @@ def test_mono_restriction_lemma():
 
 def test_reconstruct_z2_matches_hopf():
     rep = reconstruct(z_mod(2))
-    assert rep.sizes_match and rep.coend_size == 4
+    assert rep.coend_size == rep.expected_size == 4
     assert check_locale_morphism(rep.iso) is None
 
 
@@ -1026,12 +1029,13 @@ def _verify_hopf_laws_all_subsets(H: GroupoidHopf) -> None:
     of arrows, and product = meet on every pair of them."""
     G = H.groupoid
     arrows = G.arrows
-    subsets = H.L.elements
+    L = power_locale(arrows)
+    subsets = L.elements
     for name, f in (("s", H.s), ("t", H.t)):
         bad = check_locale_morphism(
-            SupMorphism(H.B, H.L, {b: f(b) for b in H.B.elements}))
+            SupMorphism(H.B, L, {b: f(b) for b in H.B.elements}))
         galois._law(bad is None, f"{name} is a locale morphism", bad)
-    BBimodule(H.B, H.L, H.left, H.right)
+    BBimodule(H.B, L, H.left, H.right)
     for U in subsets:
         cu = H.c(U)
         galois._law(frozenset(g for g in arrows
@@ -1095,10 +1099,22 @@ class ProductOfTwoArrows(GroupoidHopf):
         return super().m(S) | {f for (f, g) in S if (f, g) == ("g1", "g2")}
 
 
+class LeftThroughTheAntipode(GroupoidHopf):
+    def left(self, b, U):  # does not commute with right on codiscrete(2)
+        return self.a(self.t(b) & U)
+
+
+class OverlappingTarget(GroupoidHopf):
+    def t(self, b):  # every {o} also reaches the unit of object 0
+        return super().t(b) | ({self.groupoid.unit[0]} if b else set())
+
+
 @pytest.mark.parametrize("G, mutant, law", [
     pytest.param(G, mutant, law, id=mutant.__name__) for G, mutant, law in (
         (codiscrete(2), NonemptyToAll, "s is a locale morphism"),
         (codiscrete(2), IgnoresB, None),  # a NotAModule from BBimodule
+        (codiscrete(2), LeftThroughTheAntipode, None),  # NotAModule too
+        (codiscrete(2), OverlappingTarget, "t is a locale morphism"),
         (z_mod(3), DropsACounitPair, "counit"),
         (z_mod(3), ExtraCoproductPair, "coassociativity"),
         (z_mod(3), CyclicAntipode, "the antipode involution"),
@@ -1106,7 +1122,7 @@ class ProductOfTwoArrows(GroupoidHopf):
         (z_mod(3), ProductOfTwoArrows, "product = meet"))])
 def test_hopf_law_mutants_fail_on_atoms_and_on_all_subsets(G, mutant, law):
     H = groupoid_to_hopf(G)
-    H = mutant(H.groupoid, H.B, H.L, H.composable, H.parallel)
+    H = mutant(H.groupoid, H.B, H.composable, H.parallel)
     errors = []
     for route in (verify_hopf_laws, _verify_hopf_laws_all_subsets):
         with pytest.raises(KernelError) as exc:
@@ -1115,13 +1131,49 @@ def test_hopf_law_mutants_fail_on_atoms_and_on_all_subsets(G, mutant, law):
     assert type(errors[0]) is type(errors[1])
     if law is not None:
         assert all(law in str(e) for e in errors)
+    else:
+        assert type(errors[0]) is NotAModule
 
 
-@pytest.mark.parametrize("G", [z_mod(4), z2_x_z2(), s3()],
-                         ids=["Z4", "Z2xZ2", "S3"])
+@pytest.mark.parametrize("mutant", [IgnoresB, LeftThroughTheAntipode],
+                         ids=lambda m: m.__name__)
+def test_action_mutants_fail_under_python_O(mutant):
+    # the atom checks of the two actions must stop verify_hopf_laws with
+    # asserts stripped
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.fixtures import codiscrete\n"
+        "from finloc.galois import GroupoidHopf\n"
+        f"{inspect.getsource(mutant)}\n"
+        "H = galois.groupoid_to_hopf(codiscrete(2))\n"
+        f"galois.verify_hopf_laws({mutant.__name__}(\n"
+        "    H.groupoid, H.B, H.composable, H.parallel))\n")
+    assert proc.returncode == 1
+    assert "finloc.errors.NotAModule" in proc.stderr, proc.stderr
+
+
+# codiscrete(4) has 16 arrows: P(arrows) is past MAX_CARRIER, never built
+@pytest.mark.parametrize("G", [z_mod(4), z2_x_z2(), s3(), codiscrete(4)],
+                         ids=["Z4", "Z2xZ2", "S3", "codiscrete4"])
 def test_reconstruct_larger_groups(G):
     rep = reconstruct(G)
-    assert rep.sizes_match and rep.coend_size == 2 ** len(G.arrows)
+    assert rep.coend_size == rep.expected_size == 2 ** len(G.arrows)
+
+
+@pytest.mark.parametrize("G", [codiscrete(3), s3(), two_components()],
+                         ids=["codiscrete3", "S3", "two_components"])
+def test_reconstruct_never_builds_the_arrow_locale(monkeypatch, G):
+    # with one object, R[*] has every arrow in its carrier, a tuple of its
+    # own; with more, no carrier of the default site is the arrow set
+    def guarded(X):
+        if X is G.arrows or (len(G.objects) > 1
+                             and frozenset(X) == frozenset(G.arrows)):
+            raise AssertionError("P(arrows) was built")
+        return power_locale(X)
+
+    monkeypatch.setattr(galois, "power_locale", guarded)
+    groupoid_to_hopf(G)
+    reconstruct(G)
 
 
 def test_hopf_repros_fail_under_python_O():
