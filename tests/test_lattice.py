@@ -2,11 +2,17 @@
 
 import functools
 import itertools
+import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finloc import lattice
 from finloc.errors import (
     ConditionIFails,
     ConditionIIFails,
@@ -647,6 +653,137 @@ def test_from_closed_sets_no_least_element_and_duplicates():
         FiniteSupLattice.from_closed_sets(("x", "y"), (1, 1))
     with pytest.raises(NotAPartialOrder, match="duplicate"):
         FiniteSupLattice.from_closed_sets(("x", "x"), (0, 1))
+
+
+def _pairwise_scan(elements, masks):
+    """The MissingJoin of a family of masks by the pairwise scan, as (message
+    kind, witness), or None when it is a lattice closed under intersection:
+    no bottom, else the first pair in row-major order with no least member
+    containing both, else the first whose intersection is no member."""
+    members = set(masks)
+    if functools.reduce(operator.and_, masks, -1) not in members:
+        return "no least element", frozenset()
+
+    def least_upper(a, b):
+        ubs = [c for c in masks if a | b | c == c]
+        return next((c for c in ubs if all(c | d == d for d in ubs)), None)
+
+    def greatest_lower(a, b):
+        return a & b if a & b in members else None
+
+    for kind, bound in (("least upper", least_upper),
+                        ("greatest lower", greatest_lower)):
+        for (x, a), (y, b) in itertools.product(zip(elements, masks), repeat=2):
+            if bound(a, b) is None:
+                return f"no {kind} bound", frozenset({x, y})
+    return None
+
+
+def _assert_matches_pairwise_scan(masks):
+    """from_closed_sets on masks, as sets over 0..4, builds the oracle's
+    lattice or raises the pairwise scan's MissingJoin."""
+    els = [frozenset(x for x in range(5) if m >> x & 1) for m in masks]
+    want = _pairwise_scan(els, masks)
+    try:
+        L = FiniteSupLattice.from_closed_sets(els, masks)
+    except MissingJoin as e:
+        assert want is not None and want[0] in str(e) and e.witness == want[1]
+        return
+    assert want is None
+    assert (L._jn, L._mt) == (None, None)  # accepted with no table built
+    _assert_matches_oracle(L, operator.le)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_from_closed_sets_matches_the_pairwise_scan(k, data):
+    """Random families over k points, with and without a top and a bottom:
+    the meet-irreducible check accepts exactly the lattices, and a family it
+    rejects gets the witness of the full scan."""
+    masks = data.draw(st.lists(st.integers(0, (1 << k) - 1), unique=True,
+                               max_size=12))
+    for extra in (functools.reduce(operator.or_, masks, 0),
+                  functools.reduce(operator.and_, masks, (1 << k) - 1)):
+        if data.draw(st.booleans()) and extra not in masks:
+            masks.insert(data.draw(st.integers(0, len(masks))), extra)
+    _assert_matches_pairwise_scan(masks)
+
+
+@pytest.mark.parametrize("sets", [
+    ("", "a", "b", "abc", "abd", "abcd"),
+    ("", "a", "b"),
+    ("", "a", "b", "c", "abc", "abd", "acd"),
+    ("", "ab", "ac", "abc"),
+    ("", "ab", "ac", "ad", "abcd"),
+    ("", "ab", "ac", "abc", "abcd"),
+    ("ab", "ac", "abc", "abcd"),
+], ids=["bowtie", "no top, below the union", "outside the family",
+        "no intersection", "no intersection under a top",
+        "no intersection below a coatom", "no bottom"])
+def test_from_closed_sets_fixed_families_match_the_pairwise_scan(sets):
+    _assert_matches_pairwise_scan(_family(*sets)[1])
+
+
+def test_no_table_until_read(monkeypatch):
+    """Building a lattice builds neither table; the first read builds one,
+    which matches the oracle, and later reads reuse it."""
+    from finloc import sheaf
+    from finloc.present import tensor
+
+    M, N = power_locale(range(2)), power_locale(range(5))
+    X = max(sheaf.enumerate_sheaves(P2(), 3), key=lambda X: len(X.total()))
+    for L in (M, N, X.P):  # tensor and build_Xd read these tables
+        L.join_table, L.meet_table
+    built, index_table = [], lattice._index_table
+
+    def counted(*args):
+        built.append(args)
+        return index_table(*args)
+
+    monkeypatch.setattr(lattice, "_index_table", counted)
+    T = tensor(M, N).lattice()
+    assert len(T) == 1024 and built == []
+    # P(2) (x) P(5) is free on 10 generators: join is union, meet intersection
+    ix = {e: i for i, e in enumerate(T.elements)}
+    assert T.join_table == [[ix[a | b] for b in T.elements] for a in T.elements]
+    assert T.meet_table == [[ix[a & b] for b in T.elements] for a in T.elements]
+    a, b = T.elements[1:3]
+    assert (T.join(a, b), T.meet(a, b), len(built)) == (a | b, a & b, 2)
+
+    module, handed = sheaf.BModule, []
+
+    def watched(P, lat, *args, **kwargs):
+        m = module(P, lat, *args, **kwargs)
+        handed.append((lat, len(built)))
+        return m
+
+    monkeypatch.setattr(sheaf, "BModule", watched)
+    built.clear()
+    d = sheaf.build_Xd(X)
+    [(lat, count)] = handed  # the X_d lattice and its module, both validated
+    assert lat is d.lattice and len(lat) == 64 and count == 0
+    _assert_matches_oracle(lat, operator.le)
+
+
+def test_tensor_at_the_bound_fits_256_mb():
+    """P(4) (x) P(3), 4,096 elements, is built without its two tables:
+    they alone would overflow this address space."""
+    src = str(Path(lattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, time\n"
+         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+         "from finloc.lattice import power_locale\n"
+         "from finloc.present import tensor\n"
+         "t = time.perf_counter()\n"
+         "n = len(tensor(power_locale(range(4)), power_locale(range(3))).lattice())\n"
+         "print(n, time.perf_counter() - t)\n"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    n, seconds = proc.stdout.split()
+    assert n == "4096" and float(seconds) < 2.0
 
 
 # -- the one carrier bound ---------------------------------------------------
