@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -329,8 +330,11 @@ def run(doc: Document, selection=None, max_size: int = 4,
     t0 = time.perf_counter()
     timings = {}
     results = []
-    if parallel > 1 and len(checks) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # the fork start method starts every worker at once: ask for no more
+    # than there are checks to run and cores to run them
+    workers = min(parallel, len(checks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, elapsed in pool.map(
                     _run_item, [(doc.raw, c, max_size) for c in checks]):
                 timings[r["id"]] = elapsed
@@ -390,15 +394,20 @@ def _load_doc(path) -> Document:
         return parse(fh.read())
 
 
-def _max_size_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if not _valid_max_size(value):
-        raise argparse.ArgumentTypeError(
-            f"must be an int >= 0, not {text!r}")
-    return value
+def _int_arg(least: int):
+    """An argparse type: an int >= least, else exit 2 with a message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an int >= {least}, not {text!r}")
+        return value
+
+    return parse
 
 
 def main(argv=None) -> int:
@@ -414,8 +423,8 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="append", dest="checks",
                     help="restrict `check` to these kinds")
     ap.add_argument("--groupoid", help="fixture or declared groupoid name")
-    ap.add_argument("--max-size", type=_max_size_arg, default=4)
-    ap.add_argument("--parallel", type=int, default=1)
+    ap.add_argument("--max-size", type=_int_arg(0), default=4)
+    ap.add_argument("--parallel", type=_int_arg(1), default=1)
     ns = ap.parse_args(argv)
     try:
         doc = _load_doc(ns.input)

@@ -31,11 +31,8 @@ class BModule:
                  validate: bool = True):
         self.B = B
         self.lattice = lattice
-        if callable(action):
-            self._act = {(b, m): action(b, m) for b in B.elements
-                         for m in lattice.elements}
-        else:
-            self._act = dict(action)
+        self._act = {(b, m): action(b, m) for b in B.elements
+                     for m in lattice.elements}
         self._presentation = presentation
         if validate:
             bad = check_module(B, lattice, self._act)

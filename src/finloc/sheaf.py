@@ -514,9 +514,7 @@ def enumerate_sheaves(P: FiniteLocale, max_total: int):
                                 ok = False
             if not ok:
                 continue
-            sheaf = _sheaf_from_stalks(P, stalks, rmaps)
-            if sheaf is not None:
-                yield sheaf
+            yield _sheaf_from_stalks(P, stalks, rmaps)
 
 
 def _sheaf_from_stalks(P, stalks, rmaps):
@@ -544,7 +542,4 @@ def _sheaf_from_stalks(P, stalks, rmaps):
                 fam = dict(zip(js, s))
                 table[s] = tuple(fam[k] for k in ks)
             restrict[(p, q)] = table
-    try:
-        return check_sheaf(P, sections, restrict)
-    except (GluingFails, ValidationError):
-        return None
+    return check_sheaf(P, sections, restrict)

@@ -161,6 +161,39 @@ def test_parallel_run_times_every_check():
     assert all(isinstance(t, float) and t >= 0 for t in per_check.values())
 
 
+def test_parallel_asks_for_no_more_workers_than_checks(monkeypatch):
+    # fork starts every worker at once, so the cap must hold before the pool
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    doc = Document({**DOC, "checks": DOC["checks"][:2]})
+    report, timings = run(doc, parallel=10_000)
+    assert asked == [2]
+    assert report["summary"]["total"] == len(timings["per_check"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_bad_parallel_option_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["check", "--parallel", value])
+    assert e.value.code == 2
+    assert "--parallel: must be an int >= 1" in capsys.readouterr().err
+
+
 Z2_SPEC = {"name": "Z2b", "objects": ["*"], "arrows": ["e", "s"],
            "source": [["e", "*"], ["s", "*"]], "target": [["e", "*"], ["s", "*"]],
            "unit": [["*", "e"]],

@@ -607,13 +607,31 @@ def _hom_spaces(G, max_size):
     return [galois._HomSpace(A, B) for A in reps for B in reps]
 
 
+def _orbits(hs) -> set:
+    """The orbits of the diagonal action as sets of pair indices, each grown
+    from one of its pairs by applying arrows until nothing new appears."""
+    A, B, G = hs.A, hs.B, hs.G
+    out = set()
+    for start in hs.pairs:
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x, y = frontier.pop()
+            for g in G.arrows_from(A.anchor[x]):
+                q = (A.apply(g, x), B.apply(g, y))
+                if q not in orbit:
+                    orbit.add(q)
+                    frontier.append(q)
+        out.add(frozenset(hs.pos[p] for p in orbit))
+    return out
+
+
 def _sliced(hs):
     """The block tables of hs joined into whole-space tables."""
-    rel_all = cmd_all = 0
-    for block, rel, cmd in hs.tables():
-        rel_all |= rel << block.start
-        cmd_all |= cmd << block.start
-    return rel_all, cmd_all
+    out = [0, 0, 0]
+    for block, *tables in hs.tables():
+        for k, table in enumerate(tables):
+            out[k] |= table << block.start
+    return tuple(out)
 
 
 @pytest.mark.parametrize("G, max_size", [
@@ -621,14 +639,17 @@ def _sliced(hs):
 ])
 def test_sliced_tables_match_per_candidate_oracle(monkeypatch, G, max_size):
     for hs in _hom_spaces(G, max_size):
-        rel_want = cmd_want = 0
+        orbits = _orbits(hs)
+        want = [0, 0, 0]
         for bits in range(1 << hs.n):
-            rel_want |= _theta_bijection(hs, bits) << bits
-            cmd_want |= _comodule_morphism(hs, bits) << bits
-        assert _sliced(hs) == (rel_want, cmd_want)
+            want[0] |= _theta_bijection(hs, bits) << bits
+            want[1] |= _comodule_morphism(hs, bits) << bits
+            want[2] |= all(len({(bits >> i) & 1 for i in orbit}) == 1
+                           for orbit in orbits) << bits
+        assert _sliced(hs) == tuple(want)
         with monkeypatch.context() as m:
             m.setattr(galois, "_BLOCK", 3)  # several blocks per space
-            assert _sliced(hs) == (rel_want, cmd_want)
+            assert _sliced(hs) == tuple(want)
 
 
 @pytest.mark.parametrize("block", [16, 3])
@@ -646,7 +667,40 @@ def test_sliced_mismatch_names_first_oracle_mismatch(monkeypatch, block):
     assert first >= 1 << 3
     with pytest.raises(Mismatch) as e:
         hs.hom_count()
-    assert str(e.value) == f"hom sets differ at {hs.set_of(first)!r}"
+    assert str(e.value) \
+        == f"hom predicates rel and cmd differ at {hs.set_of(first)!r}"
+
+
+def test_equivalence_check_rejects_a_moved_orbit_pair_under_python_O():
+    # moving one pair between two orbits of a 12-pair space keeps the orbit
+    # count, so only a candidate-by-candidate stability check can see it;
+    # 12 pairs is past the set-level cross-check of at most 2 ** 9 candidates
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.fixtures import z_mod\n"
+        "pair_orbits = galois._pair_orbits\n"
+        "moved = []\n"
+        "def mutant(A, B):\n"
+        "    pairs, orbits = pair_orbits(A, B)\n"
+        "    big = [k for k, o in enumerate(orbits) if len(o) > 1]\n"
+        "    if len(pairs) == 12 and len(orbits) > 1 and big and not moved:\n"
+        "        k = big[0]\n"
+        "        to = 1 if k == 0 else 0\n"
+        "        p = min(orbits[k], key=repr)\n"
+        "        orbits = list(orbits)\n"
+        "        orbits[k] = orbits[k] - {p}\n"
+        "        orbits[to] = orbits[to] | {p}\n"
+        "        moved.append(p)\n"
+        "    return pairs, orbits\n"
+        "galois._pair_orbits = mutant\n"
+        "try:\n"
+        "    galois.equivalence_check(z_mod(2), 4)\n"
+        "finally:\n"
+        "    print(len(moved))\n")
+    assert proc.stdout == "1\n"
+    assert proc.returncode == 1
+    assert "finloc.errors.Mismatch: hom predicates rel and stable differ" \
+        in proc.stderr
 
 
 # -- the per-pair predicates against the frozenset routes ----------------------
@@ -715,7 +769,7 @@ def test_pair_predicates_match_frozenset_oracles(G, max_size):
             got = restricted_theta_axioms(R, A, B)
             assert (got, got.witnesses) == (want, want.witnesses)
             members = [i for i in range(hs.n) if (bits >> i) & 1]
-            assert ev.axioms(members) == want
+            assert ev.bijection(members) == want.is_bijection
             assert comodule_morphism_holds(R, A, B) \
                 == ev.morphism(bits) == _comodule_morphism_oracle(R, A, B)
             assert relation_is_invariant(R, A, B) \
@@ -724,9 +778,9 @@ def test_pair_predicates_match_frozenset_oracles(G, max_size):
                 == ev.diamond(bits) == _diamond_on_relation_oracle(R, A, B)
 
 
-def test_pair_axioms_witnesses_match_comodule_axioms_on_random_tables():
+def test_pair_bijection_matches_comodule_axioms_on_random_tables():
     # restricted transporters of actions never overlap, so the uv and in
-    # witnesses are reached only through tables that are not transporters
+    # failures are reached only through tables that are not transporters
     import random
 
     G = z_mod(2)
@@ -746,8 +800,7 @@ def test_pair_axioms_witnesses_match_comodule_axioms_on_random_tables():
               for i in order for j in order}
         want = comodule_axioms(Comodule(G, carrier, {p: "*" for p in carrier},
                                         mu))
-        got = ev.axioms(order)
-        assert (got, got.witnesses) == (want, want.witnesses)
+        assert ev.bijection(order) == want.is_bijection
         seen |= set(want.witnesses)
     assert seen == {"ed", "uv", "su", "in"}
 
@@ -787,17 +840,16 @@ def test_reconstruct_past_the_carrier_bound_raises_size_bound():
 
 
 @pytest.mark.parametrize("mutant", [
-    "axioms = lambda self, order: AxiomReport(True, True, True, True)",
+    "bijection = lambda self, order: True",
     "morphism = lambda self, bits: True",
     "invariant = lambda self, bits: True",
     "diamond = lambda self, bits: False",
-], ids=["axioms", "morphism", "invariant", "diamond"])
+], ids=["bijection", "morphism", "invariant", "diamond"])
 def test_equivalence_check_fails_under_python_O(mutant):
     # a wrong set-level route must stop the check even with asserts stripped
     proc = _run_python_O(
         "from finloc import galois\n"
         "from finloc.fixtures import z_mod\n"
-        "from finloc.relation import AxiomReport\n"
         f"galois._PairPredicates.{mutant}\n"
         "galois.equivalence_check(z_mod(2), 3)\n")
     assert proc.returncode == 1

@@ -461,6 +461,19 @@ def test_enumerate_sheaves_counts_over_two():
     assert len(got) == 3
 
 
+def test_enumerate_sheaves_lets_a_validation_failure_through(monkeypatch):
+    # every stalk datum gives a sheaf, so a failed check is a kernel fault
+    # and must not become a silently shorter enumeration
+    from finloc import sheaf
+
+    def fails(P, sections, restrict):
+        raise GluingFails("injected")
+
+    monkeypatch.setattr(sheaf, "check_sheaf", fails)
+    with pytest.raises(GluingFails):
+        list(enumerate_sheaves(CH3(), 1))
+
+
 def test_generator_pairs_jump_to_common_support():
     # dx (x) dy equals the pair of restrictions to the common open
     from finloc.modb import self_module
