@@ -31,17 +31,17 @@ from .errors import (
     NotBijection,
     NotDense,
     RelationViolated,
-    SizeBound,
 )
 from .lattice import (
     FiniteLocale,
     PowerLocale,
     SupMorphism,
+    check_carrier,
     check_locale_morphism,
     locale_morphisms,
     power_locale,
 )
-from .modb import BModule, DualityData
+from .modb import BModule, DualityData, check_duality
 from .present import ModulePresentation, check_relations, induced_morphism
 from .relation import AxiomReport, table_axioms
 from .tannaka import Coend, CoendArrow, CoendObject
@@ -841,12 +841,11 @@ class RelBetaG:
         return self.homs[(i, j)]
 
 
-def rel_beta_g(G: FiniteGroupoid, max_size: int,
-               max_objects: int = 64) -> RelBetaG:
-    """The relation category of bounded discrete actions."""
+def rel_beta_g(G: FiniteGroupoid, max_size: int) -> RelBetaG:
+    """The relation category of bounded discrete actions; its hom table,
+    one entry per pair, is bounded like a carrier before it is filled."""
     objects = enumerate_actions(G, max_size)
-    if len(objects) > max_objects:
-        raise SizeBound(f"{len(objects)} actions exceed the object cap")
+    check_carrier(len(objects) ** 2, "the hom table of the relation category")
     homs = {}
     for i, A in enumerate(objects):
         for j, B in enumerate(objects):
@@ -911,10 +910,9 @@ def default_site(G: FiniteGroupoid, extra: tuple = ()) -> ActionSite:
     return ActionSite(G, objects, rel_gens, maps)
 
 
-def etale_module(G: FiniteGroupoid, act: DiscreteAction):
-    """P(carrier) as a module over P(objects), with its atom presentation
-    and the overlap duality."""
-    B = power_locale(G.objects)
+def etale_module(B: FiniteLocale, act: DiscreteAction):
+    """P(carrier) as a module over B = P(objects), with its atom presentation
+    and the overlap duality, its triangles checked."""
     M = power_locale(act.carrier)
 
     def action(b, U):
@@ -930,6 +928,7 @@ def etale_module(G: FiniteGroupoid, act: DiscreteAction):
 
     eta = tuple((frozenset({x}), frozenset({x})) for x in act.carrier)
     d = DualityData(mod, mod, eps, eta)
+    check_duality(d)
     return mod, d
 
 
@@ -947,7 +946,7 @@ class GaloisCoend:
         self.site = site
         self.G = site.groupoid
         self.B = power_locale(self.G.objects)
-        objects = [CoendObject(name, *etale_module(self.G, act))
+        objects = [CoendObject(name, *etale_module(self.B, act))
                    for name, act in site.objects.items()]
         arrows = [CoendArrow(name, src, dst, relation_morphism(pairs))
                   for (name, src, dst, pairs) in site.rel_gens]

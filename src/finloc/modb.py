@@ -3,14 +3,15 @@
 A module is a sup-lattice M with a B-action that preserves joins in each
 slot, is unital, and turns meet into composition.  Duality data for M is a
 dual module, an evaluation into B and a coevaluation element, subject to
-the two triangular equations.  The module laws and the bilinearity of the
-evaluation are checked on index tables, join preservation by adjunction;
-the triangular equations are checked on every element.
+the two triangular equations.  A module keeps its action, and duality data
+its evaluation, as the index table its laws are checked on where it is
+built, join preservation by adjunction; the triangular equations are
+checked on every element.  A dual morphism is evaluated per element.
 """
 
 from __future__ import annotations
 
-from .errors import DomainMismatch, NotAModule, NotDualizable, TriangularFails
+from .errors import NotAModule, NotDualizable, TriangularFails
 from .lattice import (
     FiniteLocale,
     FiniteSupLattice,
@@ -24,27 +25,23 @@ from .present import ModulePresentation, TensorLattice, lattice_presentation, te
 
 
 class BModule:
-    """A sup-lattice with a validated action of a finite locale."""
+    """A sup-lattice with a validated action of a finite locale, kept as
+    the index table `table[b][m]` (B- and M-indices) of b . m."""
 
     def __init__(self, B: FiniteLocale, lattice: FiniteSupLattice, action,
-                 presentation: ModulePresentation | None = None,
-                 validate: bool = True):
+                 presentation: ModulePresentation | None = None):
         self.B = B
         self.lattice = lattice
-        self._act = {(b, m): action(b, m) for b in B.elements
-                     for m in lattice.elements}
+        self.table = _action_table(B, lattice, action)
         self._presentation = presentation
-        if validate:
-            bad = check_module(B, lattice, self._act)
-            if bad:
-                raise NotAModule(f"action violates {bad.kind} at {bad.witness!r}",
-                                 witness=bad.witness)
+        bad = _module_violation(B, lattice, self.table)
+        if bad:
+            raise NotAModule(f"action violates {bad.kind} at {bad.witness!r}",
+                             witness=bad.witness)
 
     def act(self, b, m):
-        try:
-            return self._act[(b, m)]
-        except KeyError:
-            raise DomainMismatch(f"action undefined at ({b!r}, {m!r})") from None
+        M = self.lattice
+        return M.elements[self.table[self.B.index(b)][M.index(m)]]
 
     @property
     def presentation(self) -> ModulePresentation:
@@ -75,18 +72,25 @@ def self_module(B: FiniteLocale) -> BModule:
     return BModule.self_module(B)
 
 
+def _action_table(B: FiniteLocale, M: FiniteSupLattice, act) -> list:
+    return [[M.index(act(b, m)) for m in M.elements] for b in B.elements]
+
+
 def check_module(B: FiniteLocale, M: FiniteSupLattice, action) -> Violation | None:
-    """Validate the module laws on an index table of the action; None when
-    all hold.
+    """`_module_violation` for a callable action or a dict keyed by (b, m)."""
+    act = action if callable(action) else lambda b, m: action[(b, m)]
+    return _module_violation(B, M, _action_table(B, M, act))
+
+
+def _module_violation(B: FiniteLocale, M: FiniteSupLattice, A) -> Violation | None:
+    """Validate the module laws on the index table A of an action.
 
     Join preservation in each slot is the adjunction test of `join_failure`;
     unit and meet-composition are table lookups.  Kinds are checked per b
     (m-slot bottom, m-slot join), then per m (b-slot bottom, unit, b-slot
     join, meet-composition); each witness is a genuine failure of its kind.
     """
-    act = action if callable(action) else lambda b, m: action[(b, m)]
     Bel, Mel = B.elements, M.elements
-    A = [[M.index(act(b, m)) for m in Mel] for b in Bel]
     for b, row in zip(Bel, A):
         bad = join_failure(row, M, M)
         if bad == ():
@@ -114,29 +118,33 @@ def check_module(B: FiniteLocale, M: FiniteSupLattice, action) -> Violation | No
 class DualityData:
     """(M^, eta, eps) witnessing that Mdual is the right dual of M.
 
-    eps is a callable on element pairs (m, n) -> B; eta is a tuple of
-    (n, m) pairs whose formal sum is the coevaluation.
+    eps is given as a callable on element pairs (m, n) -> B and kept as the
+    index table its bilinearity is checked on; eta is a tuple of (n, m)
+    pairs whose formal sum is the coevaluation.
     """
 
-    def __init__(self, module: BModule, dual: BModule, eps, eta,
-                 validate: bool = True):
+    def __init__(self, module: BModule, dual: BModule, eps, eta):
         self.module = module
         self.dual = dual
-        self.eps = eps
         self.eta = tuple(eta)
-        if validate:
-            self._check_bilinear()
+        B = module.B
+        self.eps_table = [[B.index(eps(m, n)) for n in dual.lattice.elements]
+                          for m in module.lattice.elements]
+        self._check_bilinear()
+
+    def eps(self, m, n):
+        return self.module.B.elements[
+            self.eps_table[self.module.lattice.index(m)][self.dual.lattice.index(n)]]
 
     def _check_bilinear(self):
-        """eps is a B-bimorphism, checked on a table of its values.
+        """eps is a B-bimorphism, checked on its index table.
 
         Each slot preserves joins by the adjunction test of `join_failure`;
-        B-linearity is compared on every (b, m, n) by table lookups, with
-        no appeal to the modules' own laws.
+        B-linearity is compared on every (b, m, n) against the two modules'
+        action tables, with no appeal to the modules' own laws.
         """
         B, M, N = self.module.B, self.module.lattice, self.dual.lattice
-        Mel, Nel = M.elements, N.elements
-        E = [[B.index(self.eps(m, n)) for n in Nel] for m in Mel]
+        Mel, Nel, E = M.elements, N.elements, self.eps_table
         bot = B.bottom_index
         if any(v != bot for v in E[M.bottom_index]):
             raise NotDualizable("eps not linear at bottom (first slot)")
@@ -154,10 +162,9 @@ class DualityData:
                 n, n2 = Nel[bad[0]], Nel[bad[1]]
                 raise NotDualizable(f"eps not join-linear at ({n!r}, {n2!r}, {m!r})",
                                     witness=(n, n2, m))
-        bmt = B.meet_table
-        for bi, b in enumerate(B.elements):
-            mrow = [M.index(self.module.act(b, m)) for m in Mel]
-            nrow = [N.index(self.dual.act(b, n)) for n in Nel]
+        bmt, dual_B = B.meet_table, self.dual.B
+        for bi, (b, mrow) in enumerate(zip(B.elements, self.module.table)):
+            nrow = self.dual.table[dual_B.index(b)]
             meet_b = bmt[bi]
             for mi, row in enumerate(E):
                 want = [meet_b[v] for v in row]
@@ -244,15 +251,17 @@ def transpose_roundtrip_ok(lam, N: BModule, L: BModule, d: DualityData,
     return True
 
 
+def dual_value(f, dM: DualityData, dN: DualityData, n):
+    """The dual of a module morphism f: M -> N at one element n of N^."""
+    return dM.dual.lattice.join_all(
+        dM.dual.act(dN.eps(f(m2), n), nhat) for nhat, m2 in dM.eta)
+
+
 def dual_morphism(f, dM: DualityData, dN: DualityData) -> SupMorphism:
-    """The contravariant dual of a module morphism f: M -> N."""
-    Ndual, Mdual = dN.dual.lattice, dM.dual.lattice
-    table = {}
-    for n in Ndual.elements:
-        table[n] = Mdual.join_all(
-            dM.dual.act(dN.eps(f(m2), n), nhat) for nhat, m2 in dM.eta
-        )
-    return SupMorphism(Ndual, Mdual, table)
+    """The contravariant dual of a module morphism f: M -> N, as a table."""
+    Ndual = dN.dual.lattice
+    return SupMorphism(Ndual, dM.dual.lattice,
+                       {n: dual_value(f, dM, dN, n) for n in Ndual.elements})
 
 
 def duality_iso(d1: DualityData, d2: DualityData) -> SupMorphism:

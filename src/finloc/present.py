@@ -343,16 +343,12 @@ def _tensor_relations(pm: ModulePresentation, pn: ModulePresentation):
                for s, t in pn.relations for g in pm.gens])
 
 
-def tensor(M: FiniteSupLattice, N: FiniteSupLattice,
-           pm: ModulePresentation | None = None,
-           pn: ModulePresentation | None = None) -> TensorLattice:
-    """The sup-lattice tensor product M (x) N.
-
-    With the default all-element presentations this is exactly the quotient of
-    the free lattice on M x N by bilinearity of binary and empty joins.
+def tensor(M: FiniteSupLattice, N: FiniteSupLattice) -> TensorLattice:
+    """The sup-lattice tensor product M (x) N, presented on the tagged
+    `lattice_presentation` of each factor: the quotient of the free lattice
+    on generator pairs by bilinearity of binary and empty joins.
     """
-    pm = lattice_presentation(M, tag="L") if pm is None else pm
-    pn = lattice_presentation(N, tag="R") if pn is None else pn
+    pm, pn = lattice_presentation(M, tag="L"), lattice_presentation(N, tag="R")
     return TensorLattice(pm, pn, _tensor_relations(pm, pn))
 
 

@@ -247,7 +247,7 @@ def selfduality(H: FiniteLocale, X, cap: int = MAX_CARRIER) -> DualityData:
     jn, mt = H.join_table, H.meet_table
     ix = {t: tuple(map(H.index, t)) for t in fl.elements}
 
-    def eps(theta, psi):  # per call: a table would hold |H^X|^2 entries
+    def eps(theta, psi):
         i = H.bottom_index
         for a, b in zip(ix[theta], ix[psi]):
             i = jn[i][mt[a][b]]

@@ -327,7 +327,8 @@ def selfdual_Xd(d: DiscreteModule) -> DualityData:
     """X_d is self-dual: eta sums delta pairs, eps is the equality bracket.
 
     The bracket is tabulated once per pair of generators; eps(theta, psi)
-    is the join of the table over theta x psi, memoized per pair.
+    is the join of the table over theta x psi, and `DualityData` tabulates
+    it once per pair of elements.
     """
     P = d.sheaf.P
     gens = d.sheaf.total()
@@ -335,19 +336,14 @@ def selfdual_Xd(d: DiscreteModule) -> DualityData:
     bracket = [[P.index(eq_bracket(d, gx, gy)) for gy in gens] for gx in gens]
     jn, bot = P.join_table, P.bottom_index
 
-    eps_cache = {}
-
     def eps(theta, psi):
-        key = (theta, psi)
-        if key not in eps_cache:
-            k = bot
-            cols = [gi[gy] for gy in psi]
-            for gx in theta:
-                row = bracket[gi[gx]]
-                for c in cols:
-                    k = jn[k][row[c]]
-            eps_cache[key] = P.elements[k]
-        return eps_cache[key]
+        k = bot
+        cols = [gi[gy] for gy in psi]
+        for gx in theta:
+            row = bracket[gi[gx]]
+            for c in cols:
+                k = jn[k][row[c]]
+        return P.elements[k]
 
     eta = tuple((d.delta[g], d.delta[g]) for g in gens)
     dd = DualityData(d.module, d.module, eps, eta)
@@ -397,12 +393,9 @@ def constant_sheaf(P: FiniteLocale, X) -> FiniteSheaf:
     return check_sheaf(P, sections, restrict)
 
 
-def constant_section(P: FiniteLocale, x, p=None):
-    """The image of x under the unit at level p (default: the top level)."""
-    if p is None:
-        p = P.top
-    n = len(_components(P, p))
-    return tuple(x for _ in range(n))
+def constant_section(P: FiniteLocale, x):
+    """The image of x under the unit at the top level."""
+    return tuple(x for _ in _components(P, P.top))
 
 
 @dataclass(frozen=True)

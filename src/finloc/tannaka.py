@@ -19,10 +19,9 @@ from .errors import (
     NoDuals,
     NotDense,
     ShapeMismatch,
-    SizeBound,
 )
-from .lattice import FiniteLocale, FiniteSupLattice, two
-from .modb import BModule, DualityData, dual_morphism
+from .lattice import FiniteLocale, FiniteSupLattice, check_carrier, two
+from .modb import BModule, DualityData, dual_value
 from .present import JoinPresentation, PElement, PresentedSupLattice
 from .relation import LRelation, check_diagram, tabulate
 
@@ -183,25 +182,21 @@ def extend_cone(cone: Cone, dense: tuple, kind: str) -> Cone:
     return ext
 
 
-def check_compatible(cone: Cone, star=None, unit=None):
-    """[C1] product tables factor through the algebra product, [C2] the
-    terminal table is the unit.  Defaults to the locale structure of H."""
+def check_compatible(cone: Cone):
+    """[C1] product tables factor through the meet of H, [C2] the terminal
+    table is the top of H."""
     fp, H = cone.fp, cone.H
-    if star is None:
-        star = H.meet
-    if unit is None:
-        unit = H.top
     for obj, (lo, ro) in fp.products.items():
         for (a, b) in fp.F[obj]:
             for (a2, b2) in fp.Fp[obj]:
-                lhs = star(cone.tables[lo][(a, a2)], cone.tables[ro][(b, b2)])
+                lhs = H.meet(cone.tables[lo][(a, a2)], cone.tables[ro][(b, b2)])
                 if lhs != cone.tables[obj][((a, b), (a2, b2))]:
                     return False, ("C1", obj, (a, b), (a2, b2))
     if fp.terminal is not None:
         t = fp.terminal
         for x in fp.F[t]:
             for y in fp.Fp[t]:
-                if cone.tables[t][(x, y)] != unit:
+                if cone.tables[t][(x, y)] != H.top:
                     return False, ("C2", x, y)
     return True, None
 
@@ -274,9 +269,9 @@ class Coend:
             src, dst = self.objects[f.src], self.objects[f.dst]
             psrc, pdst = src.module.presentation, dst.gmodule.presentation
             gsrc = src.gmodule.presentation
-            fdual = dual_morphism(f.gmorphism, src.gduality, dst.gduality)
-            fb_dec = {b: gsrc.decompose(fdual(pdst.value[b]))
-                      for b in pdst.gens}
+            fb_dec = {b: gsrc.decompose(dual_value(
+                f.gmorphism, src.gduality, dst.gduality, pdst.value[b]))
+                for b in pdst.gens}
             for a in psrc.gens:
                 fa = f.morphism(psrc.value[a])
                 fa_dec = dst.module.presentation.decompose(fa)
@@ -502,21 +497,18 @@ def lifting(L: Coend) -> dict:
     return coactions
 
 
-def unique_cogebroide(L: Coend, max_candidates: int = 200000) -> bool:
+def unique_cogebroide(L: Coend) -> bool:
     """Perturbation search on the counit: no counit that differs from
     `L.counit` on exactly one generator keeps C2 for every lifting coaction.
-    The cocomposition is not perturbed.  Raises SizeBound when the search
-    needs more than `max_candidates` candidates."""
+    The cocomposition is not perturbed.  Raises SizeBound before the search
+    when its generator-by-value candidates exceed the carrier bound."""
+    check_carrier(len(L.quotient.gens) * len(L.B),
+                  "the counit perturbation search")
     coactions = [(o.module, L.coaction(name)) for name, o in L.objects.items()]
-    count = 0
     for gen in L.quotient.gens:
         for e_val in L.B.elements:
             if e_val == L.counit(gen):
                 continue
-            count += 1
-            if count > max_candidates:
-                raise SizeBound(
-                    f"uniqueness search exceeds {max_candidates} candidates")
 
             def counit(g):
                 return e_val if g == gen else L.counit(g)

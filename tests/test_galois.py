@@ -17,6 +17,7 @@ from finloc.errors import (
     NotACone,
     NotAGroupoid,
     NotAModule,
+    TriangularFails,
 )
 from finloc.fixtures import codiscrete, identities_only, trivial_group, z_mod
 from finloc.galois import (
@@ -539,11 +540,12 @@ def test_reconstruct_disconnected_groupoid():
     assert r.object_count > 0
 
 
-def test_rel_beta_g_size_bound():
+def test_rel_beta_g_size_bound(monkeypatch):
     from finloc.errors import SizeBound
 
+    monkeypatch.setattr("finloc.lattice.MAX_CARRIER", 2 ** 2)
     with pytest.raises(SizeBound):
-        rel_beta_g(z_mod(2), 4, max_objects=2)
+        rel_beta_g(z_mod(2), 4)
 
 
 def test_equivalence_z3_small():
@@ -1202,6 +1204,40 @@ def test_action_mutants_fail_under_python_O(mutant):
         "    H.groupoid, H.B, H.composable, H.parallel))\n")
     assert proc.returncode == 1
     assert "finloc.errors.NotAModule" in proc.stderr, proc.stderr
+
+
+class DropOneEta(galois.DualityData):
+    """Duality data whose coevaluation misses its first term."""
+
+    def __init__(self, module, dual, eps, eta):
+        super().__init__(module, dual, eps, tuple(eta)[1:])
+
+
+def test_etale_module_checks_its_triangles(monkeypatch):
+    # without one singleton pair eta is no coevaluation: the triangles stop
+    # the module where it is built, before any coend is presented from it
+    G = z_mod(3)
+    B = power_locale(G.objects)
+    act = representable_action(G, G.objects[0])
+    galois.etale_module(B, act)
+    monkeypatch.setattr(galois, "DualityData", DropOneEta)
+    with pytest.raises(TriangularFails):
+        galois.etale_module(B, act)
+    proc = _run_python_O(
+        "from finloc import galois\n"
+        "from finloc.fixtures import codiscrete\n"
+        f"{inspect.getsource(DropOneEta)}\n"
+        "galois.DualityData = DropOneEta\n"
+        "galois.GaloisCoend(galois.default_site(codiscrete(2)))\n")
+    assert proc.returncode == 1
+    assert "finloc.errors.TriangularFails" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("G", [z_mod(3), codiscrete(2)], ids=["Z3", "codiscrete2"])
+def test_galois_coend_modules_share_its_base(G):
+    gc = GaloisCoend(default_site(G))
+    assert all(o.module.B is gc.B and o.duality.dual.B is gc.B
+               for o in gc.coend.objects.values())
 
 
 # codiscrete(4) has 16 arrows: P(arrows) is past MAX_CARRIER, never built

@@ -1,8 +1,10 @@
 """Module validation, duality data, the transpose, and the dual functor."""
 
+import collections
+
 import pytest
 
-from finloc.errors import NotAModule, NotDualizable, TriangularFails
+from finloc.errors import DomainMismatch, NotAModule, NotDualizable, TriangularFails
 from finloc.fixtures import CH3, P2, TWO
 from finloc.lattice import SupMorphism, check_sup_morphism, power_locale
 from finloc.modb import (
@@ -37,6 +39,17 @@ def test_broken_action_witnessed():
         BModule(B, M, lambda b, m: m)
 
 
+def test_act_and_eps_outside_their_lattices_raise_domain_mismatch():
+    B = P2()
+    mod = BModule.self_module(B)
+    d = DualityData(mod, mod, B.meet, ((B.top, B.top),))
+    stranger = frozenset({3})
+    for call in (lambda: mod.act(stranger, B.top), lambda: mod.act(B.top, stranger),
+                 lambda: d.eps(stranger, B.top), lambda: d.eps(B.top, stranger)):
+        with pytest.raises(DomainMismatch):
+            call()
+
+
 def test_unit_module_self_duality():
     for B in (TWO(), CH3(), P2()):
         mod = BModule.self_module(B)
@@ -49,8 +62,7 @@ def test_perturbed_eps_fails_triangular():
     mod = BModule.self_module(B)
     # raise one evaluation: eps(bottom, bottom) = top breaks bilinearity,
     # so perturb a join-consistent way instead: eps = join (not the meet)
-    d = DualityData(mod, mod, B.meet, ((frozenset({1}), frozenset({1})),),
-                    validate=False)
+    d = DualityData(mod, mod, B.meet, ((frozenset({1}), frozenset({1})),))
     with pytest.raises(TriangularFails) as e:
         check_duality(d)
     assert e.value.side in ("left", "right")
@@ -176,7 +188,7 @@ def test_transpose_roundtrip_on_groupoid_comodule():
 
     G = z_mod(2)
     act = representable_action(G, "*")
-    mod, dual = etale_module(G, act)
+    mod, dual = etale_module(power_locale(G.objects), act)
     L = power_locale(G.arrows)
 
     def left(b, U):
@@ -261,7 +273,10 @@ def test_bimodule_rejects_invalid_component_action():
 # The oracles are the all-pairs loops that DualityData._check_bilinear and
 # check_module ran before they became adjunction tests on index tables.  Each
 # law is a predicate on its witness, so that a reported witness can be
-# confirmed as a genuine violation.
+# confirmed as a genuine violation.  The eps oracles read a pairing: duality
+# data, or a (module, dual, eps) triple that DualityData may refuse.
+
+_Pairing = collections.namedtuple("_Pairing", "module dual eps")
 
 
 def _module_laws(B, M, act):
@@ -351,10 +366,11 @@ def _bilinear_oracle(d):
 
 
 def _reported_law(d):
-    """The law the library check reports broken, confirmed on its witness by
-    the oracle's predicate; None when the check accepts d."""
+    """The law that the DualityData constructor reports broken for the
+    pairing d, confirmed on its witness by the oracle's predicate; None when
+    it accepts d."""
     try:
-        d._check_bilinear()
+        DualityData(d.module, d.dual, d.eps, ())
     except NotDualizable as e:
         err = e
     else:
@@ -426,7 +442,7 @@ def _broken_top(x):  # fixes bottom, misses the join {1} v {2}
 def test_broken_eps_rejected_with_a_genuine_witness(kind, eps):
     B = P2()
     mod = BModule.self_module(B)
-    d = DualityData(mod, mod, eps, ((B.top, B.top),), validate=False)
+    d = _Pairing(mod, mod, eps)
     assert _bilinear_oracle(d)[0] == kind
     assert _reported_law(d) == kind
 
@@ -464,8 +480,7 @@ def test_every_one_entry_perturbation_matches_oracle(H, X):
             if other == value:
                 continue
             t = {**table, key: other}
-            d = DualityData(d0.module, d0.dual, lambda m, n, t=t: t[(m, n)],
-                            d0.eta, validate=False)
+            d = _Pairing(d0.module, d0.dual, lambda m, n, t=t: t[(m, n)])
             want = _bilinear_oracle(d)
             assert _reported_law(d) == (want and want[0])
     act = {(b, m): d0.module.act(b, m) for b in B.elements for m in M.elements}

@@ -195,7 +195,7 @@ def test_presented_vs_element_level_presentations_agree():
     # irreducible presentation and all-element presentation give equal tensors
     M, N = P2(), CH3()
     small = tensor(M, N)  # irreducible presentations (both distributive)
-    from finloc.present import ModulePresentation
+    from finloc.present import ModulePresentation, TensorLattice, _tensor_relations
 
     def all_elements(L, tag):
         rels = [(frozenset({(tag, L.bottom)}), frozenset())]
@@ -208,7 +208,8 @@ def test_presented_vs_element_level_presentations_agree():
             L, tuple((tag, e) for e in L.elements),
             {(tag, e): e for e in L.elements}, tuple(rels))
 
-    big = tensor(M, N, all_elements(M, "L"), all_elements(N, "R"))
+    pm, pn = all_elements(M, "L"), all_elements(N, "R")
+    big = TensorLattice(pm, pn, _tensor_relations(pm, pn))
     assert len(small.lattice()) == len(big.lattice())
     # pairings are identified consistently
     for m in M.elements:

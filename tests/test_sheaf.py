@@ -3,13 +3,14 @@
 import collections
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from finloc.errors import GluingFails, NotALocale
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import all_locales, power_locale
-from finloc.modb import BModule, check_duality, self_module
+from finloc.modb import check_duality, self_module
 from finloc.present import JoinPresentation, PresentedSupLattice
 from finloc.relation import LRelation, check_axioms
 from finloc.sheaf import (
@@ -237,10 +238,12 @@ def test_tilde_roundtrip_broken_action():
     M = P2()
     from finloc.errors import ValidationError
 
-    bad = BModule(P, M, lambda b, m: (m if b == 1 else M.bottom), validate=False)
+    bad = SimpleNamespace(B=P, lattice=M,
+                          act=lambda b, m: (m if b == 1 else M.bottom))
     tilde_roundtrip(bad)  # this one is actually fine
-    worse = BModule(P, M, lambda b, m: (m if b == 1 else frozenset({1}) if m != M.bottom else m),
-                    validate=False)
+    worse = SimpleNamespace(
+        B=P, lattice=M,
+        act=lambda b, m: (m if b == 1 else frozenset({1}) if m != M.bottom else m))
     with pytest.raises(ValidationError):
         tilde_roundtrip(worse)
 

@@ -4,9 +4,10 @@ import pytest
 
 from finloc import tannaka
 from finloc.errors import Mismatch, SizeBound
-from finloc.fixtures import TWO
+from finloc.fixtures import TWO, codiscrete, z_mod
+from finloc.galois import GaloisCoend, default_site
 from finloc.lattice import SupMorphism, power_locale
-from finloc.modb import BModule, DualityData, check_duality
+from finloc.modb import BModule, DualityData, check_duality, dual_value
 from finloc.tannaka import (
     Coend,
     CoendArrow,
@@ -90,10 +91,11 @@ def test_coend_z2_one_object_site():
     assert unique_cogebroide(L)
 
 
-def test_unique_cogebroide_out_of_budget_raises():
+def test_unique_cogebroide_out_of_budget_raises(monkeypatch):
     L, _ = _z2_coend()
+    monkeypatch.setattr("finloc.lattice.MAX_CARRIER", 0)
     with pytest.raises(SizeBound):
-        unique_cogebroide(L, max_candidates=0)
+        unique_cogebroide(L)
 
 
 def test_check_cogebroide_rejects_a_broken_eta():
@@ -181,3 +183,25 @@ def test_coend_requires_duality_data():
     with pytest.raises(NoDuals):
         Coend(B, [CoendObject("C", mod, None)], [])
 
+
+@pytest.mark.parametrize("coend", [
+    lambda: _z2_coend()[0],
+    lambda: GaloisCoend(default_site(z_mod(3))).coend,
+    lambda: GaloisCoend(default_site(codiscrete(2))).coend,
+], ids=["Z2-endorelations", "Z3", "codiscrete2"])
+def test_coend_reads_each_dual_only_at_generators(monkeypatch, coend):
+    # an arrow's dual is asked for once per generator of its target, at that
+    # generator's value, and at no other element of the target's carrier
+    calls = []
+
+    def spy(f, dM, dN, n):
+        calls.append((dN, n))
+        return dual_value(f, dM, dN, n)
+
+    monkeypatch.setattr(tannaka, "dual_value", spy)
+    L = coend()
+    pres = {id(o.gduality): o.gmodule.presentation for o in L.objects.values()}
+    for dN, n in calls:
+        assert n in pres[id(dN)].value.values()
+    assert len(calls) == sum(len(L.objects[f.dst].gmodule.presentation.gens)
+                             for f in L.arrows) > 0
