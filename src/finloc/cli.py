@@ -325,7 +325,7 @@ def _run_item(args):
 def run(doc: Document, selection=None, max_size: int = 4,
         parallel: int = 1) -> tuple[dict, dict]:
     checks = doc.checks
-    if selection:
+    if selection is not None:
         checks = [c for c in checks if c.get("check") in selection]
     t0 = time.perf_counter()
     timings = {}

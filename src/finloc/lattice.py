@@ -5,9 +5,9 @@ element (its up-set over element indices) and its down-set rows.  Every
 finite lattice is its family of principal down-sets ordered by inclusion,
 so one step validates all lattices: `FiniteSupLattice._tabulate`, for a
 family of sets closed under intersection, given as int masks, checked
-against its meet-irreducible members.  The n x n join and meet tables are
-built from the masks the first time they are read, so that a lattice only
-counted or scanned never pays for them.
+against its meet-irreducible members.  A lattice keeps only its rows and
+no table: the join of x and y is the element whose up-set row is the AND
+of theirs, and their meet the one whose down-set row is.
 `from_closed_sets` passes such families on (power sets, down-set
 lattices, presented lattices, and function lattices as blocks of down-set
 rows), and `from_order` checks an order given as a predicate and passes on
@@ -38,10 +38,9 @@ from .errors import (
     SizeBound,
 )
 
-# The one carrier bound.  A carrier keeps n-bit up and down rows, and builds
-# its two n x n index tables only when they are read, so memory grows as n^2
-# either way: P(12), 4,096 elements, builds in 0.04 s at 22 MB peak RSS, and
-# reading both its tables takes 4.1 s more at 281 MB (2 cores, Python 3.11).
+# The one carrier bound.  A carrier keeps n-bit up and down rows, 2 n^2 bits
+# in all: 4 MB at the bound.  Tables over a product of two carriers (a
+# module's action, eps) are not bounded by it yet (ROADMAP item 4).
 MAX_CARRIER = 4096
 
 
@@ -84,25 +83,20 @@ class Violation:
 class FiniteSupLattice:
     """A finite poset with all joins (hence all meets): a complete lattice."""
 
-    __slots__ = ("elements", "_ix", "_up", "_up_ix", "_downs", "_masks",
-                 "_jn", "_mt", "_bot_i", "_top_i")
+    __slots__ = ("elements", "_ix", "_up", "_up_ix", "_downs", "_bot_i",
+                 "_top_i")
 
-    def __init__(self, elements, up, up_ix, downs, masks, bot_i, top_i,
-                 jn=None, mt=None):
+    def __init__(self, elements, up, up_ix, downs, bot_i, top_i):
         # Trusted constructor; build_suplattice, from_order and
-        # from_closed_sets validate in _tabulate.  downs is (down-set rows,
-        # row -> index), masks (member masks, mask -> index); jn and mt are
-        # None until join_table and meet_table first build them.
+        # from_closed_sets validate in _tabulate.  up_ix is up-set row ->
+        # index, downs is (down-set rows, row -> index).
         self.elements = elements
         self._ix = {e: i for i, e in enumerate(elements)}
         self._up = up
         self._up_ix = up_ix
         self._downs = downs
-        self._masks = masks
         self._bot_i = bot_i
         self._top_i = top_i
-        self._jn = jn
-        self._mt = mt
 
     # -- construction ---------------------------------------------------
 
@@ -190,8 +184,8 @@ class FiniteSupLattice:
         a & b is a member for all a and b.  Only when
         there is no top or this check fails is every pair scanned, joins
         before meets in row-major order, and the first pair without one
-        raises MissingJoin.  No table is built here: `join_table` and
-        `meet_table` build theirs on first read.
+        raises MissingJoin.  The masks are not kept: once the family is a
+        lattice, its up and down rows answer every join and meet.
         """
         up_ix = {u: i for i, u in enumerate(up)}
         down_ix = {d: i for i, d in enumerate(down)}
@@ -202,7 +196,7 @@ class FiniteSupLattice:
         if top_i is None or not all(all(map(member, map(m.__and__, masks)))
                                     for m in meet_irr):
             _missing_bound(elements, masks, ix, up, up_ix)
-        return cls(elements, up, up_ix, (down, down_ix), (masks, ix), bot_i, top_i)
+        return cls(elements, up, up_ix, (down, down_ix), bot_i, top_i)
 
     # -- basic queries ----------------------------------------------------
 
@@ -232,21 +226,24 @@ class FiniteSupLattice:
     def leq(self, x, y) -> bool:
         return (self._up[self.index(x)] >> self.index(y)) & 1 == 1
 
-    # join, meet and join_all read a table from its slot once it is built,
-    # and call join_table or meet_table only to build it
+    # the join of x and y is the element whose up-set row is up[x] & up[y],
+    # their meet the one whose down-set row is down[x] & down[y]
     def join(self, x, y):
-        jn = self._jn or self.join_table
-        return self.elements[jn[self.index(x)][self.index(y)]]
+        up = self._up
+        return self.elements[self._up_ix[up[self.index(x)] & up[self.index(y)]]]
 
     def meet(self, x, y):
-        mt = self._mt or self.meet_table
-        return self.elements[mt[self.index(x)][self.index(y)]]
+        down, down_ix = self._downs
+        return self.elements[down_ix[down[self.index(x)] & down[self.index(y)]]]
 
     def join_all(self, xs: Iterable):
-        i, jn = self._bot_i, self._jn or self.join_table
+        # join_index's fold, inlined: join_all is called per element of
+        # every morphism locale_morphisms builds
+        up, index = self._up, self.index
+        u = up[self._bot_i]  # the bottom's up row is all ones
         for x in xs:
-            i = jn[i][self.index(x)]
-        return self.elements[i]
+            u &= up[index(x)]
+        return self.elements[self._up_ix[u]]
 
     def down_set(self, x):
         xi = self.index(x)
@@ -262,26 +259,19 @@ class FiniteSupLattice:
     def top_index(self) -> int:
         return self._top_i
 
-    @property
-    def join_table(self) -> list:
-        """join_table[i][j] is the index of the join of elements i and j,
-        built on first read: the member masks[i] | masks[j], or else the
-        member whose up-set row is up[i] & up[j]."""
-        if self._jn is None:
-            masks, ix = self._masks
-            try:
-                self._jn = _index_table(masks, ix, "__or__")
-            except KeyError:  # some union is no member
-                self._jn = _index_table(self._up, self._up_ix, "__and__")
-        return self._jn
+    def join_index(self, idxs: Iterable) -> int:
+        """The index of the join of the elements with indices idxs: the AND
+        of their up rows, from the bottom's row (all ones), looked up once."""
+        up = self._up
+        u = up[self._bot_i]
+        for i in idxs:
+            u &= up[i]
+        return self._up_ix[u]
 
-    @property
-    def meet_table(self) -> list:
-        """meet_table[i][j] is the index of the meet of elements i and j,
-        built on first read: the member masks[i] & masks[j]."""
-        if self._mt is None:
-            self._mt = _index_table(*self._masks, "__and__")
-        return self._mt
+    def meet_row(self, i: int) -> list:
+        """meet_row(i)[j] is the index of the meet of elements i and j."""
+        down, down_ix = self._downs
+        return list(map(down_ix.__getitem__, map(down[i].__and__, down)))
 
     def join_irreducibles(self) -> tuple:
         """Elements that are not the join of their strict down-set.
@@ -339,13 +329,6 @@ def _inclusion_rows(masks) -> tuple[list, list]:
         up.append(u)
         down.append(d)
     return up, down
-
-
-def _index_table(rows, ix: dict, op: str) -> list:
-    """t[i][j] = ix[rows[i] op rows[j]] for the int method op; a miss raises
-    KeyError, so a complete table needs no scan for gaps."""
-    at = ix.__getitem__
-    return [list(map(at, map(getattr(r, op), rows))) for r in rows]
 
 
 def _missing_bound(elements, masks, ix: dict, up, up_ix: dict):
@@ -406,14 +389,13 @@ def is_frame(L: FiniteSupLattice):
     the first bad triple in canonical element order: the first failing row
     is scanned for its first bad pair.
     """
-    els = L.elements
-    for a, row in zip(els, L.meet_table):
+    els, jn = L.elements, L.join_index
+    for a in range(len(els)):
+        row = L.meet_row(a)
         if join_failure(row, L, L) is not None:
-            jn = L.join_table
-            y, z = next((y, z) for y, jy in enumerate(jn)
-                        for z, k in enumerate(jy)
-                        if row[k] != jn[row[y]][row[z]])
-            return False, (a, els[y], els[z])
+            y, z = next((y, z) for y in range(len(els)) for z in range(len(els))
+                        if row[jn((y, z))] != jn((row[y], row[z])))
+            return False, (els[a], els[y], els[z])
     return True, None
 
 
@@ -429,8 +411,7 @@ class FiniteLocale(FiniteSupLattice):
             raise NotAFrame(
                 f"meet does not distribute over join at {witness!r}", witness=witness
             )
-        return cls(L.elements, L._up, L._up_ix, L._downs, L._masks, L._bot_i,
-                   L._top_i, L._jn, L._mt)
+        return cls(L.elements, L._up, L._up_ix, L._downs, L._bot_i, L._top_i)
 
 
 def build_locale(elements, leq_pairs) -> FiniteLocale:
@@ -485,10 +466,6 @@ class SupMorphism:
         return f"<SupMorphism {len(self.dom)}->{len(self.cod)}>"
 
 
-def identity_morphism(L: FiniteSupLattice) -> SupMorphism:
-    return SupMorphism(L, L, {x: x for x in L.elements})
-
-
 def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
     """Where an index map f: D -> C fails to preserve joins, or None.
 
@@ -517,11 +494,10 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
     for s in pre:
         if s in down_ix:
             continue
-        djn, cjn = D.join_table, C.join_table
         g = D._bot_i
         for i in _bits(s):
-            gi = djn[g][i]
-            if f[gi] != cjn[f[g]][f[i]]:
+            gi = D.join_index((g, i))
+            if f[gi] != C.join_index((f[g], f[i])):
                 return g, i
             g = gi
         return next(_bits(down[g] & ~s)), g
@@ -529,15 +505,12 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
 
 
 def _dual(L: FiniteSupLattice) -> FiniteSupLattice:
-    """L with the order reversed, a view on L's own rows and tables: down
-    rows become up rows, join and meet swap, and so do bottom and top.  Up
-    rows under inclusion are the reversed order, so they are its masks.
-    `join_failure` reads only the view's join table, so that one is built
-    on L, where it is kept, and L's join table is passed only if built."""
+    """L with the order reversed, a view on L's own rows: down rows become up
+    rows and up rows down rows, so join and meet swap, and so do bottom and
+    top."""
     down, down_ix = L._downs
-    ups = (L._up, L._up_ix)
-    return FiniteSupLattice(L.elements, down, down_ix, ups, ups, L._top_i,
-                            L._bot_i, L.meet_table, L._jn)
+    return FiniteSupLattice(L.elements, down, down_ix, (L._up, L._up_ix),
+                            L._top_i, L._bot_i)
 
 
 def _preservation(f, D, C, bottom: str, join: str) -> Violation | None:

@@ -68,10 +68,6 @@ class BModule:
         return f"<BModule over {len(self.B)}-locale, carrier {len(self.lattice)}>"
 
 
-def self_module(B: FiniteLocale) -> BModule:
-    return BModule.self_module(B)
-
-
 def _action_table(B: FiniteLocale, M: FiniteSupLattice, act) -> list:
     return [[M.index(act(b, m)) for m in M.elements] for b in B.elements]
 
@@ -97,7 +93,7 @@ def _module_violation(B: FiniteLocale, M: FiniteSupLattice, A) -> Violation | No
             return Violation("m-slot bottom", (b,))
         if bad:
             return Violation("m-slot join", (b, Mel[bad[0]], Mel[bad[1]]))
-    bmt, top = B.meet_table, B.top_index
+    bmt, top = list(map(B.meet_row, range(len(Bel)))), B.top_index
     for mi, m in enumerate(Mel):
         col = [row[mi] for row in A]
         bad = join_failure(col, B, M)
@@ -162,10 +158,10 @@ class DualityData:
                 n, n2 = Nel[bad[0]], Nel[bad[1]]
                 raise NotDualizable(f"eps not join-linear at ({n!r}, {n2!r}, {m!r})",
                                     witness=(n, n2, m))
-        bmt, dual_B = B.meet_table, self.dual.B
+        dual_B = self.dual.B
         for bi, (b, mrow) in enumerate(zip(B.elements, self.module.table)):
             nrow = self.dual.table[dual_B.index(b)]
-            meet_b = bmt[bi]
+            meet_b = B.meet_row(bi)
             for mi, row in enumerate(E):
                 want = [meet_b[v] for v in row]
                 got, got_dual = E[mrow[mi]], [row[k] for k in nrow]
@@ -262,14 +258,3 @@ def dual_morphism(f, dM: DualityData, dN: DualityData) -> SupMorphism:
     Ndual = dN.dual.lattice
     return SupMorphism(Ndual, dM.dual.lattice,
                        {n: dual_value(f, dM, dN, n) for n in Ndual.elements})
-
-
-def duality_iso(d1: DualityData, d2: DualityData) -> SupMorphism:
-    """Canonical comparison M^_1 -> M^_2 between two duals of the same module.
-
-    Built as the dual of the identity through the two dualities; the caller
-    checks it is an isomorphism commuting with the evaluations.
-    """
-    if d1.module.lattice.elements != d2.module.lattice.elements:
-        raise NotDualizable("dualities are not over the same module")
-    return dual_morphism(lambda m: m, d2, d1)

@@ -212,10 +212,6 @@ class PresentedSupLattice:
                 f"{len(self.presentation.relations)} relations>")
 
 
-def quotient(p: JoinPresentation) -> PresentedSupLattice:
-    return PresentedSupLattice(p)
-
-
 def check_relations(q: PresentedSupLattice, assign: dict, join_all) -> None:
     """The generator assignment is defined everywhere and sends both sides of
     every relation to one `join_all`, so it extends to a sup-morphism out of
@@ -241,11 +237,6 @@ def induced_morphism(q: PresentedSupLattice, assign: dict,
     lat = q.lattice()
     table = {c: M.join_all(assign[g] for g in c) for c in lat.elements}
     return SupMorphism(lat, M, table)
-
-
-def induced_value(assign: dict, M: FiniteSupLattice, x: PElement):
-    """Value of the induced morphism on one element, without materializing."""
-    return M.join_all(assign[g] for g in x.raw)
 
 
 # -- presentations of existing lattices -------------------------------------

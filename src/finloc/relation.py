@@ -244,14 +244,9 @@ def selfduality(H: FiniteLocale, X, cap: int = MAX_CARRIER) -> DualityData:
         raise SizeBound(f"|H|^|X| = {len(H) ** len(X)} exceeds cap {cap}")
     fl = function_lattice(H, X)
     mod = BModule.function_module(fl)
-    jn, mt = H.join_table, H.meet_table
-    ix = {t: tuple(map(H.index, t)) for t in fl.elements}
 
     def eps(theta, psi):
-        i = H.bottom_index
-        for a, b in zip(ix[theta], ix[psi]):
-            i = jn[i][mt[a][b]]
-        return H.elements[i]
+        return H.join_all(map(H.meet, theta, psi))
 
     eta = tuple((fl.singleton(x), fl.singleton(x)) for x in fl.domain)
     d = DualityData(mod, mod, eps, eta)

@@ -326,24 +326,21 @@ def check_module_axioms(mu: dict, dX: DiscreteModule, dY: DiscreteModule,
 def selfdual_Xd(d: DiscreteModule) -> DualityData:
     """X_d is self-dual: eta sums delta pairs, eps is the equality bracket.
 
-    The bracket is tabulated once per pair of generators; eps(theta, psi)
-    is the join of the table over theta x psi, and `DualityData` tabulates
+    The bracket is tabulated once per pair of generators, and the
+    generators of each element once; eps(theta, psi) is the join of the
+    distinct bracket values over theta x psi, and `DualityData` tabulates
     it once per pair of elements.
     """
     P = d.sheaf.P
     gens = d.sheaf.total()
     gi = {g: k for k, g in enumerate(gens)}
     bracket = [[P.index(eq_bracket(d, gx, gy)) for gy in gens] for gx in gens]
-    jn, bot = P.join_table, P.bottom_index
+    ix = {t: [gi[g] for g in t] for t in d.lattice.elements}
 
     def eps(theta, psi):
-        k = bot
-        cols = [gi[gy] for gy in psi]
-        for gx in theta:
-            row = bracket[gi[gx]]
-            for c in cols:
-                k = jn[k][row[c]]
-        return P.elements[k]
+        cols = ix[psi]
+        return P.elements[P.join_index(
+            {bracket[a][c] for a in ix[theta] for c in cols})]
 
     eta = tuple((d.delta[g], d.delta[g]) for g in gens)
     dd = DualityData(d.module, d.module, eps, eta)
@@ -391,11 +388,6 @@ def constant_sheaf(P: FiniteLocale, X) -> FiniteSheaf:
                 s: tuple(s[i] for i in pos) for s in sections[p]
             }
     return check_sheaf(P, sections, restrict)
-
-
-def constant_section(P: FiniteLocale, x):
-    """The image of x under the unit at the top level."""
-    return tuple(x for _ in _components(P, P.top))
 
 
 @dataclass(frozen=True)

@@ -368,12 +368,6 @@ class Coend:
         return out
 
 
-def end_wedge(B, objects, arrows) -> Coend:
-    L = Coend(B, objects, arrows)
-    L.check_cogebroide()
-    return L
-
-
 # -- comodules over a coend (generic, formal representation) -------------------
 
 

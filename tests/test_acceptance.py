@@ -127,12 +127,12 @@ def test_criterion_4_self_duality():
 def test_criterion_5_internal_external_axiom_equivalence():
     """Stalkwise axioms agree with the module-level axioms over P2."""
     t0 = time.perf_counter()
-    from finloc.modb import self_module
+    from finloc.modb import BModule
     from finloc.relation import AxiomReport
     from finloc.sheaf import build_Xd, check_module_axioms, etale_sheaf, mu_from_lambda
 
     P = P2()
-    H = self_module(P)
+    H = BModule.self_module(P)
     omega = TWO()
     shapes = [(a, b) for a in range(3) for b in range(3)]
     built = {}

@@ -297,6 +297,20 @@ def test_declared_chain_of_100_validates(tmp_path):
     assert main(["validate", "--input", str(path)]) == 0
 
 
+def test_validate_runs_no_check(tmp_path, capsys, monkeypatch):
+    # validate parses the document only; its checks are not run or timed
+    path = tmp_path / "checks.json"
+    path.write_text(json.dumps({"version": 1, "checks": [
+        {"check": "equivalence", "groupoid": "Z2", "max_size": 4},
+        {"check": "frame", "lattice": "M3nope"}]}))
+    ran = []
+    monkeypatch.setattr(cli, "run_check", lambda *args: ran.append(args))
+    assert main(["validate", "--input", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["timings"]["per_check"], ran) == ({}, [])
+    assert out["summary"] == {"pass": 1, "fail": 0, "total": 1}
+
+
 def test_declared_carrier_past_the_bound_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"version": 1, "lattices": [

@@ -35,14 +35,13 @@ from finloc.lattice import (
     check_sup_morphism,
     extend_to_free,
     function_lattice,
-    identity_morphism,
     is_frame,
     locale_morphisms,
     points,
     power_locale,
     presented_locale_morphism,
 )
-from finloc.modb import BModule, self_module
+from finloc.modb import BModule
 
 
 def test_build_two():
@@ -185,7 +184,7 @@ def test_is_frame_matches_triple_loop():
 
 def test_sup_morphism_examples():
     omega = TWO()
-    assert check_sup_morphism(identity_morphism(omega)) is None
+    assert check_sup_morphism(SupMorphism(omega, omega, {x: x for x in omega})) is None
     to_top = SupMorphism(omega, omega, {0: 1, 1: 1})
     bad = check_sup_morphism(to_top)
     assert bad and bad.kind == "bottom"
@@ -203,7 +202,7 @@ def test_locale_morphism_examples():
     bad = check_locale_morphism(nonempty)
     assert bad and bad.kind == "meet"
     assert set(bad.witness) == {frozenset({1}), frozenset({2})}
-    assert check_locale_morphism(identity_morphism(p2)) is None
+    assert check_locale_morphism(SupMorphism(p2, p2, {x: x for x in p2})) is None
 
 
 def test_power_locale():
@@ -226,8 +225,8 @@ def test_power_locale_matches_generic_construction():
         assert (p.bottom, p.top) == (frozenset(), frozenset(range(k)))
         assert p._up == [sum(1 << j for j, b in enumerate(els) if a <= b)
                          for a in els]
-        assert p.join_table == [[ix[a | b] for b in els] for a in els]
-        assert p.meet_table == [[ix[a & b] for b in els] for a in els]
+        assert _tables(p) == ([[ix[a | b] for b in els] for a in els],
+                              [[ix[a & b] for b in els] for a in els])
 
 
 def test_function_lattice_sizes():
@@ -265,7 +264,7 @@ def test_extend_to_free_identity_on_powerset():
 def test_extend_to_free_constant_bottom():
     H = CH3()
     fl = function_lattice(H, ("x", "y"))
-    mod = self_module(H)
+    mod = BModule.self_module(H)
     g = extend_to_free(fl, {"x": H.bottom, "y": H.bottom}, mod)
     assert all(g(t) == H.bottom for t in fl.elements)
 
@@ -273,7 +272,7 @@ def test_extend_to_free_constant_bottom():
 def test_extend_to_free_random_assignments_exhaustive():
     H = CH3()
     fl = function_lattice(H, ("a", "b", "c"))
-    mod = self_module(H)
+    mod = BModule.self_module(H)
     import random
 
     rng = random.Random(7)
@@ -299,7 +298,7 @@ def test_presented_locale_morphism_singleton_identity():
 
 def test_presented_locale_morphism_condition_failures():
     omega = TWO()
-    mod = self_module(omega)
+    mod = BModule.self_module(omega)
     with pytest.raises(ConditionIIFails) as e:
         presented_locale_morphism(omega, (1, 2), {1: 1, 2: 1}, mod)
     assert e.value.witness == (1, 2)
@@ -485,6 +484,18 @@ def _least_of_tables(elements, leq):
     return jn, mt, bot, top
 
 
+def _tables(L):
+    """L's join and meet tables, read pair by pair through `join` and `meet`;
+    the index accessors `join_index` and `meet_row` give the same rows."""
+    els, n = L.elements, len(L)
+    ix = {e: i for i, e in enumerate(els)}
+    jn = [[ix[L.join(a, b)] for b in els] for a in els]
+    mt = [[ix[L.meet(a, b)] for b in els] for a in els]
+    assert [[L.join_index((i, j)) for j in range(n)] for i in range(n)] == jn
+    assert list(map(L.meet_row, range(n))) == mt
+    return jn, mt
+
+
 def test_from_order_tables_match_least_of_oracle():
     from finloc.present import tensor
 
@@ -494,7 +505,7 @@ def test_from_order_tables_match_least_of_oracle():
     for L in lattices:
         got = FiniteSupLattice.from_order(L.elements, L.leq)
         want = _least_of_tables(L.elements, L.leq)
-        assert (got.join_table, got.meet_table, got.bottom_index, got.top_index) == want
+        assert (*_tables(got), got.bottom_index, got.top_index) == want
     assert len(lattices[-1]) == 64
 
 
@@ -530,7 +541,7 @@ def _assert_matches_oracle(L, leq):
     down = [sum(1 << j for j, u in enumerate(up) if u >> i & 1)
             for i in range(len(els))]
     assert (L._up, L._downs[0]) == (up, down)
-    assert (L.join_table, L.meet_table, L.bottom_index, L.top_index) \
+    assert (*_tables(L), L.bottom_index, L.top_index) \
         == _least_of_tables(els, leq)
 
 
@@ -568,7 +579,7 @@ def test_from_closed_sets_tables_match_least_of_oracle():
             # and the join of two closed sets is the closure of their union
             masks = [sum(1 << q._gi[g] for g in s) for s in L.elements]
             close = functools.cache(q._close)  # many pairs share a union
-            for mi, row in zip(masks, L.join_table):
+            for mi, row in zip(masks, _tables(L)[0]):
                 assert [masks[k] for k in row] == [close(mi | mj) for mj in masks]
         count += 1
     assert count == 9 + 36 + 23 + 1 + 60  # P(0)..P(8), locales, tensors, M3 (x) TWO, X_d
@@ -690,7 +701,6 @@ def _assert_matches_pairwise_scan(masks):
         assert want is not None and want[0] in str(e) and e.witness == want[1]
         return
     assert want is None
-    assert (L._jn, L._mt) == (None, None)  # accepted with no table built
     _assert_matches_oracle(L, operator.le)
 
 
@@ -724,45 +734,23 @@ def test_from_closed_sets_fixed_families_match_the_pairwise_scan(sets):
     _assert_matches_pairwise_scan(_family(*sets)[1])
 
 
-def test_no_table_until_read(monkeypatch):
-    """Building a lattice builds neither table; the first read builds one,
-    which matches the oracle, and later reads reuse it."""
-    from finloc import sheaf
-    from finloc.present import tensor
+def test_join_meet_and_join_all_at_the_bound_fit_256_mb():
+    """On P(4) (x) P(3), 4,096 elements, join, meet and join_all are read
+    off the rows, under python -O: an n x n table would overflow this
+    address space.  The tensor is free on 12 generators, so join is union
+    and meet intersection."""
+    from test_galois import _run_python_O
 
-    M, N = power_locale(range(2)), power_locale(range(5))
-    X = max(sheaf.enumerate_sheaves(P2(), 3), key=lambda X: len(X.total()))
-    for L in (M, N, X.P):  # tensor and build_Xd read these tables
-        L.join_table, L.meet_table
-    built, index_table = [], lattice._index_table
-
-    def counted(*args):
-        built.append(args)
-        return index_table(*args)
-
-    monkeypatch.setattr(lattice, "_index_table", counted)
-    T = tensor(M, N).lattice()
-    assert len(T) == 1024 and built == []
-    # P(2) (x) P(5) is free on 10 generators: join is union, meet intersection
-    ix = {e: i for i, e in enumerate(T.elements)}
-    assert T.join_table == [[ix[a | b] for b in T.elements] for a in T.elements]
-    assert T.meet_table == [[ix[a & b] for b in T.elements] for a in T.elements]
-    a, b = T.elements[1:3]
-    assert (T.join(a, b), T.meet(a, b), len(built)) == (a | b, a & b, 2)
-
-    module, handed = sheaf.BModule, []
-
-    def watched(P, lat, *args, **kwargs):
-        m = module(P, lat, *args, **kwargs)
-        handed.append((lat, len(built)))
-        return m
-
-    monkeypatch.setattr(sheaf, "BModule", watched)
-    built.clear()
-    d = sheaf.build_Xd(X)
-    [(lat, count)] = handed  # the X_d lattice and its module, both validated
-    assert lat is d.lattice and len(lat) == 64 and count == 0
-    _assert_matches_oracle(lat, operator.le)
+    proc = _run_python_O(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from finloc.lattice import power_locale\n"
+        "from finloc.present import tensor\n"
+        "T = tensor(power_locale(range(4)), power_locale(range(3))).lattice()\n"
+        "a, b = T.elements[100], T.elements[-100]\n"
+        "print(T.join(a, b) == T.join_all([a, b]) == a | b, T.meet(a, b) == a & b)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_tensor_at_the_bound_fits_256_mb():

@@ -8,33 +8,33 @@ from finloc import lattice
 from finloc.errors import RelationViolated, SizeBound
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import check_sup_morphism, power_locale
-from finloc.modb import BModule, self_module
+from finloc.modb import BModule
 from finloc.present import (
     JoinPresentation,
+    PresentedSupLattice,
     induced_morphism,
     lattice_presentation,
-    quotient,
     tensor,
     tensor_over,
 )
 
 
 def test_free_on_one_generator_is_two():
-    q = quotient(JoinPresentation(("g",), ()))
+    q = PresentedSupLattice(JoinPresentation(("g",), ()))
     lat = q.lattice()
     assert len(lat) == 2
     assert q.gen_class("g").closure == frozenset({"g"})
 
 
 def test_collapsing_two_generators():
-    q = quotient(JoinPresentation(
+    q = PresentedSupLattice(JoinPresentation(
         ("g", "h"), ((frozenset({"g"}), frozenset({"h"})),)))
     assert q.closure({"g"}) == frozenset({"g", "h"})
     assert len(q.lattice()) == 2
 
 
 def test_generator_collapsed_to_bottom():
-    q = quotient(JoinPresentation(("g",), ((frozenset({"g"}), frozenset()),)))
+    q = PresentedSupLattice(JoinPresentation(("g",), ((frozenset({"g"}), frozenset()),)))
     assert len(q.lattice()) == 1
     assert q.gen_class("g") == q.bottom
 
@@ -42,7 +42,7 @@ def test_generator_collapsed_to_bottom():
 def test_closure_is_extensive_monotone_idempotent():
     rels = ((frozenset({"a", "b"}), frozenset({"c"})),
             (frozenset({"c"}), frozenset({"d"})))
-    q = quotient(JoinPresentation(("a", "b", "c", "d"), rels))
+    q = PresentedSupLattice(JoinPresentation(("a", "b", "c", "d"), rels))
     subsets = [frozenset(s) for r in range(5)
                for s in itertools.combinations("abcd", r)]
     for s in subsets:
@@ -58,7 +58,7 @@ def test_closure_is_extensive_monotone_idempotent():
 
 def test_induced_morphism_universal_property():
     rels = ((frozenset({"g"}), frozenset({"h"})),)
-    q = quotient(JoinPresentation(("g", "h"), rels))
+    q = PresentedSupLattice(JoinPresentation(("g", "h"), rels))
     omega = TWO()
     f = induced_morphism(q, {"g": 1, "h": 1}, omega)
     assert check_sup_morphism(f) is None
@@ -69,7 +69,7 @@ def test_induced_morphism_universal_property():
 
 
 def test_induced_morphism_free_presentation_always_succeeds():
-    q = quotient(JoinPresentation(("g", "h"), ()))
+    q = PresentedSupLattice(JoinPresentation(("g", "h"), ()))
     p2 = P2()
     for gv in p2.elements:
         for hv in p2.elements:
@@ -80,7 +80,7 @@ def test_induced_morphism_free_presentation_always_succeeds():
 
 def test_induced_morphism_uniqueness():
     # any sup-morphism agreeing on generator classes is the induced one
-    q = quotient(JoinPresentation(
+    q = PresentedSupLattice(JoinPresentation(
         ("g", "h"), ((frozenset({"g", "h"}), frozenset({"g"})),)))
     lat = q.lattice()
     p2 = P2()
@@ -173,7 +173,7 @@ def test_tensor_with_nondistributive_factor():
 
 def test_tensor_over_unit_law():
     for B in (TWO(), CH3(), P2()):
-        mod = self_module(B)
+        mod = BModule.self_module(B)
         T = tensor_over(B, mod, mod)
         lat = T.lattice()
         assert len(lat) == len(B)
@@ -224,7 +224,7 @@ def test_presented_vs_element_level_presentations_agree():
 def test_lattice_presentation_roundtrip():
     for L in (TWO(), CH3(), P2(), M3()):
         pres = lattice_presentation(L)
-        q = quotient(JoinPresentation(pres.gens, pres.relations))
+        q = PresentedSupLattice(JoinPresentation(pres.gens, pres.relations))
         assert len(q.lattice()) == len(L)
 
 
@@ -299,7 +299,7 @@ def test_random_presentations_closure_laws(data):
         s = frozenset(data.draw(st.sets(st.sampled_from(gens), max_size=3)))
         t = frozenset(data.draw(st.sets(st.sampled_from(gens), max_size=3)))
         rels.append((s, t))
-    q = quotient(JoinPresentation(gens, tuple(rels)))
+    q = PresentedSupLattice(JoinPresentation(gens, tuple(rels)))
     sub = frozenset(data.draw(st.sets(st.sampled_from(gens), max_size=5)))
     c = q.closure(sub)
     assert sub <= c
@@ -315,17 +315,15 @@ def test_random_presentations_closure_laws(data):
 
 def test_induced_value_matches_materialized_morphism():
     # the lazy evaluation agrees with the materialized induced morphism
-    from finloc.present import induced_value
-
     rels = ((frozenset({"g", "h"}), frozenset({"g"})),)
-    q = quotient(JoinPresentation(("g", "h"), rels))
+    q = PresentedSupLattice(JoinPresentation(("g", "h"), rels))
     p2 = P2()
     assign = {"g": p2.top, "h": frozenset({1})}
     f = induced_morphism(q, assign, p2)
     for raw in (frozenset(), frozenset({"g"}), frozenset({"h"}),
                 frozenset({"g", "h"})):
         el = q.element(raw)
-        assert induced_value(assign, p2, el) == f(el.closure)
+        assert p2.join_all(assign[g] for g in el.raw) == f(el.closure)
 
 
 def test_dropped_presentation_is_freed_without_the_cycle_collector():
@@ -379,7 +377,7 @@ def test_tensor_over_counts_its_balanced_relations(monkeypatch):
     # P2 is presented on its 2 atoms with no relations; over P2 the tensor
     # adds one relation per (b, g, h): 4 x 2 x 2
     B = P2()
-    mod = self_module(B)
+    mod = BModule.self_module(B)
     monkeypatch.setattr(lattice, "MAX_CARRIER", 15)
     with pytest.raises(SizeBound, match="balanced relation list of the tensor has 16"):
         tensor_over(B, mod, mod)

@@ -10,15 +10,15 @@ import pytest
 from finloc.errors import GluingFails, NotALocale
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import all_locales, power_locale
-from finloc.modb import check_duality, self_module
+from finloc.modb import BModule, check_duality
 from finloc.present import JoinPresentation, PresentedSupLattice
 from finloc.relation import LRelation, check_axioms
 from finloc.sheaf import (
     FiniteSheaf,
+    _components,
     build_Xd,
     check_module_axioms,
     check_sheaf,
-    constant_section,
     constant_sheaf,
     enumerate_sheaves,
     eq_bracket,
@@ -227,7 +227,7 @@ def test_eq_bracket_scaling_identity_exhaustive():
 
 def test_tilde_roundtrip_base_and_Xd():
     for P in (TWO(), CH3(), P2()):
-        tilde_roundtrip(self_module(P))
+        tilde_roundtrip(BModule.self_module(P))
     X = etale_sheaf((1, 2), ("a", "b"), {"a": 1, "b": 2})
     tilde_roundtrip(build_Xd(X).module)
 
@@ -250,7 +250,7 @@ def test_tilde_roundtrip_broken_action():
 
 def _omega_p_module(P):
     """Omega_P as a P-module: P acting on itself by meet."""
-    return self_module(P)
+    return BModule.self_module(P)
 
 
 def test_mu_lambda_diagonal_gives_bracket():
@@ -430,7 +430,8 @@ def test_constant_sheaf_over_two_is_identity():
     P = TWO()
     X = constant_sheaf(P, ("a", "b"))
     assert len(X.sections[1]) == 2
-    assert constant_section(P, "a") == ("a",)
+    # the top of TWO is connected: a constant section there is one value
+    assert len(_components(P, P.top)) == 1
 
 
 def test_constant_sheaf_p2_singleton():
@@ -479,7 +480,6 @@ def test_enumerate_sheaves_lets_a_validation_failure_through(monkeypatch):
 
 def test_generator_pairs_jump_to_common_support():
     # dx (x) dy equals the pair of restrictions to the common open
-    from finloc.modb import self_module
     from finloc.present import tensor_over
 
     for P in (CH3(), P2()):
@@ -520,10 +520,9 @@ def test_split_base_pullback_module_is_tensor_with_factor():
 def test_externalized_supremum_formula():
     # the join of a natural family through the section-sum equals the join
     # of its restriction-closed image
-    from finloc.modb import self_module
 
     P = P2()
-    M = self_module(P)
+    M = BModule.self_module(P)
     X = etale_sheaf((1, 2), ("a", "b"), {"a": 1, "b": 2})
     import itertools as it
 

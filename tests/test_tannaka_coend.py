@@ -13,11 +13,16 @@ from finloc.tannaka import (
     CoendArrow,
     CoendObject,
     comodule_holds,
-    end_wedge,
     lifting,
     tensor_equal,
     unique_cogebroide,
 )
+
+
+def _wedge(B, objects, arrows) -> Coend:
+    L = Coend(B, objects, arrows)
+    L.check_cogebroide()
+    return L
 
 
 def _self_dual_base(B):
@@ -27,7 +32,7 @@ def _self_dual_base(B):
 
 def test_coend_trivial_category_is_base():
     B = TWO()
-    L = end_wedge(B, [_self_dual_base(B)], [])
+    L = _wedge(B, [_self_dual_base(B)], [])
     assert len(L.lattice()) == 2
 
 
@@ -36,7 +41,7 @@ def test_coend_two_discrete_objects():
     mod = BModule.self_module(B)
     d = DualityData(mod, mod, B.meet, ((B.top, B.top),))
     objs = [CoendObject("C", mod, d), CoendObject("D", mod, d)]
-    L = end_wedge(B, objs, [])
+    L = _wedge(B, objs, [])
     assert len(L.lattice()) == 4
 
 
@@ -72,7 +77,7 @@ def _z2_coend():
         CoendArrow("swap", "G", "G", swap),
         CoendArrow("full", "G", "G", full),
     ]
-    return end_wedge(TWO(), [obj], arrows), mod
+    return _wedge(TWO(), [obj], arrows), mod
 
 
 def test_coend_z2_one_object_site():
