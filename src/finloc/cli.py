@@ -313,13 +313,17 @@ def _selftest(max_size: int) -> dict:
 # -- orchestration ---------------------------------------------------------
 
 
-def _run_item(args):
-    """One check in a worker process: its result and its own elapsed time."""
-    raw, item, max_size = args
-    doc = Document(raw)
+def _timed_check(doc: Document, item: dict, max_size: int):
+    """One check's result and its own elapsed time."""
     t1 = time.perf_counter()
     r = run_check(doc, item, max_size)
     return r, round(time.perf_counter() - t1, 6)
+
+
+def _run_item(args):
+    """`_timed_check` in a worker process, on the raw document."""
+    raw, item, max_size = args
+    return _timed_check(Document(raw), item, max_size)
 
 
 def run(doc: Document, selection=None, max_size: int = 4,
@@ -328,23 +332,19 @@ def run(doc: Document, selection=None, max_size: int = 4,
     if selection is not None:
         checks = [c for c in checks if c.get("check") in selection]
     t0 = time.perf_counter()
-    timings = {}
-    results = []
     # the fork start method starts every worker at once: ask for no more
     # than there are checks to run and cores to run them
     workers = min(parallel, len(checks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, elapsed in pool.map(
-                    _run_item, [(doc.raw, c, max_size) for c in checks]):
-                timings[r["id"]] = elapsed
-                results.append(r)
+            done = list(pool.map(
+                _run_item, [(doc.raw, c, max_size) for c in checks]))
     else:
-        for c in checks:
-            t1 = time.perf_counter()
-            r = run_check(doc, c, max_size)
-            timings[r["id"]] = round(time.perf_counter() - t1, 6)
-            results.append(r)
+        done = [_timed_check(doc, c, max_size) for c in checks]
+    results = [r for r, _ in done]
+    # keyed by position as well as id: two checks may share an id
+    timings = {f"{k}:{r['id']}": elapsed
+               for k, (r, elapsed) in enumerate(done)}
     passed = sum(1 for r in results if r["status"] == "pass")
     report = {
         "version": SCHEMA_VERSION,

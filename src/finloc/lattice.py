@@ -505,12 +505,13 @@ def join_failure(f, D: FiniteSupLattice, C: FiniteSupLattice):
 
 
 def _dual(L: FiniteSupLattice) -> FiniteSupLattice:
-    """L with the order reversed, a view on L's own rows: down rows become up
-    rows and up rows down rows, so join and meet swap, and so do bottom and
-    top."""
-    down, down_ix = L._downs
-    return FiniteSupLattice(L.elements, down, down_ix, (L._up, L._up_ix),
-                            L._top_i, L._bot_i)
+    """L with the order reversed, a view on L's own rows and element index:
+    down rows become up rows and up rows down rows, so join and meet swap,
+    and so do bottom and top.  No constructor runs, so nothing is rebuilt."""
+    D = object.__new__(FiniteSupLattice)
+    D.elements, D._ix, D._bot_i, D._top_i = L.elements, L._ix, L._top_i, L._bot_i
+    (D._up, D._up_ix), D._downs = L._downs, (L._up, L._up_ix)
+    return D
 
 
 def _preservation(f, D, C, bottom: str, join: str) -> Violation | None:

@@ -161,6 +161,18 @@ def test_parallel_run_times_every_check():
     assert all(isinstance(t, float) and t >= 0 for t in per_check.values())
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_every_check_keeps_its_timing_when_ids_repeat(parallel):
+    doc = parse(json.dumps({**DOC, "checks": [
+        {"check": "equivalence", "groupoid": "Z2", "max_size": 2},
+        {"check": "equivalence", "groupoid": "Z2", "max_size": 3},
+        {"check": "frame", "lattice": "M3"},
+        {"check": "frame", "lattice": "M3"}]}))
+    report, timings = run(doc, parallel=parallel)
+    assert len({r["id"] for r in report["results"]}) == 2
+    assert len(timings["per_check"]) == report["summary"]["total"] == 4
+
+
 def test_parallel_asks_for_no_more_workers_than_checks(monkeypatch):
     # fork starts every worker at once, so the cap must hold before the pool
     asked = []

@@ -597,9 +597,10 @@ def _theta_bijection(hs, bits) -> bool:
 
 
 def _comodule_morphism(hs, bits) -> bool:
-    for couples in hs.cmd_couples:
-        for left, right in couples:
-            if ((bits >> left) & 1) != ((bits >> right) & 1):
+    for left, mates in enumerate(hs.couples):
+        for right in range(hs.n):
+            if (mates >> right) & 1 \
+                    and ((bits >> left) & 1) != ((bits >> right) & 1):
                 return False
     return True
 
@@ -660,10 +661,12 @@ def test_sliced_mismatch_names_first_oracle_mismatch(monkeypatch, block):
     hs = max(_hom_spaces(z_mod(2), 3), key=lambda h: h.n)
     # rewire the first couple whose ends are both above x_2, so that the
     # first 2 ** 3 candidates keep agreeing and the mismatch lies past them
-    couples, k = next((cs, k) for cs in hs.cmd_couples
-                      for k, c in enumerate(cs) if min(c) >= 3)
-    left, right = couples[k]
-    couples[k] = (left, 3 if right != 3 else 4)
+    left, right = next((i, j) for i, m in enumerate(hs.couples)
+                       for j in range(i, hs.n) if i >= 3 and (m >> j) & 1)
+    to = 3 if right != 3 else 4
+    hs.couples[left] = hs.couples[left] & ~(1 << right) | 1 << to
+    hs.couples[right] &= ~(1 << left)
+    hs.couples[to] |= 1 << left
     first = next(bits for bits in range(1 << hs.n)
                  if _theta_bijection(hs, bits) != _comodule_morphism(hs, bits))
     assert first >= 1 << 3
@@ -764,20 +767,19 @@ def test_pair_predicates_match_frozenset_oracles(G, max_size):
         if hs.n > 9:
             continue
         A, B = hs.A, hs.B
-        ev = galois._pair_predicates(A, B)
         for bits in range(1 << hs.n):
             R = hs.set_of(bits)
             want = _restricted_theta_oracle(R, A, B)
             got = restricted_theta_axioms(R, A, B)
             assert (got, got.witnesses) == (want, want.witnesses)
             members = [i for i in range(hs.n) if (bits >> i) & 1]
-            assert ev.bijection(members) == want.is_bijection
+            assert hs.bijection(members) == want.is_bijection
             assert comodule_morphism_holds(R, A, B) \
-                == ev.morphism(bits) == _comodule_morphism_oracle(R, A, B)
+                == hs.morphism(bits) == _comodule_morphism_oracle(R, A, B)
             assert relation_is_invariant(R, A, B) \
-                == ev.invariant(bits) == _relation_is_invariant_oracle(R, A, B)
+                == hs.invariant(bits) == _relation_is_invariant_oracle(R, A, B)
             assert diamond_on_relation(R, A, B) \
-                == ev.diamond(bits) == _diamond_on_relation_oracle(R, A, B)
+                == hs.diamond(bits) == _diamond_on_relation_oracle(R, A, B)
 
 
 def test_pair_bijection_matches_comodule_axioms_on_random_tables():
@@ -787,7 +789,7 @@ def test_pair_bijection_matches_comodule_axioms_on_random_tables():
 
     G = z_mod(2)
     R = representable_action(G, "*")
-    ev = galois._PairPredicates(R, R)
+    ev = galois._HomSpace(R, R)
     bit = {g: 1 << i for i, g in enumerate(G.arrows)}
     n = len(ev.pairs)
     rng = random.Random(0)
@@ -852,7 +854,7 @@ def test_equivalence_check_fails_under_python_O(mutant):
     proc = _run_python_O(
         "from finloc import galois\n"
         "from finloc.fixtures import z_mod\n"
-        f"galois._PairPredicates.{mutant}\n"
+        f"galois._HomSpace.{mutant}\n"
         "galois.equivalence_check(z_mod(2), 3)\n")
     assert proc.returncode == 1
     assert "finloc.errors.Mismatch" in proc.stderr
@@ -944,6 +946,25 @@ def test_second_factor_cone_computes_no_generator_closure(monkeypatch):
     monkeypatch.setattr(PresentedSupLattice, "closure", spy)
     assert factor_cone(gc, L, g0, g1, tables).table == ident.table
     assert not [raw for raw in closed if len(raw) == 1]
+
+
+def test_equivalence_check_builds_and_sweeps_each_hom_space_once(monkeypatch):
+    built, swept = [], []
+    init, tables = galois._HomSpace.__init__, galois._HomSpace.tables
+
+    def spy_init(self, A, B):
+        built.append((A, B))
+        init(self, A, B)
+
+    def spy_tables(self):
+        swept.append((self.A, self.B))
+        return tables(self)
+
+    monkeypatch.setattr(galois._HomSpace, "__init__", spy_init)
+    monkeypatch.setattr(galois._HomSpace, "tables", spy_tables)
+    galois.equivalence_check(z_mod(2), 4)
+    assert len(built) == len(set(built)) == 81
+    assert len(swept) == len(set(swept)) == 81
 
 
 def test_equivalence_check_builds_each_transporter_table_once(monkeypatch):

@@ -205,6 +205,22 @@ def test_locale_morphism_examples():
     assert check_locale_morphism(SupMorphism(p2, p2, {x: x for x in p2})) is None
 
 
+def test_locale_morphism_check_builds_no_lattice(monkeypatch):
+    # the order duals are views on the endpoints' own rows and index
+    p2, omega = P2(), TWO()
+    member = SupMorphism(p2, omega, {u: (1 if 1 in u else 0) for u in p2.elements})
+    built = []
+    init = FiniteSupLattice.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FiniteSupLattice, "__init__", spy)
+    assert check_locale_morphism(member) is None
+    assert built == []
+
+
 def test_power_locale():
     single = power_locale(("*",))
     assert len(single) == 2
