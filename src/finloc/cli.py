@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import fixtures
 from .errors import KernelError, ParseError, UnresolvedReference
@@ -336,6 +335,8 @@ def run(doc: Document, selection=None, max_size: int = 4,
     # than there are checks to run and cores to run them
     workers = min(parallel, len(checks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(
                 _run_item, [(doc.raw, c, max_size) for c in checks]))

@@ -5,13 +5,18 @@ slot, is unital, and turns meet into composition.  Duality data for M is a
 dual module, an evaluation into B and a coevaluation element, subject to
 the two triangular equations.  A module keeps its action, and duality data
 its evaluation, as the index table its laws are checked on where it is
-built, join preservation by adjunction; the triangular equations are
-checked on every element.  A dual morphism is evaluated per element.
+built, join preservation by adjunction.  Once those adjunction tests pass,
+each remaining law holds between maps that preserve joins in every slot,
+so it is decided on join-irreducibles: every element of a finite lattice
+is the join of those below it (Davey & Priestley, *Introduction to
+Lattices and Order*, 2002, ch. 2), and B is distributive.  Where that
+check fails, the scan over every element names the witness
+(`_decided`).  A dual morphism is evaluated per element.
 """
 
 from __future__ import annotations
 
-from .errors import NotAModule, NotDualizable, TriangularFails
+from .errors import KernelError, NotAModule, NotDualizable, TriangularFails
 from .lattice import (
     FiniteLocale,
     FiniteSupLattice,
@@ -81,10 +86,16 @@ def check_module(B: FiniteLocale, M: FiniteSupLattice, action) -> Violation | No
 def _module_violation(B: FiniteLocale, M: FiniteSupLattice, A) -> Violation | None:
     """Validate the module laws on the index table A of an action.
 
-    Join preservation in each slot is the adjunction test of `join_failure`;
-    unit and meet-composition are table lookups.  Kinds are checked per b
-    (m-slot bottom, m-slot join), then per m (b-slot bottom, unit, b-slot
-    join, meet-composition); each witness is a genuine failure of its kind.
+    Join preservation in m is the adjunction test of `join_failure` on
+    every row b.  With every row preserving joins, each column is the
+    pointwise join of the columns of J(M) below its m, so the b-slot test
+    and the unit hold on every column once they hold on those.  Then both
+    sides of meet-composition, (b ^ b').m and b.(b'.m), preserve joins in
+    each of b, b' and m (B is distributive), so it is checked on
+    J(B) x J(B) x J(M).  Kinds are checked per b (m-slot bottom, m-slot
+    join), then per m (b-slot bottom, unit, b-slot join,
+    meet-composition); each witness is a genuine failure of its kind, the
+    one the scan of every column names.
     """
     Bel, Mel = B.elements, M.elements
     for b, row in zip(Bel, A):
@@ -93,9 +104,16 @@ def _module_violation(B: FiniteLocale, M: FiniteSupLattice, A) -> Violation | No
             return Violation("m-slot bottom", (b,))
         if bad:
             return Violation("m-slot join", (b, Mel[bad[0]], Mel[bad[1]]))
-    bmt, top = list(map(B.meet_row, range(len(Bel)))), B.top_index
-    for mi, m in enumerate(Mel):
-        col = [row[mi] for row in A]
+    return _decided(lambda ms, bs: _column_violation(B, M, A, ms, bs), M, B)
+
+
+def _column_violation(B, M, A, ms, bs) -> Violation | None:
+    """Per column m in ms: b-slot bottom, unit, b-slot join, then
+    meet-composition on bs x bs."""
+    Bel, Mel, top = B.elements, M.elements, B.top_index
+    bmt = {bi: B.meet_row(bi) for bi in bs}
+    for mi in ms:
+        m, col = Mel[mi], [row[mi] for row in A]
         bad = join_failure(col, B, M)
         if bad == ():
             return Violation("b-slot bottom", (m,))
@@ -103,12 +121,28 @@ def _module_violation(B: FiniteLocale, M: FiniteSupLattice, A) -> Violation | No
             return Violation("unit", (m,))
         if bad:
             return Violation("b-slot join", (Bel[bad[0]], Bel[bad[1]], m))
-        for bi, brow in enumerate(bmt):
-            arow = A[bi]
-            for b2i, k in enumerate(brow):
-                if col[k] != arow[col[b2i]]:
+        for bi in bs:
+            arow, brow = A[bi], bmt[bi]
+            for b2i in bs:
+                if col[brow[b2i]] != arow[col[b2i]]:
                     return Violation("meet-composition", (Bel[bi], Bel[b2i], m))
     return None
+
+
+def _irreducible_indices(L: FiniteSupLattice) -> list:
+    return list(map(L.index, L.join_irreducibles()))
+
+
+def _decided(scan, *lattices):
+    """scan on the join-irreducible indices of the lattices, which decides
+    the law, and on a failure the failure that scan names on every index."""
+    if scan(*map(_irreducible_indices, lattices)) is None:
+        return None
+    bad = scan(*(range(len(L)) for L in lattices))
+    if bad is None:
+        raise KernelError("a law fails on join-irreducibles and holds on "
+                          "every element")
+    return bad
 
 
 class DualityData:
@@ -135,34 +169,51 @@ class DualityData:
     def _check_bilinear(self):
         """eps is a B-bimorphism, checked on its index table.
 
-        Each slot preserves joins by the adjunction test of `join_failure`;
-        B-linearity is compared on every (b, m, n) against the two modules'
-        action tables, with no appeal to the modules' own laws.
+        Both bottoms are checked on every row and column, and the
+        second-slot join test of `join_failure` on every row m.  With every
+        row preserving joins, each column is the pointwise join of the
+        columns of J(N) below its n, so the first-slot test runs on those
+        columns.  B-linearity in both slots compares whole rows over N for
+        b in J(B) and m in J(M), against the two modules' action tables:
+        eps(b.m, n), eps(m, b.n) and b ^ eps(m, n) preserve joins in m and
+        in b, by the slot tests just passed, B's distributivity and the
+        laws each `BModule` checks when it is built.  On a failure the
+        scan of every column, row and pair names the witness.
         """
         B, M, N = self.module.B, self.module.lattice, self.dual.lattice
-        Mel, Nel, E = M.elements, N.elements, self.eps_table
-        bot = B.bottom_index
+        E, bot = self.eps_table, B.bottom_index
         if any(v != bot for v in E[M.bottom_index]):
             raise NotDualizable("eps not linear at bottom (first slot)")
         if any(row[N.bottom_index] != bot for row in E):
             raise NotDualizable("eps not linear at bottom (second slot)")
-        for ni, n in enumerate(Nel):
-            bad = join_failure([row[ni] for row in E], M, B)
+        bad = _decided(self._bilinear_failure, N, B, M)
+        if bad:
+            raise bad
+
+    def _bilinear_failure(self, ns, bs, ms) -> NotDualizable | None:
+        """The first-slot test on the columns ns, the second-slot test on
+        every row, then B-linearity on bs x ms."""
+        B, M, N = self.module.B, self.module.lattice, self.dual.lattice
+        Mel, Nel, E = M.elements, N.elements, self.eps_table
+        for ni in ns:
+            n, bad = Nel[ni], join_failure([row[ni] for row in E], M, B)
             if bad:
                 m, m2 = Mel[bad[0]], Mel[bad[1]]
-                raise NotDualizable(f"eps not join-linear at ({m!r}, {m2!r}, {n!r})",
-                                    witness=(m, m2, n))
+                return NotDualizable(f"eps not join-linear at ({m!r}, {m2!r}, {n!r})",
+                                     witness=(m, m2, n))
         for m, row in zip(Mel, E):
             bad = join_failure(row, N, B)
             if bad:
                 n, n2 = Nel[bad[0]], Nel[bad[1]]
-                raise NotDualizable(f"eps not join-linear at ({n!r}, {n2!r}, {m!r})",
-                                    witness=(n, n2, m))
+                return NotDualizable(f"eps not join-linear at ({n!r}, {n2!r}, {m!r})",
+                                     witness=(n, n2, m))
         dual_B = self.dual.B
-        for bi, (b, mrow) in enumerate(zip(B.elements, self.module.table)):
+        for bi in bs:
+            b, mrow = B.elements[bi], self.module.table[bi]
             nrow = self.dual.table[dual_B.index(b)]
             meet_b = B.meet_row(bi)
-            for mi, row in enumerate(E):
+            for mi in ms:
+                row = E[mi]
                 want = [meet_b[v] for v in row]
                 got, got_dual = E[mrow[mi]], [row[k] for k in nrow]
                 if got == want and got_dual == want:
@@ -170,30 +221,44 @@ class DualityData:
                 ni = next(i for i, w in enumerate(want)
                           if got[i] != w or got_dual[i] != w)
                 slot = "" if got[ni] != want[ni] else " (dual slot)"
-                raise NotDualizable(
+                return NotDualizable(
                     f"eps not B-linear{slot} at ({b!r}, {Mel[mi]!r}, {Nel[ni]!r})",
                     witness=(b, Mel[mi], Nel[ni]))
+        return None
 
 
 def check_duality(d: DualityData) -> None:
-    """Both triangular equations, evaluated on every element.
+    """Both triangular equations, decided on J(M) and J(N).
+
+    m -> V eps(m, nhat).m2 over eta preserves joins, since eps does in its
+    first slot and the action in b; so does the identity, and the two agree
+    on M once they agree on J(M).  The dual side is the same in n.  On a
+    failure every element is scanned, M before N.
 
     Raises TriangularFails('right') when the M-side zigzag misses some m,
     TriangularFails('left') when the dual-side zigzag misses some n.
     """
+    bad = _decided(lambda ms, ns: _triangle_failure(d, ms, ns),
+                   d.module.lattice, d.dual.lattice)
+    if bad:
+        raise bad
+
+
+def _triangle_failure(d: DualityData, ms, ns) -> TriangularFails | None:
     M, N = d.module.lattice, d.dual.lattice
-    for m in M.elements:
+    for m in map(M.elements.__getitem__, ms):
         back = M.join_all(
             d.module.act(d.eps(m, nhat), m2) for nhat, m2 in d.eta
         )
         if back != m:
-            raise TriangularFails("right", witness=m)
-    for n in N.elements:
+            return TriangularFails("right", witness=m)
+    for n in map(N.elements.__getitem__, ns):
         back = N.join_all(
             d.dual.act(d.eps(m2, n), nhat) for nhat, m2 in d.eta
         )
         if back != n:
-            raise TriangularFails("left", witness=n)
+            return TriangularFails("left", witness=n)
+    return None
 
 
 # -- the lambda <-> rho transpose -------------------------------------------

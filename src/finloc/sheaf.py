@@ -122,18 +122,6 @@ class DiscreteModule:
     def lattice(self) -> FiniteSupLattice:
         return self.module.lattice
 
-    def family_of(self, element) -> dict:
-        """The natural family of an element: (p, x) -> largest q with x|q inside."""
-        P = self.sheaf.P
-        out = {}
-        for p in P.elements:
-            for x in self.sheaf.sections[p]:
-                out[(p, x)] = P.join_all(
-                    q for q in P.down_set(p)
-                    if (q, self.sheaf.res(p, q, x)) in element
-                )
-        return out
-
 
 def build_Xd(X: FiniteSheaf) -> DiscreteModule:
     """Materialize the subsheaf lattice with its P-action and delta generators.
@@ -143,6 +131,11 @@ def build_Xd(X: FiniteSheaf) -> DiscreteModule:
     join-irreducible (a join-irreducible p is in its own cover).  Any other
     cover C of p needs no relation: each j lies below some c in C, so
     delta(j, x|j) <= delta(c, x|c) already.
+
+    b.C is the closure of the restrictions by b of the generators of C,
+    each looked up once per generator and b.  Every element C is
+    checked to be the join of its scaled deltas f(g).delta(g), where f(g)
+    is the largest q with g|q in C, read off the action table.
     """
     P = X.P
     gens = X.total()
@@ -160,30 +153,43 @@ def build_Xd(X: FiniteSheaf) -> DiscreteModule:
     q = PresentedSupLattice(JoinPresentation(tuple(gens), tuple(rels)))
     lat = q.lattice()
     delta = {(p, x): q.gen_class((p, x)).closure for (p, x) in gens}
+    gi = {g: k for k, g in enumerate(gens)}
+    res = _restrictions(X, gi)
+    scaled = {b: {g: gens[ra[P.index(P.meet(g[0], b))]] for g, ra in zip(gens, res)}
+              for b in P.elements}
 
     def action(b, C):
-        return q.closure(
-            (P.meet(p, b), X.res(p, P.meet(p, b), x)) for (p, x) in C
-        )
+        return q.closure(map(scaled[b].__getitem__, C))
 
     pres = ModulePresentation(lat, tuple(gens), delta, tuple(rels))
     module = BModule(P, lat, action, presentation=pres)
     d = DiscreteModule(X, q, module, delta)
-    for (p, x) in gens:  # scaling a delta restricts its section
+    # scaling a delta restricts its section, read off X again, not off the
+    # restrictions the action was built from
+    for (p, x) in gens:
         for b in P.elements:
             if module.act(b, delta[(p, x)]) \
                     != delta[(P.meet(p, b), X.res(p, P.meet(p, b), x))]:
                 raise NotAModule(f"scaling delta{(p, x)!r} by {b!r} does not "
                                  "restrict its section", witness=(b, (p, x)))
+    cols = [(lat.index(delta[g]), ra.items()) for g, ra in zip(gens, res)]
+    T = module.table
     for C in lat.elements:  # every element is the join of its scaled deltas
-        fam = d.family_of(C)
-        rebuilt = lat.join_all(
-            module.act(fam[(p, x)], delta[(p, x)]) for (p, x) in gens
-        )
-        if rebuilt != C:
+        cm = sum(1 << gi[g] for g in C)
+        rebuilt = lat.join_index(
+            T[P.join_index(r for r, k in ra if cm >> k & 1)][di] for di, ra in cols)
+        if lat.elements[rebuilt] != C:
             raise NotAModule("an element is not the join of its scaled deltas",
                              witness=C)
     return d
+
+
+def _restrictions(X: FiniteSheaf, gi: dict) -> list:
+    """Per section g = (p, x), the index in gi of g|q for each q <= p, keyed
+    by the index of q in P."""
+    P = X.P
+    return [{P.index(q): gi[(q, X.res(p, q, x))] for q in P.down_set(p)}
+            for (p, x) in X.total()]
 
 
 def eq_bracket(d: DiscreteModule, px, qy):
@@ -326,21 +332,32 @@ def check_module_axioms(mu: dict, dX: DiscreteModule, dY: DiscreteModule,
 def selfdual_Xd(d: DiscreteModule) -> DualityData:
     """X_d is self-dual: eta sums delta pairs, eps is the equality bracket.
 
-    The bracket is tabulated once per pair of generators, and the
-    generators of each element once; eps(theta, psi) is the join of the
-    distinct bracket values over theta x psi, and `DualityData` tabulates
-    it once per pair of elements.
+    eps(theta, psi) is the join of the bracket over theta x psi, taken over
+    their maximal sections only: the bracket is monotone under restriction,
+    [x|p', y] <= [x, y] (the opens where x|p' and y agree are among those
+    where x and y do), and every section of a subsheaf is a restriction of
+    a maximal one.  `eq_bracket` is tabulated once per pair of generators.
+    Per element theta, the join of the bracket over the maximal sections of
+    theta is kept against each generator, so that each eps value, which
+    `DualityData` tabulates once per pair of elements, joins one such entry
+    per maximal section of psi.
     """
-    P = d.sheaf.P
-    gens = d.sheaf.total()
+    P, X = d.sheaf.P, d.sheaf
+    gens = X.total()
     gi = {g: k for k, g in enumerate(gens)}
     bracket = [[P.index(eq_bracket(d, gx, gy)) for gy in gens] for gx in gens]
-    ix = {t: [gi[g] for g in t] for t in d.lattice.elements}
+    lower = [sum(1 << k for k in ra.values()) - (1 << a)
+             for a, ra in enumerate(_restrictions(X, gi))]
+    tops, rows = {}, {}
+    for t in d.lattice.elements:
+        ix, low = [gi[g] for g in t], 0
+        for a in ix:
+            low |= lower[a]
+        tops[t] = top = [a for a in ix if not low >> a & 1]
+        rows[t] = [P.join_index(bracket[a][c] for a in top) for c in range(len(gens))]
 
     def eps(theta, psi):
-        cols = ix[psi]
-        return P.elements[P.join_index(
-            {bracket[a][c] for a in ix[theta] for c in cols})]
+        return P.elements[P.join_index(map(rows[theta].__getitem__, tops[psi]))]
 
     eta = tuple((d.delta[g], d.delta[g]) for g in gens)
     dd = DualityData(d.module, d.module, eps, eta)

@@ -1,5 +1,6 @@
 """Document parsing, check execution, report emission, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -190,7 +191,7 @@ def test_parallel_asks_for_no_more_workers_than_checks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     doc = Document({**DOC, "checks": DOC["checks"][:2]})
     report, timings = run(doc, parallel=10_000)

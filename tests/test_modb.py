@@ -4,9 +4,22 @@ import collections
 
 import pytest
 
-from finloc.errors import DomainMismatch, NotAModule, NotDualizable, TriangularFails
+from finloc import modb
+from finloc.errors import (
+    DomainMismatch,
+    KernelError,
+    NotAModule,
+    NotDualizable,
+    TriangularFails,
+)
 from finloc.fixtures import CH3, P2, TWO
-from finloc.lattice import SupMorphism, check_sup_morphism, power_locale
+from finloc.lattice import (
+    SupMorphism,
+    all_locales,
+    check_sup_morphism,
+    join_failure,
+    power_locale,
+)
 from finloc.modb import (
     BModule,
     DualityData,
@@ -491,3 +504,144 @@ def test_every_one_entry_perturbation_matches_oracle(H, X):
             want = _module_oracle(B, M, a)
             got = _reported_module_law(B, M, a)
             assert (got is None) == (want is None)
+
+
+# -- the laws decided on join-irreducibles against the dense scans ------------
+#
+# The validators decide each law on join-irreducibles and fall back on the
+# scan of every element to name a witness.  With `_irreducible_indices`
+# replaced by every index they run that scan from the start, so a verdict
+# can be compared with the one the scan of every element gives.
+
+
+def _triangle_oracle(d):
+    """The first element, M before N, where a triangular equation fails."""
+    M, N = d.module.lattice, d.dual.lattice
+    for m in M.elements:
+        if M.join_all(d.module.act(d.eps(m, nh), m2) for nh, m2 in d.eta) != m:
+            return "right", m
+    for n in N.elements:
+        if N.join_all(d.dual.act(d.eps(m2, n), nh) for nh, m2 in d.eta) != n:
+            return "left", n
+    return None
+
+
+def _triangle_verdict(d):
+    try:
+        check_duality(d)
+    except TriangularFails as e:
+        return e.side, e.witness
+    return None
+
+
+def _eps_verdict(d):
+    try:
+        DualityData(d.module, d.dual, d.eps, ())
+    except NotDualizable as e:
+        return str(e), e.witness
+    return None
+
+
+def _scanned(monkeypatch, verdict, *args):
+    """verdict(*args) with every law scanned on every element."""
+    with monkeypatch.context() as m:
+        m.setattr(modb, "_irreducible_indices", lambda L: range(len(L)))
+        return verdict(*args)
+
+
+def test_generator_checks_agree_with_oracles_on_non_boolean_bases():
+    from finloc.sheaf import build_Xd, enumerate_sheaves, selfdual_Xd
+
+    sizes = []
+    for P in all_locales(4):
+        for X in enumerate_sheaves(P, 2):
+            d = selfdual_Xd(build_Xd(X))
+            M = d.module.lattice
+            assert _reported_module_law(P, M, d.module.act) is None
+            assert _module_oracle(P, M, d.module.act) is None
+            assert _reported_law(d) is None and _bilinear_oracle(d) is None
+            assert _triangle_verdict(d) is None and _triangle_oracle(d) is None
+            sizes.append(len(M))
+    assert (len(sizes), sum(sizes)) == (71, 701)
+
+
+def _ch3_Xd(size):
+    from finloc.sheaf import build_Xd, enumerate_sheaves, selfdual_Xd
+
+    X = next(X for X in enumerate_sheaves(CH3(), 3)
+             if len(build_Xd(X).lattice) == size)
+    return selfdual_Xd(build_Xd(X))
+
+
+def test_one_entry_perturbations_of_an_Xd_match_the_dense_scan(monkeypatch):
+    d0 = _ch3_Xd(12)
+    B, M = d0.module.B, d0.module.lattice
+    assert len(M.join_irreducibles()) < len(M) - 1
+    table = {(m, n): d0.eps(m, n) for m in M.elements for n in M.elements}
+    broken = 0
+    for key, value in table.items():
+        for other in B.elements:
+            if other == value:
+                continue
+            t = {**table, key: other}
+            d = _Pairing(d0.module, d0.dual, lambda m, n, t=t: t[(m, n)])
+            got = _eps_verdict(d)
+            assert got == _scanned(monkeypatch, _eps_verdict, d)
+            want = _bilinear_oracle(d)
+            assert _reported_law(d) == (want and want[0])
+            broken += got is not None
+    act = {(b, m): d0.module.act(b, m) for b in B.elements for m in M.elements}
+    for key, value in act.items():
+        for other in M.elements:
+            if other == value:
+                continue
+            a = {**act, key: other}
+            got = check_module(B, M, a)
+            assert got == _scanned(monkeypatch, check_module, B, M, a)
+            assert (got is None) == (_module_oracle(B, M, a) is None)
+            broken += got is not None
+    assert broken == 2 * len(table) + (len(M) - 1) * len(act)
+
+
+def test_eta_missing_a_pair_fails_where_the_dense_scan_does():
+    d0 = _ch3_Xd(12)
+    failed = 0
+    for k in range(len(d0.eta)):
+        d = DualityData(d0.module, d0.dual, d0.eps, d0.eta[:k] + d0.eta[k + 1:])
+        want = _triangle_oracle(d)
+        if want is None:  # a pair below another one adds nothing
+            check_duality(d)
+            continue
+        with pytest.raises(TriangularFails) as e:
+            check_duality(d)
+        assert (e.value.side, e.value.witness) == want
+        failed += 1
+    assert failed > 0
+
+
+def test_generator_checks_run_few_join_tests(monkeypatch):
+    from finloc.sheaf import build_Xd, enumerate_sheaves, selfdual_Xd
+
+    X = next(X for X in enumerate_sheaves(CH3(), 3) if len(build_Xd(X).lattice) == 36)
+    calls = []
+
+    def counted(f, D, C):
+        calls.append(len(f))
+        return join_failure(f, D, C)
+
+    monkeypatch.setattr(modb, "join_failure", counted)
+    d = build_Xd(X)
+    built = len(calls)
+    dd = selfdual_Xd(d)
+    M = d.lattice
+    assert (len(M), len(M.join_irreducibles()), len(X.total())) == (36, 6, 7)
+    assert (built, len(calls) - built) == (3 + 6, 36 + 6)
+    assert len(dd.eps_table) == 36 and {len(row) for row in dd.eps_table} == {36}
+
+
+def test_a_law_failing_only_on_generators_is_a_kernel_error():
+    def scan(*indices):  # a scan that fails on the irreducibles alone
+        return None if isinstance(indices[0], range) else "broken"
+
+    with pytest.raises(KernelError):
+        modb._decided(scan, CH3())

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from finloc.errors import GluingFails, NotALocale
+from finloc.errors import GluingFails, NotALocale, NotAModule
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import all_locales, power_locale
 from finloc.modb import BModule, check_duality
@@ -401,6 +401,73 @@ def test_internal_external_axiom_agreement_exhaustive():
             assert rep.injective == all(s.injective for s in stalk_reps)
 
 
+def _family_of(d, element) -> dict:
+    """The natural family of an element: (p, x) -> largest q with x|q inside."""
+    P = d.sheaf.P
+    out = {}
+    for p in P.elements:
+        for x in d.sheaf.sections[p]:
+            out[(p, x)] = P.join_all(
+                q for q in P.down_set(p)
+                if (q, d.sheaf.res(p, q, x)) in element
+            )
+    return out
+
+
+def _not_rebuilt(d):
+    """The first element that is not the join of its scaled deltas, each
+    scaled by its natural family."""
+    lat, mod = d.lattice, d.module
+    for C in lat.elements:
+        fam = _family_of(d, C)
+        if lat.join_all(mod.act(fam[g], d.delta[g]) for g in d.sheaf.total()) != C:
+            return C
+    return None
+
+
+def test_every_element_of_Xd_is_the_join_of_its_scaled_deltas():
+    count = 0
+    for P in (TWO(), CH3(), P2()):
+        for X in enumerate_sheaves(P, 3):
+            assert _not_rebuilt(build_Xd(X)) is None
+            count += 1
+    assert count == 80
+
+
+def test_rebuild_check_rejects_a_mutant_element(monkeypatch):
+    # three sections over 1 and one over 2 that restricts to the third: the
+    # subsheaf {u1, u2} is no delta, and adding v to it leaves X_d
+    from finloc import sheaf
+
+    P = CH3()
+    X = check_sheaf(P, {0: ("pt",), 1: ("u1", "u2", "u3"), 2: ("v",)},
+                    {(1, 0): dict.fromkeys(("u1", "u2", "u3"), "pt"),
+                     (2, 0): {"v": "pt"}, (2, 1): {"v": "u3"}})
+    C = frozenset({(0, "pt"), (1, "u1"), (1, "u2")})
+    mutant = C | {(2, "v")}
+
+    def mutate(M):  # relabel C as the mutant
+        M.elements = tuple(mutant if e == C else e for e in M.elements)
+        M._ix = {e: i for i, e in enumerate(M.elements)}
+
+    d = build_Xd(X)
+    assert C in d.lattice and mutant not in d.lattice
+    assert C not in d.delta.values()
+    mutate(d.lattice)
+    assert _not_rebuilt(d) == mutant
+
+    class Module(sheaf.BModule):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            mutate(self.lattice)
+
+    monkeypatch.setattr(sheaf, "BModule", Module)
+    with pytest.raises(NotAModule) as e:
+        build_Xd(X)
+    assert str(e.value) == "an element is not the join of its scaled deltas"
+    assert e.value.witness == mutant
+
+
 def test_selfdual_Xd_two_recovers_function_selfduality():
     X = two_sheaf(("a", "b"))
     d = build_Xd(X)
@@ -414,6 +481,22 @@ def test_selfdual_Xd_exhaustive_small():
         for X in enumerate_sheaves(P, 2):
             d = build_Xd(X)
             selfdual_Xd(d)
+
+
+def test_selfdual_Xd_eps_joins_the_bracket_over_every_section_pair():
+    # eps reads the bracket off the maximal sections of each subsheaf only
+    sizes = []
+    for P in all_locales(4):
+        for X in enumerate_sheaves(P, 2):
+            d = build_Xd(X)
+            dd = selfdual_Xd(d)
+            gens = X.total()
+            br = {(g, h): eq_bracket(d, g, h) for g in gens for h in gens}
+            for t in d.lattice.elements:
+                for u in d.lattice.elements:
+                    assert dd.eps(t, u) == P.join_all(br[(g, h)] for g in t for h in u)
+            sizes.append(len(d.lattice))
+    assert (len(sizes), sum(sizes)) == (71, 701)
 
 
 def test_selfdual_terminal_is_base_duality():
