@@ -39,6 +39,16 @@ from .relation import LRelation, check_axioms, check_diagram, classify, tabulate
 SCHEMA_VERSION = 1
 
 
+def _carrier(spec: dict, key: str, place: str) -> list:
+    """A declared carrier: a JSON list, never a string, whose characters
+    would otherwise be taken for its elements."""
+    items = spec[key]
+    if not isinstance(items, list):
+        raise ParseError(f"{place}.{key} must be a list, not "
+                         f"{type(items).__name__}")
+    return [_hashable(e) for e in items]
+
+
 def _pairs_to_dict(pairs, what):
     try:
         return {k: v for k, v in (tuple(p) for p in pairs)}
@@ -91,7 +101,7 @@ class Document:
         for section in ("lattices", "locales"):
             for i, spec in enumerate(_section(raw, section)):
                 with _entry(section, i):
-                    elements = [_hashable(e) for e in spec["elements"]]
+                    elements = _carrier(spec, "elements", f"{section}[{i}]")
                     declared += len(elements)
                     check_carrier(declared, "the sum of the declared carriers")
                     L = build_suplattice(elements, [
@@ -102,8 +112,8 @@ class Document:
         for i, spec in enumerate(_section(raw, "groupoids")):
             with _entry("groupoids", i):
                 self.groupoids[spec["name"]] = FiniteGroupoid(
-                    objects=[_hashable(o) for o in spec["objects"]],
-                    arrows=[_hashable(a) for a in spec["arrows"]],
+                    objects=_carrier(spec, "objects", f"groupoids[{i}]"),
+                    arrows=_carrier(spec, "arrows", f"groupoids[{i}]"),
                     source=_pairs_to_dict(spec["source"], "source"),
                     target=_pairs_to_dict(spec["target"], "target"),
                     unit=_pairs_to_dict(spec["unit"], "unit"),
@@ -116,13 +126,13 @@ class Document:
                 table = {(_hashable(x), _hashable(y)): _hashable(v)
                          for x, y, v in spec["table"]}
                 self.relations[spec["name"]] = LRelation(
-                    H, [_hashable(e) for e in spec["source"]],
-                    [_hashable(e) for e in spec["target"]], table)
+                    H, _carrier(spec, "source", f"relations[{i}]"),
+                    _carrier(spec, "target", f"relations[{i}]"), table)
         for i, spec in enumerate(_section(raw, "actions")):
             with _entry("actions", i):
                 self.actions[spec["name"]] = DiscreteAction(
                     _resolve(self.groupoids, spec["groupoid"], "groupoid"),
-                    [_hashable(e) for e in spec["carrier"]],
+                    _carrier(spec, "carrier", f"actions[{i}]"),
                     _pairs_to_dict(spec["anchor"], "anchor"),
                     {(g, x): y for g, x, y in spec["table"]},
                     name=spec["name"],

@@ -30,7 +30,9 @@ from .errors import (
     NotAnAction,
     NotBijection,
     NotDense,
+    NotDualizable,
     RelationViolated,
+    TriangularFails,
 )
 from .lattice import (
     FiniteLocale,
@@ -41,8 +43,7 @@ from .lattice import (
     locale_morphisms,
     power_locale,
 )
-from .modb import BModule, DualityData, check_duality
-from .present import ModulePresentation, check_relations, induced_morphism
+from .present import check_relations, induced_morphism
 from .relation import AxiomReport, table_axioms
 from .tannaka import Coend, CoendArrow, CoendObject
 
@@ -1018,37 +1019,141 @@ def default_site(G: FiniteGroupoid, extra: tuple = ()) -> ActionSite:
     return ActionSite(G, objects, rel_gens, maps)
 
 
+class _PowerSet(_SetLattice):
+    """P(points) as frozensets: counted, never listed."""
+
+    def __init__(self, points):
+        super().__init__(frozenset())
+        self.top = frozenset(points)
+
+    def __len__(self):
+        return 1 << len(self.top)
+
+
+class EtaleModule:
+    """P(carrier) over B = P(objects), given by the anchor map of an action.
+
+    It is its own presentation, by the points x (the singletons {x}, no
+    relations), and its own dual under the overlap pairing, so one object
+    is the module, the presentation and the duality data that
+    `tannaka.Coend` and `modb.dual_value` read.  The three maps are unions
+    over points:
+      - the action (b, U) -> {x in U : anchor(x) in b};
+      - eps(U, V) = anchor(U & V);
+      - eta, the pairs ({x}, {x}).
+    No element of P(carrier) is listed and no table is built."""
+
+    relations = ()
+
+    def __init__(self, B: FiniteLocale, act: DiscreteAction):
+        self.B = B
+        self.anchor = act.anchor
+        self.gens = tuple(act.carrier)
+        self.lattice = _PowerSet(self.gens)
+        self.value = {x: frozenset({x}) for x in self.gens}
+        self.eta = tuple((u, u) for u in self.value.values())
+        self.presentation = self.dual = self
+
+    def decompose(self, U) -> frozenset:
+        """The points of U, which are its generators."""
+        if not U <= self.lattice.top:
+            raise DomainMismatch(f"{U!r} is not a set of points",
+                                 witness=U)
+        return frozenset(U)
+
+    def act(self, b, U):
+        anchor = self.anchor
+        return frozenset([x for x in U if anchor[x] in b])
+
+    def eps(self, U, V):
+        return frozenset(map(self.anchor.__getitem__, U & V))
+
+    def __repr__(self):
+        return f"<EtaleModule over {len(self.B)}-locale, {len(self.gens)} points>"
+
+
 def etale_module(B: FiniteLocale, act: DiscreteAction):
-    """P(carrier) as a module over B = P(objects), with its atom presentation
-    and the overlap duality, its triangles checked."""
-    M = power_locale(act.carrier)
+    """The etale module of act over B = P(objects) and its self-duality,
+    checked on atoms (`EtaleModule` is both).
 
-    def action(b, U):
-        return frozenset(x for x in U if act.anchor[x] in b)
+    Each side of each law is a union over points in every slot: the action
+    is the union of the {o}.{x} over o in b and x in U, eps the union of the
+    eps({x}, {y}) over x in U and y in V, and each zigzag the union of its
+    values on the points of its argument.  So each side preserves joins in
+    every slot, and a law between such maps holds on all of B and
+    P(carrier) once it holds on the bottoms and the points, every set being
+    the join of its points (the argument `verify_hopf_laws` uses for O(G)).
+    The maps are read once on atoms, and each law is evaluated from those
+    values as the unions above.  Checked, in this order, with the failing
+    atom as witness:
+      - NotAModule: the bottoms; {o}.{x} <= {x}, which makes {o}.{x} = {x}
+        the statement "o is over x"; the unit, that some o of B is over x
+        and top.{x} = {x}; and meet-composition on ({o}, {o'}, {x}), which
+        for o != o' says that o and o' are not both over x.  So each x has
+        one object p(x) of B over it, and b.U = {x in U : p(x) in b}.
+      - NotDualizable: eps at the bottoms, and B-linearity in both slots
+        on ({o}, {x}, {y}) for every o of B and into B, which together say
+        eps({x}, {y}) <= {p(x)} & {p(y)}.
+      - TriangularFails: both triangles on every point, each zigzag the
+        union over eta of b.m with b a union of eps on atoms.
+    This costs O((|objects| + |carrier|) |carrier| + |carrier| |eta|)
+    reads, not the O(|B| |P(carrier)| + |P(carrier)|^2) of a dense table."""
+    m = EtaleModule(B, act)
+    empty, points = frozenset(), m.value
+    over = {x: [] for x in points}  # the objects o of B with {o}.{x} = {x}
+    for (o,) in B.join_irreducibles():
+        b = frozenset({o})
+        _law(m.act(b, empty) == empty, "the action's bottom", (b, empty),
+             NotAModule)
+        for x, U in points.items():
+            bx = m.act(b, U)
+            _law(bx <= U, "the action on atoms", (b, U), NotAModule)
+            if bx:
+                over[x].append(o)
+    for x, U in points.items():
+        _law(m.act(B.bottom, U) == empty, "the action's bottom", (B.bottom, U),
+             NotAModule)
+        _law(bool(over[x]) and m.act(B.top, U) == U, "the unit", U, NotAModule)
+        two = [frozenset({o}) for o in over[x][:2]]
+        _law(len(two) < 2, "meet-composition", (*two, U), NotAModule)
+    p = {x: o for x, (o,) in over.items()}
+    E = {}
+    for x, U in points.items():
+        _law(m.eps(U, empty) == empty == m.eps(empty, U), "eps at the bottom",
+             U, NotDualizable)
+        for y, V in points.items():
+            e = E[x, y] = m.eps(U, V)
+            _law(e <= {p[x]} & {p[y]}, "B-linearity of eps", (U, V),
+                 NotDualizable)
 
-    gens = tuple(act.carrier)
-    pres = ModulePresentation(
-        M, gens, {x: frozenset({x}) for x in gens}, ())
-    mod = BModule(B, M, action, presentation=pres)
+    def zigzag(terms):
+        """The union of eps(U, V).W over (U, V, W), read off the atoms."""
+        return {z for U, V, W in terms for z in W
+                if any(p[z] in E[u, v] for u in U for v in V)}
 
-    def eps(U, V):
-        return frozenset(act.anchor[x] for x in U & V)
-
-    eta = tuple((frozenset({x}), frozenset({x})) for x in act.carrier)
-    d = DualityData(mod, mod, eps, eta)
-    check_duality(d)
-    return mod, d
+    for U in points.values():
+        if zigzag((U, n, m2) for n, m2 in m.eta) != U:
+            raise TriangularFails("right", witness=U)
+    for V in points.values():
+        if zigzag((m2, V, n) for n, m2 in m.eta) != V:
+            raise TriangularFails("left", witness=V)
+    return m, m
 
 
 def relation_morphism(pairs):
     """The direct-image map of a fiberwise relation on subsets, a union
     over their points, so join-preserving."""
-    return lambda U: frozenset(y for (x, y) in pairs if x in U)
+    return lambda U: frozenset([y for (x, y) in pairs if x in U])
 
 
 class GaloisCoend:
     """The coend of the fiber functor of an action site, together with the
-    structural cone, the algebra structure, and the antipode."""
+    structural cone, the algebra structure, and the antipode.
+
+    Each site object enters as its `etale_module`, presented by its points
+    and checked on atoms; the coend reads each module and its dual only at
+    points, so no P(carrier) is listed.  B = P(objects) is the one power
+    set built."""
 
     def __init__(self, site: ActionSite):
         self.site = site
@@ -1153,7 +1258,10 @@ class GaloisCoend:
         """The Hopf laws that need only generators, checked on generators.
 
         Checked here: the cone extension is well defined, the antipode is an
-        involution with a o s = t, and both pentagons hold.  The frame law,
+        involution with a o s = t, and both pentagons hold.  a o s = t is
+        checked on the empty set and on each point {o} of B, not on all of
+        P(objects): s_map, t_map and the antipode are joins over the points
+        of their argument by definition, so both sides are.  The frame law,
         product = meet on all elements and s, t being locale morphisms are
         not re-proved over the materialized coend: `reconstruct` shows on
         atoms that phi is an order isomorphism onto O(G) that carries m, s
@@ -1177,7 +1285,7 @@ class GaloisCoend:
         for gen in q.gens:
             _law(self.antipode_gen(self.antipode_gen(gen)) == gen,
                  "the antipode involution", gen)
-        for bset in self.B.elements:
+        for bset in [frozenset(), *(frozenset({o}) for o in self.G.objects)]:
             a_of_s = q.join_all(
                 [q.gen_class(self.antipode_gen(g)) for g in self.s_map(bset).raw]
                 or [q.bottom])
@@ -1222,7 +1330,9 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     transporter.  By (iii) the |arrows| atoms generate the coend; by (ii)
     phi maps it onto P(arrows).  So phi is a bijective sup-map, an order
     isomorphism.  Then e, c, a, m, u, s and t are checked to transport
-    along phi on generators (m on every pair of them, s and t on every b).
+    along phi on generators (m on every pair of them), s and t on the empty
+    set and each point {o}: both sides of each are joins over the points of
+    b, so they agree on every b of P(objects) once they agree there.
     With `verify_hopf_laws` on O(G), this proves the coend a frame whose
     product is the meet and whose s and t are locale morphisms;
     `GaloisCoend.verify_hopf` checks the rest on generators."""
@@ -1272,7 +1382,7 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
         for o2 in G.objects:
             transports(phi_el(gc.unit_value((o, o2)))
                        == hopf.u(frozenset({(o, o2)})), "u", (o, o2))
-    for bset in hopf.B.elements:
+    for bset in [frozenset(), *(frozenset({o}) for o in G.objects)]:
         transports(phi_el(gc.t_map(bset)) == hopf.t(bset), "t", bset)
         transports(phi_el(gc.s_map(bset)) == hopf.s(bset), "s", bset)
     return ReconstructReport(gc, hopf, assign, 2 ** len(atom),

@@ -232,6 +232,42 @@ def test_malformed_declaration_exits_2(tmp_path, capsys, section, spec, place):
     assert place in capsys.readouterr().err
 
 
+STRING_CARRIERS = {
+    "elements": ("lattices", {"name": "L", "elements": "ab",
+                              "covers": [["a", "b"]]}),
+    "objects": ("groupoids", {**Z2_SPEC, "objects": "*"}),
+    "arrows": ("groupoids", {**Z2_SPEC, "arrows": "es"}),
+    "source": ("relations", {"name": "r", "values": "TWO", "source": "ab",
+                             "target": ["a", "b"],
+                             "table": [["a", "a", 1], ["a", "b", 0],
+                                       ["b", "a", 0], ["b", "b", 1]]}),
+    "target": ("relations", {"name": "r", "values": "TWO", "source": ["a", "b"],
+                             "target": "ab",
+                             "table": [["a", "a", 1], ["a", "b", 0],
+                                       ["b", "a", 0], ["b", "b", 1]]}),
+    "carrier": ("actions", {"name": "A", "groupoid": "Z2", "carrier": "x",
+                            "anchor": [["x", "*"]],
+                            "table": [["g0", "x", "x"], ["g1", "x", "x"]]}),
+}
+
+
+@pytest.mark.parametrize("key", STRING_CARRIERS)
+def test_declared_carrier_given_as_a_string_exits_2(tmp_path, capsys, key):
+    # a string is iterable, so without the check "ab" would silently declare
+    # the elements "a" and "b"
+    section, spec = STRING_CARRIERS[key]
+    listed = {**spec, key: list(spec[key])}
+    Document({"version": 1, section: [listed]})
+    raw = {"version": 1, section: [spec]}
+    message = f"{section}[0].{key} must be a list, not str"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        Document(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw, message", [
     ({"version": 1, "lattices": 5}, "lattices must be a list, not int"),
     ({"version": 1, "checks": [5]}, "checks[0] must be an object, not int"),

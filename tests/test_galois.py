@@ -1,5 +1,6 @@
 """Groupoids, actions, comodules, the relation category, reconstruction."""
 
+import collections
 import inspect
 import itertools
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from finloc import galois
+from etale_oracle import dense_etale_module
+from finloc import galois, modb
 from finloc.errors import (
     DomainMismatch,
     KernelError,
@@ -17,11 +19,13 @@ from finloc.errors import (
     NotACone,
     NotAGroupoid,
     NotAModule,
+    NotDualizable,
     TriangularFails,
 )
 from finloc.fixtures import codiscrete, identities_only, trivial_group, z_mod
 from finloc.galois import (
     DiscreteAction,
+    EtaleModule,
     FiniteGroupoid,
     GaloisCoend,
     GroupoidHopf,
@@ -827,20 +831,43 @@ def _run_python_O(code: str) -> subprocess.CompletedProcess:
 
 
 def test_reconstruct_past_the_carrier_bound_raises_size_bound():
-    # P(13) exhausts 1 GB of address space; the bound must stop it first
+    # B = P(13 objects) exhausts 1 GB of address space; the bound must stop
+    # it first
     proc = _run_python_O(
         "import resource, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from finloc import galois\n"
         "from finloc.errors import SizeBound\n"
-        "from finloc.fixtures import z_mod\n"
+        "from finloc.fixtures import identities_only\n"
         "t = time.perf_counter()\n"
         "try:\n"
-        "    galois.reconstruct(z_mod(13))\n"
+        "    galois.reconstruct(identities_only(13))\n"
         "except SizeBound:\n"
         "    print(time.perf_counter() - t)\n")
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 5
+
+
+@pytest.mark.parametrize("G", ["z_mod(12)", "identities_only(12)", "z_mod(13)"],
+                         ids=["Z12", "discrete12", "Z13"])
+def test_reconstruct_frontier_fits_1gb_and_5s(G):
+    # no P(carrier) is listed, so Z13's 13 points stay under the carrier
+    # bound; B = P(12 objects) is at it
+    proc = _run_python_O(
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from finloc import galois\n"
+        "from finloc.fixtures import identities_only, z_mod\n"
+        f"G = {G}\n"
+        "t = time.perf_counter()\n"
+        "rep = galois.reconstruct(G)\n"
+        "print(time.perf_counter() - t, rep.coend_size == 2 ** len(G.arrows),\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    assert proc.returncode == 0, proc.stderr
+    seconds, exact, rss_kb = proc.stdout.split()
+    assert exact == "True"
+    assert float(seconds) < 5
+    assert int(rss_kb) < 200 * 1024
 
 
 @pytest.mark.parametrize("mutant", [
@@ -1227,11 +1254,12 @@ def test_action_mutants_fail_under_python_O(mutant):
     assert "finloc.errors.NotAModule" in proc.stderr, proc.stderr
 
 
-class DropOneEta(galois.DualityData):
-    """Duality data whose coevaluation misses its first term."""
+class DropOneEta(galois.EtaleModule):
+    """An étale module whose coevaluation misses its first term."""
 
-    def __init__(self, module, dual, eps, eta):
-        super().__init__(module, dual, eps, tuple(eta)[1:])
+    def __init__(self, B, act):
+        super().__init__(B, act)
+        self.eta = self.eta[1:]
 
 
 def test_etale_module_checks_its_triangles(monkeypatch):
@@ -1241,17 +1269,168 @@ def test_etale_module_checks_its_triangles(monkeypatch):
     B = power_locale(G.objects)
     act = representable_action(G, G.objects[0])
     galois.etale_module(B, act)
-    monkeypatch.setattr(galois, "DualityData", DropOneEta)
+    monkeypatch.setattr(galois, "EtaleModule", DropOneEta)
     with pytest.raises(TriangularFails):
         galois.etale_module(B, act)
     proc = _run_python_O(
         "from finloc import galois\n"
         "from finloc.fixtures import codiscrete\n"
         f"{inspect.getsource(DropOneEta)}\n"
-        "galois.DualityData = DropOneEta\n"
+        "galois.EtaleModule = DropOneEta\n"
         "galois.GaloisCoend(galois.default_site(codiscrete(2)))\n")
     assert proc.returncode == 1
     assert "finloc.errors.TriangularFails" in proc.stderr, proc.stderr
+
+
+# -- the étale module on atoms against the dense oracle ------------------------
+
+ETALE_GROUPOIDS = {
+    **SMALL_COENDS, "S3": s3(), "two_components": two_components(),
+    "codiscrete3": codiscrete(3), "codiscrete4": codiscrete(4),
+    "discrete4": identities_only(4),
+}
+
+
+def _etale_actions(G):
+    """The site's actions and the products of two representables, each with
+    at most 6 points."""
+    acts = list(default_site(G).objects.values())
+    reps = [representable_action(G, o) for o in G.objects]
+    acts += [product_action(A, A2) for A in reps for A2 in reps]
+    return [a for a in acts if len(a.carrier) <= 6]
+
+
+def _atom_eps(act, x, y):
+    """The overlap pairing with its value on the one atom pair ({x}, {y})
+    changed, extended as a union over points: anchor(x) is dropped from
+    eps({x}, {x}) when x = y, else added to eps({x}, {y})."""
+    def at(u, v):
+        e = frozenset({act.anchor[u]}) if u == v else frozenset()
+        return e ^ frozenset({act.anchor[x]}) if (u, v) == (x, y) else e
+
+    return lambda U, V: frozenset().union(*(at(u, v) for u in U for v in V))
+
+
+def _everywhere_action(act, x):
+    """The action with x over every object: {o}.{x} = {x} for each o."""
+    return lambda b, U: frozenset(
+        u for u in U if act.anchor[u] in b or (u == x and b))
+
+
+def _mutants(G, act):
+    """(law, B, overrides) for one mutant per law: an anchor off B's points,
+    a wrong eps on one atom pair, eta without its first pair and, with two
+    or more objects, a point over every object (meet-composition)."""
+    x, y = act.carrier[0], act.carrier[-1]
+    B = power_locale(G.objects)
+    off = power_locale(tuple(o for o in G.objects if o != act.anchor[x]))
+    out = [("anchor", off, {}), ("eps", B, {"eps": _atom_eps(act, x, y)}),
+           ("eta", B, {"drop_eta": True})]
+    if len(G.objects) > 1:
+        out.append(("act", B, {"act": _everywhere_action(act, x)}))
+    return out
+
+
+def _mutant_module(act=None, eps=None, drop_eta=False):
+    class Mutant(EtaleModule):
+        def __init__(self, B, action):
+            super().__init__(B, action)
+            if drop_eta:
+                self.eta = self.eta[1:]
+
+        def act(self, b, U):
+            return super().act(b, U) if act is None else act(b, U)
+
+        def eps(self, U, V):
+            return super().eps(U, V) if eps is None else eps(U, V)
+
+    return Mutant
+
+
+@pytest.mark.parametrize("name", ETALE_GROUPOIDS)
+def test_etale_module_matches_the_dense_oracle(name):
+    G = ETALE_GROUPOIDS[name]
+    B = power_locale(G.objects)
+    for act in _etale_actions(G):
+        mod, d = galois.etale_module(B, act)
+        dmod, dd = dense_etale_module(B, act)
+        M = dmod.lattice
+        assert len(mod.lattice) == len(M)
+        pres, dpres = mod.presentation, dmod.presentation
+        assert (pres.gens, pres.value, pres.relations) \
+            == (dpres.gens, dpres.value, dpres.relations)
+        assert d.eta == dd.eta and d.dual is mod
+        for U in M.elements:
+            assert pres.decompose(U) == dpres.decompose(U)
+            for b in B.elements:
+                assert mod.act(b, U) == dmod.act(b, U)
+            for V in M.elements:
+                assert d.eps(U, V) == dd.eps(U, V)
+
+
+@pytest.mark.parametrize("name", ETALE_GROUPOIDS)
+def test_etale_mutants_fail_the_same_law_on_both_routes(name, monkeypatch):
+    G = ETALE_GROUPOIDS[name]
+    seen = set()
+    for act in filter(lambda a: a.carrier, _etale_actions(G)):
+        for law, B, overrides in _mutants(G, act):
+            monkeypatch.setattr(galois, "EtaleModule",
+                                _mutant_module(**overrides))
+            with pytest.raises(KernelError) as atoms:
+                galois.etale_module(B, act)
+            eta = tuple((frozenset({x}), frozenset({x}))
+                        for x in act.carrier[1:]) \
+                if overrides.get("drop_eta") else None
+            with pytest.raises(KernelError) as dense:
+                dense_etale_module(B, act, overrides.get("eps"), eta,
+                                   overrides.get("act"))
+            assert type(atoms.value) is type(dense.value), (law, act)
+            if isinstance(dense.value, TriangularFails):
+                assert (atoms.value.side, atoms.value.witness) \
+                    == (dense.value.side, dense.value.witness), (law, act)
+            seen.add((law, type(atoms.value)))
+    assert {law for law, _ in seen} \
+        == {"anchor", "eps", "eta"} | ({"act"} if len(G.objects) > 1 else set())
+    assert {cls for law, cls in seen if law != "eps"} \
+        == {NotAModule, TriangularFails}
+
+
+def test_etale_mutants_cover_every_failure_class():
+    # the wrong eps value is off the anchors (NotDualizable) when the atom
+    # pair spans two objects, and breaks a triangle when it does not
+    classes = set()
+    for G in (z_mod(2), codiscrete(2)):
+        act = terminal_action(G)
+        _, B, overrides = _mutants(G, act)[1]
+        with pytest.raises(KernelError) as exc:
+            dense_etale_module(B, act, overrides["eps"])
+        classes.add(type(exc.value))
+    assert classes == {TriangularFails, NotDualizable}
+
+
+def test_reconstruct_builds_no_dense_module(monkeypatch):
+    # the coend reads every module and its dual at points: no BModule or
+    # DualityData is built, and the only power set is B = P(objects)
+    G = z_mod(3)
+    built = collections.Counter()
+    for cls in (modb.BModule, modb.DualityData):
+        init = cls.__init__
+
+        def counted(self, *args, cls=cls, init=init, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    sets = []
+
+    def recorded(X):
+        sets.append(X)
+        return power_locale(X)
+
+    monkeypatch.setattr(galois, "power_locale", recorded)
+    reconstruct(G)
+    assert built == collections.Counter()
+    assert sets and all(X is G.objects for X in sets)
 
 
 @pytest.mark.parametrize("G", [z_mod(3), codiscrete(2)], ids=["Z3", "codiscrete2"])

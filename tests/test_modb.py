@@ -4,6 +4,7 @@ import collections
 
 import pytest
 
+from etale_oracle import dense_etale_module
 from finloc import modb
 from finloc.errors import (
     DomainMismatch,
@@ -200,7 +201,11 @@ def test_transpose_roundtrip_on_groupoid_comodule():
 
     G = z_mod(2)
     act = representable_action(G, "*")
-    mod, dual = etale_module(power_locale(G.objects), act)
+    B = power_locale(G.objects)
+    # the pairing and coevaluation of the module on atoms, validated as
+    # duality data on the dense oracle's module, which lists its elements
+    _, dual = etale_module(B, act)
+    mod, _ = dense_etale_module(B, act, dual.eps, dual.eta)
     L = power_locale(G.arrows)
 
     def left(b, U):
