@@ -142,7 +142,7 @@ class DiscreteAction:
         G = self.groupoid
         for x in self.carrier:
             if self.anchor[x] not in G.objects:
-                raise AnchorMismatch(f"anchor of {x!r} is not an object")
+                raise AnchorMismatch(f"anchor of {x!r} is not an object", witness=x)
         for g in G.arrows:
             for x in self.carrier:
                 defined = (g, x) in self.act
@@ -157,11 +157,14 @@ class DiscreteAction:
         for x in self.carrier:
             if self.apply(G.unit[self.anchor[x]], x) != x:
                 raise NotAnAction(f"unit acts nontrivially on {x!r}", witness=x)
+        stalks = {o: [] for o in G.objects}  # each stalk once, in carrier order
+        for x in self.carrier:
+            stalks[self.anchor[x]].append(x)
         for f in G.arrows:
             for g in G.arrows:
                 if (f, g) not in G.compose:
                     continue
-                for x in self.stalk(G.source[g]):
+                for x in stalks[G.source[g]]:
                     if self.apply(G.comp(f, g), x) != self.apply(f, self.apply(g, x)):
                         raise NotAnAction("action not compatible with composition",
                                           witness=(f, g, x))

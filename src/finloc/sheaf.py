@@ -4,16 +4,17 @@ A sheaf is stored as explicit section sets with restriction maps.  Gluing is
 checked on one cover per open p, the join-irreducibles below p: in a finite
 locale every join-irreducible is join-prime, so this cover refines every
 other cover of p, and gluing over it at every open gives gluing over all
-covers.  The discrete module of a sheaf is the lattice of its subsheaves,
-presented by one generator per section with restriction relations and that
-one cover relation, so that the delta elements are generator classes and
-the P-action is a table lookup.
+covers.  For the same reason sheaves on P are presheaves on J(P), so the
+discrete module X_d of a sheaf, the lattice of its subsheaves, is the
+down-sets of the poset E of its sections over join-irreducibles.  The
+P-action, eps and the delta elements are unions over E, one mask operation
+each, and their laws are checked on J(P) and E.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DomainMismatch,
@@ -21,11 +22,21 @@ from .errors import (
     Mismatch,
     NotALocale,
     NotAModule,
+    NotDualizable,
+    TriangularFails,
     ValidationError,
 )
-from .lattice import FiniteLocale, FiniteSupLattice, _canon, is_frame, power_locale
-from .modb import BModule, DualityData, check_duality
-from .present import JoinPresentation, ModulePresentation, PresentedSupLattice
+from .lattice import (
+    FiniteLocale,
+    FiniteSupLattice,
+    _bits,
+    _canon,
+    _set_key,
+    check_carrier,
+    is_frame,
+    power_locale,
+)
+from .modb import BModule
 from .relation import AxiomReport, table_axioms
 
 
@@ -109,87 +120,171 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
 # -- discrete modules --------------------------------------------------------
 
 
-@dataclass
 class DiscreteModule:
-    """The P-module of subsheaves of X, generated by its delta elements."""
+    """X_d, the P-module of subsheaves of X, on the down-sets of E.
 
-    sheaf: FiniteSheaf
-    quotient: PresentedSupLattice
-    module: BModule
-    delta: dict = field(repr=False)
+    E is `sections`, the sections (j, x) of X over the join-irreducibles j
+    of P, ordered by restriction.  sh(P) is presheaves on J(P) (Johnstone,
+    *Sketches of an Elephant*, 2002, C2.2.3), so a subsheaf is the down-set
+    D of E of its sections over J(P), and its element of `lattice` is the
+    set of sections g whose J-sections (j, g|j), j in J(down p), lie in D.
+    Joins are unions of down-sets, and `delta[g]` is the down-set of the
+    J-sections of g.  X_d is its own dual, so, as for
+    `galois.EtaleModule`, one object is the module and its duality data:
+    `module` and `dual` are itself.  Its three maps are unions over E:
+      - the action: b.C keeps the J-sections of C whose open is <= b;
+      - eps(theta, psi), the join of the opens of the J-sections of
+        theta & psi;
+      - eta, the pairs (delta[g], delta[g]) for g in X.total().
+    No action or eps table is built: each value is one mask operation on
+    the down-sets and one lookup.  `build_Xd` and `selfdual_Xd` check them.
+    """
 
-    @property
-    def lattice(self) -> FiniteSupLattice:
-        return self.module.lattice
+    def __init__(self, sheaf: FiniteSheaf, lattice: FiniteSupLattice,
+                 sections: tuple, downs: list, jmask: list):
+        P = sheaf.P
+        self.sheaf, self.B, self.lattice, self.sections = sheaf, P, lattice, sections
+        self.module = self.dual = self
+        # downs[i] is the down-set of element i as a mask over E, jmask[g]
+        # that of delta[g]; below[b] the J-sections whose open is <= b;
+        # opens[k] the open of E[k]
+        self._downs = downs
+        self._at = {D: i for i, D in enumerate(downs)}
+        self.delta = {g: lattice.elements[self._at[m]]
+                      for g, m in zip(sheaf.total(), jmask)}
+        self.eta = tuple((v, v) for v in self.delta.values())
+        self._opens = [P.index(j) for j, _ in sections]
+        self._below = [sum(1 << k for k, (j, _) in enumerate(sections) if P.leq(j, b))
+                       for b in P.elements]
+
+    def _act(self, bi: int, ci: int) -> int:
+        """b.C on indices into B and the lattice."""
+        return self._at[self._downs[ci] & self._below[bi]]
+
+    def _eps(self, ti: int, ui: int) -> int:
+        """eps(theta, psi) on indices into the lattice and B."""
+        common = self._downs[ti] & self._downs[ui]
+        return self.B.join_index(map(self._opens.__getitem__, _bits(common)))
+
+    def act(self, b, C):
+        L = self.lattice
+        return L.elements[self._act(self.B.index(b), L.index(C))]
+
+    def eps(self, theta, psi):
+        L = self.lattice
+        return self.B.elements[self._eps(L.index(theta), L.index(psi))]
+
+    def __repr__(self):
+        return (f"<DiscreteModule over {len(self.B)}-locale, "
+                f"{len(self.lattice)} subsheaves>")
 
 
 def build_Xd(X: FiniteSheaf) -> DiscreteModule:
-    """Materialize the subsheaf lattice with its P-action and delta generators.
+    """The subsheaf lattice of X with its P-action and delta generators.
 
-    The relations are delta(q, x|q) <= delta(p, x) for q < p, and
-    delta(p, x) = V delta(j, x|j) over j in J(down p) when p is not
-    join-irreducible (a join-irreducible p is in its own cover).  Any other
-    cover C of p needs no relation: each j lies below some c in C, so
-    delta(j, x|j) <= delta(c, x|c) already.
+    The down-sets of E are the unions of its principal down-sets, saturated
+    one at a time.  Each becomes the mask, over the indices of X.total(),
+    of the sections whose J-sections it holds, and the masks are ordered by
+    inclusion with `FiniteSupLattice.from_closed_sets`, which checks that
+    they are closed under intersection.  Sorted by `_set_key`, they are the
+    closed sets of the presentation by the sections, the restriction
+    relations and one cover relation per section over J(down p).
 
-    b.C is the closure of the restrictions by b of the generators of C,
-    each looked up once per generator and b.  Every element C is
-    checked to be the join of its scaled deltas f(g).delta(g), where f(g)
-    is the largest q with g|q in C, read off the action table.
+    Why the laws need checking only on J(P) and E: b.C keeps the
+    J-sections e of C with open(e) <= b.  In C that is a union over the
+    J-sections of C, and in b too, because open(e), a join-irreducible of
+    the locale `check_sheaf` requires, is join-prime: open(e) <= b v b'
+    means open(e) <= b or open(e) <= b'.  So the action preserves joins in
+    each slot by construction, both sides of the unit, of b.C <= C and of
+    meet-composition (b ^ b').C = b.(b'.C) preserve joins in each of b, b'
+    (P is distributive) and C, and each holds everywhere once it holds on
+    J(P) x J(P) x {delta_e : e in E}, every element being the join of the
+    delta_e below it.  Checked, each with a witness and as NotAModule:
+      - the bottoms, the unit, b.delta_e <= delta_e and meet-composition on
+        J(P), J(P) x J(P) and E;
+      - scaling: b.delta(p, x) = delta(p ^ b, x|(p ^ b)) for every section
+        and every b, read off `X.res` again, not off E;
+      - rebuilding, at index level: every element C is the join of its
+        scaled deltas f(g).delta(g), f(g) the join of the j in J(down p)
+        with g|j in C.
     """
     P = X.P
     gens = X.total()
-    rels = []
-    for p in P.elements:
-        cover = irreducibles_below(P, p)
-        for x in X.sections[p]:
-            for q in P.down_set(p):
-                if q != p:
-                    rels.append((frozenset({(p, x)}),
-                                 frozenset({(p, x), (q, X.res(p, q, x))})))
-            if p not in cover:
-                rels.append((frozenset({(p, x)}),
-                             frozenset((j, X.res(p, j, x)) for j in cover)))
-    q = PresentedSupLattice(JoinPresentation(tuple(gens), tuple(rels)))
-    lat = q.lattice()
-    delta = {(p, x): q.gen_class((p, x)).closure for (p, x) in gens}
+    cover = {p: irreducibles_below(P, p) for p in P.elements}
+    E = tuple((j, x) for j in P.join_irreducibles() for x in X.sections[j])
+    ei = {e: k for k, e in enumerate(E)}
+    # the J-sections of each section, as a mask over E: a down-set of E
+    jmask = [sum(1 << ei[(j, X.res(p, j, x))] for j in cover[p]) for (p, x) in gens]
     gi = {g: k for k, g in enumerate(gens)}
-    res = _restrictions(X, gi)
-    scaled = {b: {g: gens[ra[P.index(P.meet(g[0], b))]] for g, ra in zip(gens, res)}
-              for b in P.elements}
-
-    def action(b, C):
-        return q.closure(map(scaled[b].__getitem__, C))
-
-    pres = ModulePresentation(lat, tuple(gens), delta, tuple(rels))
-    module = BModule(P, lat, action, presentation=pres)
-    d = DiscreteModule(X, q, module, delta)
-    # scaling a delta restricts its section, read off X again, not off the
-    # restrictions the action was built from
-    for (p, x) in gens:
-        for b in P.elements:
-            if module.act(b, delta[(p, x)]) \
-                    != delta[(P.meet(p, b), X.res(p, P.meet(p, b), x))]:
-                raise NotAModule(f"scaling delta{(p, x)!r} by {b!r} does not "
-                                 "restrict its section", witness=(b, (p, x)))
-    cols = [(lat.index(delta[g]), ra.items()) for g, ra in zip(gens, res)]
-    T = module.table
-    for C in lat.elements:  # every element is the join of its scaled deltas
-        cm = sum(1 << gi[g] for g in C)
-        rebuilt = lat.join_index(
-            T[P.join_index(r for r, k in ra if cm >> k & 1)][di] for di, ra in cols)
-        if lat.elements[rebuilt] != C:
-            raise NotAModule("an element is not the join of its scaled deltas",
-                             witness=C)
+    seen = {0}
+    for e in E:  # every down-set is a union of principal ones, jmask[e]
+        principal = jmask[gi[e]]
+        for D in list(seen):
+            seen.add(D | principal)
+        check_carrier(len(seen), "the subsheaf lattice")
+    family = []
+    for D in seen:
+        em = sum(1 << k for k, m in enumerate(jmask) if not m & ~D)
+        family.append((frozenset(map(gens.__getitem__, _bits(em))), em, D))
+    family.sort(key=lambda f: _set_key(f[0]))
+    lat = FiniteSupLattice.from_closed_sets([f[0] for f in family],
+                                            [f[1] for f in family])
+    d = DiscreteModule(X, lat, E, [f[2] for f in family], jmask)
+    _check_module(d, cover)
     return d
 
 
-def _restrictions(X: FiniteSheaf, gi: dict) -> list:
-    """Per section g = (p, x), the index in gi of g|q for each q <= p, keyed
-    by the index of q in P."""
-    P = X.P
-    return [{P.index(q): gi[(q, X.res(p, q, x))] for q in P.down_set(p)}
-            for (p, x) in X.total()]
+def _check_module(d: DiscreteModule, cover: dict) -> None:
+    """The module laws on J(P) and E, scaling and rebuilding (`build_Xd`),
+    on indices."""
+    X, P, lat = d.sheaf, d.B, d.lattice
+    Pel, Lel, bot = P.elements, lat.elements, lat.bottom_index
+    J = [P.index(j) for j in P.join_irreducibles()]
+    for j in J:
+        if d._act(j, bot) != bot:
+            raise NotAModule(f"{Pel[j]!r} does not fix the bottom",
+                             witness=(Pel[j], Lel[bot]))
+    for e in d.sections:
+        de = lat.index(d.delta[e])
+        if d._act(P.bottom_index, de) != bot:
+            raise NotAModule("the bottom of P does not act as zero",
+                             witness=(P.bottom, Lel[de]))
+        if d._act(P.top_index, de) != de:
+            raise NotAModule("the top of P does not act as the unit",
+                             witness=Lel[de])
+        for j in J:
+            je, meets = d._act(j, de), P.meet_row(j)
+            if lat.join_index((je, de)) != de:
+                raise NotAModule("scaling a delta leaves it",
+                                 witness=(Pel[j], Lel[de]))
+            for j2 in J:
+                if d._act(meets[j2], de) != d._act(j2, je):
+                    raise NotAModule("the action is not meet-composition",
+                                     witness=(Pel[j], Pel[j2], Lel[de]))
+    gens = X.total()
+    dix = [lat.index(d.delta[g]) for g in gens]
+    # scaling a delta restricts its section, read off X again, not off E
+    for (p, x), di in zip(gens, dix):
+        want = {}  # per index of p ^ b, the delta of the restricted section
+        for bi, mi in enumerate(P.meet_row(P.index(p))):
+            if mi not in want:
+                m = P.elements[mi]
+                want[mi] = lat.index(d.delta[(m, X.res(p, m, x))])
+            if d._act(bi, di) != want[mi]:
+                b = P.elements[bi]
+                raise NotAModule(f"scaling delta{(p, x)!r} by {b!r} does not "
+                                 "restrict its section", witness=(b, (p, x)))
+    gi = {g: k for k, g in enumerate(gens)}
+    jres = [[(P.index(j), gi[(j, X.res(p, j, x))]) for j in cover[p]]
+            for (p, x) in gens]
+    for C in lat.elements:  # every element is the join of its scaled deltas
+        cm = sum(1 << gi[g] for g in C)
+        rebuilt = lat.join_index(
+            d._act(P.join_index(ji for ji, k in jr if cm >> k & 1), di)
+            for jr, di in zip(jres, dix))
+        if lat.elements[rebuilt] != C:
+            raise NotAModule("an element is not the join of its scaled deltas",
+                             witness=C)
 
 
 def eq_bracket(d: DiscreteModule, px, qy):
@@ -329,40 +424,57 @@ def check_module_axioms(mu: dict, dX: DiscreteModule, dY: DiscreteModule,
         lambda gy1, gy2: himg(eq_bracket(dY, gy1, gy2)))
 
 
-def selfdual_Xd(d: DiscreteModule) -> DualityData:
+def selfdual_Xd(d: DiscreteModule) -> DiscreteModule:
     """X_d is self-dual: eta sums delta pairs, eps is the equality bracket.
 
-    eps(theta, psi) is the join of the bracket over theta x psi, taken over
-    their maximal sections only: the bracket is monotone under restriction,
-    [x|p', y] <= [x, y] (the opens where x|p' and y agree are among those
-    where x and y do), and every section of a subsheaf is a restriction of
-    a maximal one.  `eq_bracket` is tabulated once per pair of generators.
-    Per element theta, the join of the bracket over the maximal sections of
-    theta is kept against each generator, so that each eps value, which
-    `DualityData` tabulates once per pair of elements, joins one such entry
-    per maximal section of psi.
+    Returns d, which is its own duality data, once its eps and eta pass.
+    eps(theta, psi) joins the opens of the J-sections of theta & psi, so it
+    is a union over J-sections in each slot: the J-sections of a join are
+    the union of those of its parts.  Both sides of B-linearity,
+    eps(b.theta, psi) = b ^ eps(theta, psi) = eps(theta, b.psi), then
+    preserve joins in b, theta and psi (P is distributive, and the action
+    preserves joins in b because every j is join-prime), and so does each
+    zigzag m -> V eps(m, n).m2 over eta, like the identity.  So each law
+    holds everywhere once it holds on J(P) and the delta_e, e in E.
+    Checked, with the failing delta_e or J-section as witness:
+      - NotDualizable: eps at the bottoms; eps(delta_e, delta_e') equals
+        `eq_bracket(d, e, e')`, read off the restrictions; and B-linearity
+        in both slots on J(P) x E x E;
+      - TriangularFails: the right, then the left triangle on every
+        delta_e.
+    With eps equal to the bracket on E x E, it is the join of the bracket
+    over theta x psi for every pair of elements: two sections agree on
+    [g = h], the join of the j in J(P) where they agree, and each such j
+    gives a J-section (j, g|j) of theta & psi, while a J-section e of both
+    is the pair (e, e), with bracket open(e).
     """
-    P, X = d.sheaf.P, d.sheaf
-    gens = X.total()
-    gi = {g: k for k, g in enumerate(gens)}
-    bracket = [[P.index(eq_bracket(d, gx, gy)) for gy in gens] for gx in gens]
-    lower = [sum(1 << k for k in ra.values()) - (1 << a)
-             for a, ra in enumerate(_restrictions(X, gi))]
-    tops, rows = {}, {}
-    for t in d.lattice.elements:
-        ix, low = [gi[g] for g in t], 0
-        for a in ix:
-            low |= lower[a]
-        tops[t] = top = [a for a in ix if not low >> a & 1]
-        rows[t] = [P.join_index(bracket[a][c] for a in top) for c in range(len(gens))]
-
-    def eps(theta, psi):
-        return P.elements[P.join_index(map(rows[theta].__getitem__, tops[psi]))]
-
-    eta = tuple((d.delta[g], d.delta[g]) for g in gens)
-    dd = DualityData(d.module, d.module, eps, eta)
-    check_duality(dd)
-    return dd
+    P, lat = d.B, d.lattice
+    Pel, Lel, bot = P.elements, lat.elements, lat.bottom_index
+    J = [P.index(j) for j in P.join_irreducibles()]
+    meets = [P.meet_row(j) for j in J]
+    deltas = [(e, lat.index(d.delta[e])) for e in d.sections]
+    for e, de in deltas:
+        if d._eps(bot, de) != P.bottom_index or d._eps(de, bot) != P.bottom_index:
+            raise NotDualizable("eps not linear at bottom", witness=Lel[de])
+    for e, de in deltas:
+        for f, df in deltas:
+            v = d._eps(de, df)
+            if Pel[v] != eq_bracket(d, e, f):
+                raise NotDualizable(f"eps is not the equality bracket at "
+                                    f"({e!r}, {f!r})", witness=(e, f))
+            for j, meet in zip(J, meets):
+                w = meet[v]
+                if d._eps(d._act(j, de), df) != w or d._eps(de, d._act(j, df)) != w:
+                    raise NotDualizable(f"eps not B-linear at ({Pel[j]!r}, {e!r}, {f!r})",
+                                        witness=(Pel[j], Lel[de], Lel[df]))
+    eta = [(lat.index(n), lat.index(m2)) for n, m2 in d.eta]
+    for e, de in deltas:
+        if lat.join_index(d._act(d._eps(de, n), m2) for n, m2 in eta) != de:
+            raise TriangularFails("right", witness=Lel[de])
+    for e, de in deltas:
+        if lat.join_index(d._act(d._eps(m2, de), n) for n, m2 in eta) != de:
+            raise TriangularFails("left", witness=Lel[de])
+    return d
 
 
 # -- constant sheaves and the external correspondence -------------------------

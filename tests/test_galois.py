@@ -131,6 +131,55 @@ def test_regular_action_and_transporters():
             assert len(transporter(R, y, x)) == 1
 
 
+# one mutant per clause of DiscreteAction._validate, in the order they are
+# checked: (groupoid fixture and its size, anchor, act, error, witness); the
+# carrier is (a, b)
+_SWAP2 = {("g0", "a"): "a", ("g0", "b"): "b", ("g1", "a"): "b", ("g1", "b"): "a"}
+_ACTION_MUTANTS = {
+    "anchor": (("z_mod", 2), {"a": "*", "b": "nowhere"}, _SWAP2,
+               "AnchorMismatch", "b"),
+    "domain": (("z_mod", 2), {"a": "*", "b": "*"},
+               {k: v for k, v in _SWAP2.items() if k != ("g1", "b")},
+               "NotAnAction", ("g1", "b")),
+    "anchor tracking": (("identities_only", 2), {"a": 0, "b": 1},
+                        {(("id", 0), "a"): "b", (("id", 1), "b"): "b"},
+                        "NotAnAction", (("id", 0), "a")),
+    "unit": (("z_mod", 2), {"a": "*", "b": "*"},
+             {("g0", "a"): "b", ("g0", "b"): "a", ("g1", "a"): "a", ("g1", "b"): "b"},
+             "NotAnAction", "a"),
+    # g1 and g2 both swap, but g1 g1 = g2 and g1 g1 a = a
+    "composition": (("z_mod", 3), {"a": "*", "b": "*"},
+                    {("g0", "a"): "a", ("g0", "b"): "b", ("g1", "a"): "b",
+                     ("g1", "b"): "a", ("g2", "a"): "b", ("g2", "b"): "a"},
+                    "NotAnAction", ("g1", "g1", "a")),
+}
+
+
+@pytest.mark.parametrize("clause", list(_ACTION_MUTANTS))
+def test_discrete_action_mutants_raise_with_their_witness(clause):
+    from finloc import errors, fixtures
+
+    (name, n), anchor, act, error, witness = _ACTION_MUTANTS[clause]
+    G = getattr(fixtures, name)(n)
+    with pytest.raises(getattr(errors, error)) as e:
+        DiscreteAction(G, ("a", "b"), anchor, act)
+    assert e.value.witness == witness
+
+
+def test_discrete_action_composition_mutant_fails_under_python_O():
+    (name, n), anchor, act, error, witness = _ACTION_MUTANTS["composition"]
+    proc = _run_python_O(
+        "from finloc.errors import NotAnAction\n"
+        f"from finloc.fixtures import {name}\n"
+        "from finloc.galois import DiscreteAction\n"
+        "try:\n"
+        f"    DiscreteAction({name}({n}), ('a', 'b'), {anchor!r}, {act!r})\n"
+        "except NotAnAction as e:\n"
+        "    print(repr(e.witness))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(witness)
+
+
 def test_action_comodule_transpose_trivial():
     G = trivial_group()
     act = terminal_action(G)

@@ -566,6 +566,7 @@ def _closed_set_lattices():
     family of sets, with the presentation when it has one."""
     from finloc.present import lattice_presentation, tensor
     from finloc.sheaf import build_Xd, enumerate_sheaves
+    from xd_oracle import dense_Xd
 
     for k in range(9):
         yield power_locale(range(k)), None
@@ -579,9 +580,8 @@ def _closed_set_lattices():
     assert lattice_presentation(M3(), "L").relations
     t = tensor(M3(), TWO())
     yield t.lattice(), t
-    for X in enumerate_sheaves(CH3(), 3):
-        d = build_Xd(X)
-        yield d.module.lattice, d.quotient
+    for X in enumerate_sheaves(CH3(), 3):  # with the dense route's quotient
+        yield build_Xd(X).lattice, dense_Xd(X).quotient
 
 
 def test_from_closed_sets_tables_match_least_of_oracle():

@@ -2,12 +2,22 @@
 
 import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from finloc.errors import GluingFails, NotALocale, NotAModule
+from finloc.errors import (
+    GluingFails,
+    NotALocale,
+    NotAModule,
+    NotDualizable,
+    TriangularFails,
+)
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import all_locales, power_locale
 from finloc.modb import BModule, check_duality
@@ -30,6 +40,7 @@ from finloc.sheaf import (
     selfdual_Xd,
     tilde_roundtrip,
 )
+from xd_oracle import dense_check, dense_selfdual_Xd, dense_Xd
 
 
 def two_sheaf(X):
@@ -456,12 +467,12 @@ def test_rebuild_check_rejects_a_mutant_element(monkeypatch):
     mutate(d.lattice)
     assert _not_rebuilt(d) == mutant
 
-    class Module(sheaf.BModule):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+    class Module(sheaf.DiscreteModule):
+        def __init__(self, *args):
+            super().__init__(*args)
             mutate(self.lattice)
 
-    monkeypatch.setattr(sheaf, "BModule", Module)
+    monkeypatch.setattr(sheaf, "DiscreteModule", Module)
     with pytest.raises(NotAModule) as e:
         build_Xd(X)
     assert str(e.value) == "an element is not the join of its scaled deltas"
@@ -569,7 +580,7 @@ def test_generator_pairs_jump_to_common_support():
         from finloc.sheaf import enumerate_sheaves
 
         for X in enumerate_sheaves(P, 2):
-            d = build_Xd(X)
+            d = dense_Xd(X)  # tensor_over reads a presentation
             T = tensor_over(P, d.module, d.module)
             for (p, x) in X.total():
                 for (q, y) in X.total():
@@ -621,17 +632,21 @@ def test_externalized_supremum_formula():
         assert direct == closed
 
 
-def test_build_Xd_checks_survive_python_O():
-    # restriction changed once the action is tabulated: scaling a delta no
-    # longer lands on the delta of its restricted section
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _run_python_O(code: str) -> subprocess.CompletedProcess:
+    """Run code in a `python -O` child that imports this finloc."""
     import finloc
 
-    code = """
+    src = str(Path(finloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_build_Xd_checks_survive_python_O():
+    # restriction changed once the lattice is built: scaling a delta no
+    # longer lands on the delta of its restricted section
+    proc = _run_python_O("""
 from finloc import sheaf
 
 X = sheaf.etale_sheaf((1, 2), ("a", "b", "c", "d"),
@@ -639,21 +654,182 @@ X = sheaf.etale_sheaf((1, 2), ("a", "b", "c", "d"),
 top, one = frozenset({1, 2}), frozenset({1})
 
 
-class Module(sheaf.BModule):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+class Module(sheaf.DiscreteModule):
+    def __init__(self, *args):
+        super().__init__(*args)
         X.restrict[(top, one)] = {
             s: next(v for v in X.sections[one] if v != t)
             for s, t in X.restrict[(top, one)].items()}
 
 
-sheaf.BModule = Module
+sheaf.DiscreteModule = Module
 sheaf.build_Xd(X)
-"""
-    src = str(Path(finloc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
+""")
     assert proc.returncode == 1
     assert "finloc.errors.NotAModule: scaling delta" in proc.stderr
+
+
+def test_Xd_over_eight_points_fits_1gb_and_1s():
+    # 256 subsheaves over P(8 points), built and self-dualized with no
+    # presentation closure, action table or eps table
+    proc = _run_python_O(
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from finloc.sheaf import build_Xd, etale_sheaf, selfdual_Xd\n"
+        "points = tuple(range(8))\n"
+        "X = etale_sheaf(points, tuple(f'e{o}' for o in points),\n"
+        "                {f'e{o}': o for o in points})\n"
+        "t = time.perf_counter()\n"
+        "d = selfdual_Xd(build_Xd(X))\n"
+        "print(time.perf_counter() - t, len(d.lattice))\n")
+    assert proc.returncode == 0, proc.stderr
+    seconds, size = proc.stdout.split()
+    assert int(size) == 256
+    assert float(seconds) < 1
+
+
+# -- the down-set route against the dense oracle -------------------------------
+
+
+def _oracle_sheaves():
+    """The 80 sheaves of criterion 4 and the 71 over all_locales(4)."""
+    for P in (TWO(), CH3(), P2()):
+        yield from enumerate_sheaves(P, 3)
+    for P in all_locales(4):
+        yield from enumerate_sheaves(P, 2)
+
+
+def test_Xd_matches_the_dense_route():
+    count = 0
+    for X in _oracle_sheaves():
+        P, d, o = X.P, selfdual_Xd(build_Xd(X)), dense_Xd(X)
+        od = dense_selfdual_Xd(o)
+        assert (d.lattice.elements, d.lattice._up) == (o.lattice.elements, o.lattice._up)
+        assert d.delta == o.delta
+        els = d.lattice.elements
+        assert all(d.act(b, C) == o.module.act(b, C) for b in P.elements for C in els)
+        assert all(d.eps(t, u) == od.eps(t, u) for t in els for u in els)
+        dense_check(d)  # BModule, DualityData and both triangles accept d's maps
+        count += 1
+    assert count == 80 + 71
+
+
+_AB_C = ((1, 2), ("a", "b", "c"), {"a": 1, "b": 1, "c": 2})
+
+
+def test_an_action_missing_a_J_section_is_rejected_by_both_routes(monkeypatch):
+    # over a chain the dense module laws accept such an action, another
+    # module; over P2 they do not, and scaling rejects it on either base
+    from finloc import sheaf
+
+    X, e = etale_sheaf(*_AB_C), (frozenset({1}), ("a",))
+    made = []
+
+    class Module(sheaf.DiscreteModule):  # {1}.delta_e no longer holds e
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._below[self.B.index(e[0])] &= ~(1 << self.sections.index(e))
+            made.append(self)
+
+    monkeypatch.setattr(sheaf, "DiscreteModule", Module)
+    with pytest.raises(NotAModule) as err:
+        build_Xd(X)
+    assert err.value.witness == (e[0], e)
+    with pytest.raises(NotAModule):
+        dense_Xd(X, action=made[0].act)
+
+
+def test_eps_wrong_on_one_atom_pair_is_rejected_by_both_routes():
+    X, e = etale_sheaf(*_AB_C), (frozenset({1}), ("a",))
+    d = build_Xd(X)
+    de, eps = d.lattice.index(d.delta[e]), d._eps
+    d._eps = lambda t, u: X.P.bottom_index if t == u == de else eps(t, u)
+    with pytest.raises(NotDualizable) as err:
+        selfdual_Xd(d)
+    assert err.value.witness == (e, e)
+    with pytest.raises(NotDualizable):
+        dense_selfdual_Xd(dense_Xd(X), eps=d.eps)
+
+
+def test_eta_missing_a_maximal_pair_is_rejected_by_both_routes():
+    # the stalk over 2 is empty, so the J-section a is maximal: no other
+    # pair of eta restricts to it
+    X = etale_sheaf((1, 2), ("a", "b"), {"a": 1, "b": 1})
+    d = build_Xd(X)
+    da = d.delta[(frozenset({1}), ("a",))]
+    d.eta = tuple(pair for pair in d.eta if pair != (da, da))
+    errors = []
+    for route in (selfdual_Xd, lambda d: dense_selfdual_Xd(dense_Xd(X), eta=d.eta)):
+        with pytest.raises(TriangularFails) as err:
+            route(d)
+        errors.append((err.value.side, err.value.witness))
+    assert errors == [("right", da)] * 2
+
+
+# -- one mutant per remaining check, each rejected by that check ---------------
+
+
+def _Xd_indices(d):
+    """Indices of {1} and {2} in P, and of the deltas of a, b, c and of the
+    section a-c over {1, 2} in X_d, for the sheaf _AB_C."""
+    P, L = d.B, d.lattice
+    one, two = frozenset({1}), frozenset({2})
+    gens = ((one, ("a",)), (one, ("b",)), (two, ("c",)), (one | two, ("a", "c")))
+    return SimpleNamespace(one=P.index(one), two=P.index(two),
+                           **dict(zip(("a", "b", "c", "ac"),
+                                      (L.index(d.delta[g]) for g in gens))))
+
+
+# (message, rule): rule(d, ix, bi, ci, v) is the mutant's b.C, v the true one
+_ACT_MUTANTS = [
+    ("does not fix the bottom", lambda d, ix, bi, ci, v:
+        d.lattice.top_index if (bi, ci) == (ix.one, d.lattice.bottom_index) else v),
+    ("the bottom of P does not act as zero", lambda d, ix, bi, ci, v:
+        ci if bi == d.B.bottom_index else v),
+    ("the top of P does not act as the unit", lambda d, ix, bi, ci, v:
+        d.lattice.bottom_index if bi == d.B.top_index else v),
+    ("scaling a delta leaves it", lambda d, ix, bi, ci, v:
+        d.lattice.top_index if (bi, ci) == (ix.one, ix.c) else v),
+    ("the action is not meet-composition", lambda d, ix, bi, ci, v:
+        ci if (bi, ci) == (ix.two, ix.a) else v),
+]
+
+
+@pytest.mark.parametrize("message, rule", _ACT_MUTANTS, ids=[m for m, _ in _ACT_MUTANTS])
+def test_each_module_law_on_atoms_rejects_its_mutant(monkeypatch, message, rule):
+    from finloc import sheaf
+
+    class Module(sheaf.DiscreteModule):
+        def _act(self, bi, ci):
+            return rule(self, _Xd_indices(self), bi, ci, super()._act(bi, ci))
+
+    monkeypatch.setattr(sheaf, "DiscreteModule", Module)
+    with pytest.raises(NotAModule) as err:
+        build_Xd(etale_sheaf(*_AB_C))
+    assert message in str(err.value)
+
+
+# (error, message, map, rule): after build_Xd, map is replaced by
+# rule(d, ix, x, y, v) on index pairs, v the true value
+_DUALITY_MUTANTS = [
+    (NotDualizable, "eps not linear at bottom", "_eps", lambda d, ix, x, y, v:
+        d.B.top_index if (x, y) == (d.lattice.bottom_index, ix.a) else v),
+    # eps is right on E x E; the action it is paired with is not
+    (NotDualizable, "eps not B-linear", "_act", lambda d, ix, x, y, v:
+        d.lattice.bottom_index if (x, y) == (ix.one, ix.a) else v),
+    # wrong only with a section over {1, 2} first, which only the left
+    # triangle reads
+    (TriangularFails, "left side", "_eps", lambda d, ix, x, y, v:
+        d.B.top_index if (x, y) == (ix.ac, ix.b) else v),
+]
+
+
+@pytest.mark.parametrize("error, message, name, rule", _DUALITY_MUTANTS,
+                         ids=[m for _, m, _, _ in _DUALITY_MUTANTS])
+def test_each_duality_check_rejects_its_mutant(error, message, name, rule):
+    d = build_Xd(etale_sheaf(*_AB_C))
+    ix, true = _Xd_indices(d), getattr(d, name)
+    setattr(d, name, lambda x, y: rule(d, ix, x, y, true(x, y)))
+    with pytest.raises(error) as err:
+        selfdual_Xd(d)
+    assert message in str(err.value)
