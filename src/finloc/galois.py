@@ -434,6 +434,10 @@ class _SetLattice:
         return functools.reduce(operator.or_, sets, self.bottom)
 
     @staticmethod
+    def join(a, b):
+        return a | b
+
+    @staticmethod
     def meet(a, b):
         return a & b
 
@@ -706,6 +710,31 @@ def _or(masks) -> int:
     return acc
 
 
+def _subset_unions(masks: list) -> list:
+    """U[b], the OR of masks[i] over the set bits i of b, for every
+    b < 2 ** len(masks), in order: the candidates 2 ** i to 2 ** (i + 1) - 1
+    are those below 2 ** i with member i added, so U[b] is
+    U[b - 2 ** i] | masks[i]."""
+    out = [0]
+    for m in masks:
+        out += [u | m for u in out]
+    return out
+
+
+def _subset_sums(values: list) -> list:
+    """S[b], the sum of values[i] over the set bits i of b, for every
+    b < 2 ** len(values), by the recurrence of `_subset_unions`."""
+    out = [0]
+    for v in values:
+        out += [s + v for s in out]
+    return out
+
+
+def _table(flags) -> int:
+    """The truth table whose bit b is flags[b]."""
+    return int("".join(["1" if f else "0" for f in flags])[::-1], 2)
+
+
 def _arrow_groups(need: int, masks: list) -> list:
     """(arrow needed, indices whose mask holds the arrow) for every arrow that
     is needed or held, from a needed-arrow mask and per-index arrow masks."""
@@ -741,15 +770,22 @@ class _HomSpace:
       whether it holds on candidate base + b.  Variable x_i is a periodic
       pattern when i < _BLOCK and all ones or 0 across the block otherwise.
       `rel` reads the transporter masks `T`, built from `apply`.
-    - one candidate at a time by `bijection`, `morphism`, `invariant` and
-      `diamond`, which return flags only.  `bijection` reads `rows`, built
-      from `action_mu`; `invariant` reads the `images` of each pair.  The
-      witnesses of the pairing's four axioms come from `table_axioms`, fed
-      with `rows`, `into` and `out` by `restricted_theta_axioms`.
+    - at set level, from unions over the candidate's members: the
+      restricted pairing from `rows` and `cols`, built from `action_mu`;
+      the comodule-morphism equation from `couples`; stability from the
+      `images` of each pair; the diamond equation from `lhs` and `rhs`.
+      `set_level()` builds every candidate's unions in one pass, each from
+      a smaller candidate's, and `bijection`, `morphism`, `invariant` and
+      `diamond` build them for one candidate.  Both apply the same final
+      tests (`pairing_test`, `morphism_test`, `invariant_test`,
+      `diamond_test`).  The witnesses of the pairing's four axioms come
+      from `table_axioms`, fed with `rows`, `into` and `out` by
+      `restricted_theta_axioms`.
 
     Only the pairs, the bounds `into` and `out`, the comodule-morphism
-    `couples` and the orbits are shared.  `hom_count` sweeps the candidates
-    once and compares the two routes.
+    `couples` and the orbits are shared.  The set-level inputs are built
+    on first read, so a space past the cross-check never builds them.
+    `hom_count` sweeps the candidates once and compares the two routes.
     """
 
     def __init__(self, A: DiscreteAction, B: DiscreteAction):
@@ -758,13 +794,11 @@ class _HomSpace:
         self.pairs, orbits = _pair_orbits(A, B)
         self.pos = {p: i for i, p in enumerate(self.pairs)}
         self.n = n = len(self.pairs)
-        bit = {g: 1 << i for i, g in enumerate(G.arrows)}
-
-        def mask(arrows):
-            return _or(bit[g] for g in arrows)
-
-        self.into = [mask(G.arrows_into(A.anchor[x])) for x, _ in self.pairs]
-        self.out = [mask(G.arrows_from(A.anchor[x])) for x, _ in self.pairs]
+        self._bit = bit = {g: 1 << i for i, g in enumerate(G.arrows)}
+        self.into = [self._mask(G.arrows_into(A.anchor[x]))
+                     for x, _ in self.pairs]
+        self.out = [self._mask(G.arrows_from(A.anchor[x]))
+                    for x, _ in self.pairs]
         # from the action: the transporter masks T[p][q] = arrows g with
         # g . q = p (componentwise), and the images of each pair q
         self.T = [[0] * n for _ in range(n)]
@@ -774,13 +808,6 @@ class _HomSpace:
                 pi = self.pos[(A.apply(g, x2), B.apply(g, y2))]
                 self.T[pi][qi] |= bit[g]
                 self.images[qi] |= 1 << pi
-        # from action_mu: the restricted transporters mu((x, y), (x2, y2)),
-        # by rows and columns
-        muA = {k: mask(v) for k, v in action_mu(A).items()}
-        muB = {k: mask(v) for k, v in action_mu(B).items()}
-        self.rows = [[muA[(x, x2)] & muB[(y, y2)] for (x2, y2) in self.pairs]
-                     for (x, y) in self.pairs]
-        self.cols = [list(col) for col in zip(*self.rows)]
         # comodule-morphism couples: (x, g.y) in R iff (g^-1.x, y) in R, both
         # sides false unless anchor(x) = target(g); couples[i] holds the
         # pairs that must agree with pair i
@@ -799,16 +826,78 @@ class _HomSpace:
         for orbit in orbits:
             first, *rest = (self.pos[p] for p in orbit)
             self.orbit_couples += [(first, i) for i in rest]
-        # diamond terms, one slot of len(G.arrows) bits per (a, b') in A x B:
-        # pair (y, b') brings mu_A(a, y) into slot (a, b') of the left side,
-        # pair (a, x') brings mu_B(x', b') into slot (a, b') of the right
-        width = len(G.arrows)
-        slot = {ab: width * k for k, ab in
-                enumerate(itertools.product(A.carrier, B.carrier))}
-        self.lhs = [_or(muA[(a, y)] << slot[(a, bp)] for a in A.carrier)
-                    for (y, bp) in self.pairs]
-        self.rhs = [_or(muB[(xp, bp)] << slot[(a, bp)] for bp in B.carrier)
-                    for (a, xp) in self.pairs]
+
+    def _mask(self, arrows) -> int:
+        return _or(self._bit[g] for g in arrows)
+
+    @functools.cached_property
+    def _mu(self) -> tuple:
+        """action_mu of A and of B, as arrow masks."""
+        return tuple({k: self._mask(v) for k, v in action_mu(act).items()}
+                     for act in (self.A, self.B))
+
+    @functools.cached_property
+    def rows(self) -> list:
+        """The restricted transporters mu((x, y), (x2, y2)) from action_mu:
+        rows[i][j] for pairs i = (x, y) and j = (x2, y2)."""
+        muA, muB = self._mu
+        return [[muA[(x, x2)] & muB[(y, y2)] for (x2, y2) in self.pairs]
+                for (x, y) in self.pairs]
+
+    @functools.cached_property
+    def cols(self) -> list:
+        return [list(col) for col in zip(*self.rows)]
+
+    @functools.cached_property
+    def _slot(self) -> dict:
+        """The diamond's slots, one of len(G.arrows) bits per (a, b') in
+        A x B."""
+        width = len(self.G.arrows)
+        return {ab: width * k for k, ab in
+                enumerate(itertools.product(self.A.carrier, self.B.carrier))}
+
+    @functools.cached_property
+    def lhs(self) -> list:
+        """The diamond's left terms: pair (y, b') brings mu_A(a, y) into
+        slot (a, b')."""
+        muA, slot = self._mu[0], self._slot
+        return [_or(muA[(a, y)] << slot[(a, bp)] for a in self.A.carrier)
+                for (y, bp) in self.pairs]
+
+    @functools.cached_property
+    def rhs(self) -> list:
+        """The diamond's right terms: pair (a, x') brings mu_B(x', b') into
+        slot (a, b')."""
+        muB, slot = self._mu[1], self._slot
+        return [_or(muB[(xp, bp)] << slot[(a, bp)] for bp in self.B.carrier)
+                for (a, xp) in self.pairs]
+
+    @functools.cached_property
+    def lines(self) -> tuple:
+        """(packed, tops, slots): the pairing's rows and columns packed so
+        that a candidate's lines are a sum and a union over its members.
+
+        packed[j] holds rows[i][j] in slot i and cols[i][j] in slot n + i,
+        for every pair i; tops holds into[i] in slot i and out[i] in slot
+        n + i; slots[j] is all ones on slots j and n + j.  A slot has
+        len(G.arrows) + n.bit_length() + 1 bits, so the sum of at most n
+        entries, each below 2 ** len(G.arrows), never carries into the next
+        slot.  A sum of masks equals their union iff no bit is in two of
+        them: the sum counts each bit once per mask that holds it, the
+        union once, and a bit held twice carries.  So the entries of a
+        member's line are pairwise disjoint iff its slot of the sum equals
+        its slot of the union.
+        """
+        n = self.n
+        width = len(self.G.arrows) + n.bit_length() + 1
+        ones = (1 << width) - 1
+        rows, cols = self.rows, self.cols
+        packed = [_or(rows[i][j] << width * i | cols[i][j] << width * (n + i)
+                      for i in range(n)) for j in range(n)]
+        tops = _or(self.into[i] << width * i | self.out[i] << width * (n + i)
+                   for i in range(n))
+        slots = [ones << width * j | ones << width * (n + j) for j in range(n)]
+        return packed, tops, slots
 
     def index(self, p) -> int:
         try:
@@ -852,37 +941,87 @@ class _HomSpace:
                 stable &= ones ^ x[first] ^ x[other]
             yield block, rel, cmd, stable
 
-    def bijection(self, order) -> bool:
-        """The restricted pairing on the members `order` (pair indices) is a
-        bijection: every row and column joins to its top and its entries
-        are pairwise disjoint.  Flags only; stops at the first bad line."""
-        for lines, tops in ((self.rows, self.into), (self.cols, self.out)):
-            for i in order:
-                line, acc = lines[i], 0
-                for j in order:
-                    if acc & line[j]:
-                        return False
-                    acc |= line[j]
-                if acc != tops[i]:
-                    return False
-        return True
+    # The final test of each set-level predicate, on a candidate's unions.
+    # `set_level` and the one-candidate methods below both apply these.
+
+    @staticmethod
+    def pairing_test(total: int, union: int, tops: int, slots: int) -> bool:
+        """Every member's row and column has pairwise disjoint entries
+        (sum = union) and joins to its top (union = tops), on the member
+        slots."""
+        return ((total ^ union) | (union ^ tops)) & slots == 0
+
+    @staticmethod
+    def morphism_test(union: int, bits: int) -> bool:
+        """The union lies inside the candidate: every pair coupled with a
+        member is a member."""
+        return union & ~bits == 0
+
+    # stability: every image of a member is a member; a name of its own,
+    # so that each predicate's final test can be replaced alone
+    invariant_test = morphism_test
+
+    @staticmethod
+    def diamond_test(lhs: int, rhs: int) -> bool:
+        return lhs == rhs
+
+    def set_level(self) -> tuple:
+        """The four set-level predicates as truth tables over all 2 ** n
+        candidates, bit b for candidate b, in the order of `SET_LEVEL`.
+
+        One pass over the candidates in order: candidate b with top member
+        i is candidate b - 2 ** i plus member i, so each of its unions (and
+        the pairing's sum) is the smaller candidate's combined with member
+        i's mask.  Every predicate is decided on every candidate by its
+        final test."""
+        packed, tops, slots = self.lines
+        candidates = range(1 << self.n)
+        return (
+            _table(map(self.pairing_test, _subset_sums(packed),
+                       _subset_unions(packed), itertools.repeat(tops),
+                       _subset_unions(slots))),
+            _table(map(self.morphism_test, _subset_unions(self.couples),
+                       candidates)),
+            _table(map(self.invariant_test, _subset_unions(self.images),
+                       candidates)),
+            _table(map(self.diamond_test, _subset_unions(self.lhs),
+                       _subset_unions(self.rhs))),
+        )
+
+    # the same predicates on one candidate, its unions built directly
+
+    def bijection(self, bits: int) -> bool:
+        """The restricted pairing on the members of `bits` is a bijection:
+        every row and column joins to its top and its entries are pairwise
+        disjoint."""
+        packed, tops, slots = self.lines
+        return self.pairing_test(
+            sum(m for i, m in enumerate(packed) if (bits >> i) & 1),
+            _union(bits, packed), tops, _union(bits, slots))
 
     def morphism(self, bits: int) -> bool:
-        return _union(bits, self.couples) & ~bits == 0
+        return self.morphism_test(_union(bits, self.couples), bits)
 
     def invariant(self, bits: int) -> bool:
-        return _union(bits, self.images) & ~bits == 0
+        return self.invariant_test(_union(bits, self.images), bits)
 
     def diamond(self, bits: int) -> bool:
-        return _union(bits, self.lhs) == _union(bits, self.rhs)
+        return self.diamond_test(_union(bits, self.lhs), _union(bits, self.rhs))
+
+    # the set-level predicates as `hom_count` names them, in `set_level` order
+    SET_LEVEL = ("the restricted pairing", "the comodule-morphism equation",
+                 "stability", "the diamond equation")
 
     def hom_count(self) -> int:
         """The candidates on which the three hom predicates hold, in one
         sweep of `tables()`.  Mismatch, naming two predicates that differ,
-        at the first candidate on which they do not all agree; on spaces of
-        at most 2 ** 9 candidates also where one of the four set-level
-        predicates disagrees with the hom bit."""
+        at the first candidate on which they do not all agree.  On spaces
+        of at most 2 ** 9 candidates the four `set_level()` tables must
+        also equal the hom table, block by block; at the first candidate
+        where one does not, Mismatch names the first predicate, in
+        `SET_LEVEL` order, that disagrees there."""
         count = 0
+        set_level = self.set_level() if self.n <= 9 else ()
         for block, rel, cmd, stable in self.tables():
             diff = (rel ^ cmd) | (rel ^ stable)
             if diff:
@@ -891,18 +1030,17 @@ class _HomSpace:
                 bits = block[low.bit_length() - 1]
                 raise Mismatch(f"hom predicates {names} differ at "
                                f"{self.set_of(bits)!r}")
-            # the set-level cross-check, on the small spaces only
-            for b, bits in enumerate(block if self.n <= 9 else ()):
-                hom = bool((rel >> b) & 1)
-                members = [i for i in range(self.n) if (bits >> i) & 1]
-                for name, holds in (
-                        ("the restricted pairing", self.bijection(members)),
-                        ("the comodule-morphism equation", self.morphism(bits)),
-                        ("stability", self.invariant(bits)),
-                        ("the diamond equation", self.diamond(bits))):
-                    if holds != hom:
-                        raise Mismatch(f"{name} disagrees with the sliced "
-                                       f"tables at {self.set_of(bits)!r}")
+            ones = (1 << len(block)) - 1
+            diffs = [((table >> block.start) & ones) ^ rel
+                     for table in set_level]
+            diff = _or(diffs)
+            if diff:
+                low = diff & -diff
+                name = next(name for name, d in zip(self.SET_LEVEL, diffs)
+                            if d & low)
+                bits = block[low.bit_length() - 1]
+                raise Mismatch(f"{name} disagrees with the sliced "
+                               f"tables at {self.set_of(bits)!r}")
             count += rel.bit_count()
         return count
 
@@ -964,7 +1102,7 @@ def rel_beta_g(G: FiniteGroupoid, max_size: int) -> RelBetaG:
             rels = invariant_relations(A, B)
             hs = _hom_space(A, B)
             for R in rels:
-                if not hs.bijection([hs.index(p) for p in R]):
+                if not hs.bijection(hs.bits_of(R)):
                     raise NotBijection(
                         "invariant relation whose restriction is not a bijection",
                         witness=(i, j, R))
@@ -1440,8 +1578,9 @@ def equivalence_check(G: FiniteGroupoid, max_size: int) -> EquivalenceReport:
     together, compared candidate by candidate.  `_hom_space` builds each
     (A, B) once, and its `hom_count` sweeps the candidates once: the sliced
     tables decide, and on every space of at most 2 ** 9 candidates the four
-    set-level predicates are checked against their hom bit on every
-    candidate; a disagreement raises `Mismatch`.
+    set-level predicates, built for every candidate in one pass over the
+    subsets of its pairs (`_HomSpace.set_level`), must equal the hom table;
+    a disagreement raises `Mismatch` at the first candidate it touches.
     """
     actions = enumerate_actions(G, max_size)
     comodules = enumerate_comodules(G, max_size)

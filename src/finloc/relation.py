@@ -109,7 +109,9 @@ def table_axioms(M: FiniteSupLattice, X, Y, t: dict, row_top, col_top,
     distinct elements must be disjoint; with one, the pair y1 = y2 is
     checked too, since the bracket of an element with itself bounds a single
     entry.  Each witness is the first failure in X, Y order: (x,),
-    (x, y1, y2), (y,) and (x1, x2, y).
+    (x, y1, y2), (y,) and (x1, x2, y).  Without a bracket, a line is
+    searched pair by pair only when one of its entries meets the join of
+    those before it.
     """
     rows = {x: [t[(x, y)] for y in Y] for x in X}
     cols = {y: [t[(x, y)] for x in X] for y in Y}
@@ -118,8 +120,20 @@ def table_axioms(M: FiniteSupLattice, X, Y, t: dict, row_top, col_top,
         return next(((a,) for a, line in lines.items()
                      if M.join_all(line) != top(a)), None)
 
+    def disjoint(line):
+        # no entry meets the join of those before it; an entry meeting an
+        # earlier one meets that join, so this never passes a line with an
+        # overlap, and in a distributive M it fails only on one
+        for k in range(1, len(line)):
+            acc = line[0] if k == 1 else M.join(acc, line[k - 1])
+            if not M.leq(M.meet(acc, line[k]), M.bottom):
+                return False
+        return True
+
     def overlap(lines, C, bracket):
         for a, line in lines.items():
+            if not bracket and disjoint(line):
+                continue
             for i, c in enumerate(C):
                 for j in range(i if bracket else i + 1, len(C)):
                     bound = bracket(c, C[j]) if bracket else M.bottom

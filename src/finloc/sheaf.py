@@ -83,8 +83,9 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
     if len(X.sections[P.bottom]) != 1:
         raise ValidationError("sections over bottom must be a single point",
                               witness=P.bottom)
+    down = {p: P.down_set(p) for p in P.elements}  # each scans all of P
     for p in P.elements:
-        for q in P.down_set(p):
+        for q in down[p]:
             if q == p:
                 continue
             if (p, q) not in restrict:
@@ -93,11 +94,20 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
                 if X.res(p, q, x) not in X.sections[q]:
                     raise ValidationError(
                         f"restriction of {x!r} escapes X({q!r})", witness=(p, q, x))
+    # res(q, r, res(p, q, x)) = res(p, r, x), read off the restriction
+    # dicts; it holds by definition when q = p or r = q, where res is the
+    # identity
     for p in P.elements:
-        for q in P.down_set(p):
-            for r in P.down_set(q):
+        for q in down[p]:
+            if q == p:
+                continue
+            pq = restrict[(p, q)]
+            for r in down[q]:
+                if r == q:
+                    continue
+                qr, pr = restrict[(q, r)], restrict[(p, r)]
                 for x in X.sections[p]:
-                    if X.res(q, r, X.res(p, q, x)) != X.res(p, r, x):
+                    if qr[pq[x]] != pr[x]:
                         raise ValidationError(
                             "restrictions do not compose", witness=(p, q, r, x))
     for p in P.elements:

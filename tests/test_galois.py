@@ -811,55 +811,100 @@ def _diamond_on_relation_oracle(R, A, B) -> bool:
     return True
 
 
+def _bit(table: int, b: int) -> bool:
+    return bool((table >> b) & 1)
+
+
 @pytest.mark.parametrize("G, max_size", [
     (trivial_group(), 4), (codiscrete(2), 4), (z_mod(2), 3),
     (identities_only(2), 3), (z_mod(3), 3),
 ], ids=["trivial", "codiscrete2", "Z2", "discrete2", "Z3"])
-def test_pair_predicates_match_frozenset_oracles(G, max_size):
+def test_pair_predicates_match_frozenset_oracles(monkeypatch, G, max_size):
     for hs in _hom_spaces(G, max_size):
         if hs.n > 9:
             continue
         A, B = hs.A, hs.B
+        pairing, morphism, stability, diamond = hs.set_level()
+        homs = 0
         for bits in range(1 << hs.n):
             R = hs.set_of(bits)
             want = _restricted_theta_oracle(R, A, B)
             got = restricted_theta_axioms(R, A, B)
             assert (got, got.witnesses) == (want, want.witnesses)
-            members = [i for i in range(hs.n) if (bits >> i) & 1]
-            assert hs.bijection(members) == want.is_bijection
-            assert comodule_morphism_holds(R, A, B) \
-                == hs.morphism(bits) == _comodule_morphism_oracle(R, A, B)
-            assert relation_is_invariant(R, A, B) \
-                == hs.invariant(bits) == _relation_is_invariant_oracle(R, A, B)
-            assert diamond_on_relation(R, A, B) \
-                == hs.diamond(bits) == _diamond_on_relation_oracle(R, A, B)
+            assert hs.bijection(bits) == _bit(pairing, bits) \
+                == want.is_bijection
+            assert comodule_morphism_holds(R, A, B) == hs.morphism(bits) \
+                == _bit(morphism, bits) == _comodule_morphism_oracle(R, A, B)
+            assert relation_is_invariant(R, A, B) == hs.invariant(bits) \
+                == _bit(stability, bits) \
+                == _relation_is_invariant_oracle(R, A, B)
+            assert diamond_on_relation(R, A, B) == hs.diamond(bits) \
+                == _bit(diamond, bits) == _diamond_on_relation_oracle(R, A, B)
+            homs += want.is_bijection
+        for block in (16, 3):  # one block per space, then several
+            with monkeypatch.context() as m:
+                m.setattr(galois, "_BLOCK", block)
+                assert hs.hom_count() == homs
 
 
 def test_pair_bijection_matches_comodule_axioms_on_random_tables():
     # restricted transporters of actions never overlap, so the uv and in
-    # failures are reached only through tables that are not transporters
+    # failures are reached only through tables that are not transporters;
+    # overlapping entries are what the pass's sum = union test must catch
     import random
 
     G = z_mod(2)
     R = representable_action(G, "*")
-    ev = galois._HomSpace(R, R)
     bit = {g: 1 << i for i, g in enumerate(G.arrows)}
-    n = len(ev.pairs)
     rng = random.Random(0)
     seen = set()
     for _ in range(400):
+        ev = galois._HomSpace(R, R)
+        n = len(ev.pairs)
         ev.rows = [[rng.randrange(4) for _ in range(n)] for _ in range(n)]
-        ev.cols = [list(col) for col in zip(*ev.rows)]
-        order = rng.sample(range(n), rng.randrange(n + 1))
-        carrier = tuple(ev.pairs[i] for i in order)
-        mu = {(ev.pairs[i], ev.pairs[j]):
-              frozenset(g for g in G.arrows if ev.rows[i][j] & bit[g])
-              for i in order for j in order}
-        want = comodule_axioms(Comodule(G, carrier, {p: "*" for p in carrier},
-                                        mu))
-        assert ev.bijection(order) == want.is_bijection
-        seen |= set(want.witnesses)
+        pairing = ev.set_level()[0]
+        for bits in range(1 << n):
+            order = [i for i in range(n) if (bits >> i) & 1]
+            carrier = tuple(ev.pairs[i] for i in order)
+            mu = {(ev.pairs[i], ev.pairs[j]):
+                  frozenset(g for g in G.arrows if ev.rows[i][j] & bit[g])
+                  for i in order for j in order}
+            want = comodule_axioms(Comodule(G, carrier,
+                                            {p: "*" for p in carrier}, mu))
+            assert ev.bijection(bits) == _bit(pairing, bits) \
+                == want.is_bijection
+            seen |= set(want.witnesses)
     assert seen == {"ed", "uv", "su", "in"}
+
+
+@pytest.mark.parametrize("block", [16, 3])
+def test_set_level_mismatch_names_first_candidate_and_predicate(monkeypatch,
+                                                                block):
+    # flip stability and the diamond at candidate k and the pairing at a
+    # later one: the witness is k, named by the first predicate that
+    # disagrees there, as a candidate-by-candidate loop would report it
+    monkeypatch.setattr(galois, "_BLOCK", block)
+    hs = max((h for h in _hom_spaces(z_mod(2), 3) if h.n <= 9),
+             key=lambda h: h.n)
+    tables = list(hs.set_level())
+    k = (1 << hs.n) - 3
+    tables[2] ^= 1 << k
+    tables[3] ^= 1 << k
+    tables[0] ^= 1 << (k + 1)
+    monkeypatch.setattr(hs, "set_level", lambda: tuple(tables))
+    hom = 0
+    for block_, rel, _, _ in hs.tables():
+        hom |= rel << block_.start
+    want = next(
+        f"{name} disagrees with the sliced tables at {hs.set_of(bits)!r}"
+        for bits in range(1 << hs.n)
+        for name, table in zip(hs.SET_LEVEL, tables)
+        if _bit(table, bits) != _bit(hom, bits))
+    assert want == (f"stability disagrees with the sliced tables at "
+                    f"{hs.set_of(k)!r}")
+    with pytest.raises(Mismatch) as e:
+        hs.hom_count()
+    assert str(e.value) == want
 
 
 def test_pair_predicates_reject_a_pair_that_is_not_fiberwise():
@@ -920,13 +965,14 @@ def test_reconstruct_frontier_fits_1gb_and_5s(G):
 
 
 @pytest.mark.parametrize("mutant", [
-    "bijection = lambda self, order: True",
-    "morphism = lambda self, bits: True",
-    "invariant = lambda self, bits: True",
-    "diamond = lambda self, bits: False",
+    "pairing_test = staticmethod(lambda total, union, tops, slots: True)",
+    "morphism_test = staticmethod(lambda union, bits: True)",
+    "invariant_test = staticmethod(lambda union, bits: True)",
+    "diamond_test = staticmethod(lambda lhs, rhs: False)",
 ], ids=["bijection", "morphism", "invariant", "diamond"])
 def test_equivalence_check_fails_under_python_O(mutant):
-    # a wrong set-level route must stop the check even with asserts stripped
+    # a wrong final test of a set-level predicate must stop the check even
+    # with asserts stripped
     proc = _run_python_O(
         "from finloc import galois\n"
         "from finloc.fixtures import z_mod\n"

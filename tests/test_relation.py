@@ -11,8 +11,13 @@ import pytest
 
 from finloc import relation
 from finloc.errors import NotEverywhereDefined, NotUnivalued, SizeBound
-from finloc.fixtures import CH3, P2, TWO
-from finloc.lattice import check_locale_morphism, function_lattice
+from finloc.fixtures import CH3, M3, P2, TWO
+from finloc.lattice import (
+    all_locales,
+    build_suplattice,
+    check_locale_morphism,
+    function_lattice,
+)
 from finloc.relation import (
     LRelation,
     boxtimes,
@@ -26,6 +31,7 @@ from finloc.relation import (
     inverse_image_via_duality,
     restricted_product,
     selfduality,
+    table_axioms,
     tabulate,
 )
 
@@ -90,6 +96,54 @@ def test_check_axioms_matches_definition_oracle():
                 assert rep.witnesses == witnesses
                 count += 1
     assert count == 5341
+
+
+def _overlap_oracle(M, lines, C):
+    """The first line and pair of distinct elements whose entries meet above
+    bottom, every pair of every line tested."""
+    for a, line in lines.items():
+        for i, c in enumerate(C):
+            for j in range(i + 1, len(C)):
+                if not M.leq(M.meet(line[i], line[j]), M.bottom):
+                    return a, c, C[j]
+    return None
+
+
+def test_table_axioms_witnesses_match_the_pairwise_scan():
+    # random tables over two non-distributive lattices, where a line can
+    # meet the join of its earlier entries with no two entries meeting, and
+    # over every locale of at most 5 elements
+    N5 = build_suplattice(("0", "a", "b", "c", "1"),
+                          [("0", "a"), ("a", "b"), ("b", "1"),
+                           ("0", "c"), ("c", "1")])
+    rng = random.Random(11)
+    X, Y = (1, 2, 3), ("a", "b", "c")
+    seen = set()
+    for M in (M3(), N5, *all_locales(5)):
+        small = [e for e in M.elements if e != M.top] or M.elements
+        for _ in range(60):
+            t = {(x, y): rng.choice(small if rng.random() < 0.8 else M.elements)
+                 for x in X for y in Y}
+            rows = {x: [t[(x, y)] for y in Y] for x in X}
+            cols = {y: [t[(x, y)] for x in X] for y in Y}
+            rep = table_axioms(M, X, Y, t, lambda x: M.top, lambda y: M.top)
+            uv = _overlap_oracle(M, rows, Y)
+            bad_in = _overlap_oracle(M, cols, X)
+            assert rep.witnesses.get("uv") == uv
+            assert rep.witnesses.get("in") \
+                == (bad_in and (bad_in[1], bad_in[2], bad_in[0]))
+            assert (rep.univalued, rep.injective) == (uv is None, bad_in is None)
+            seen.add((uv is None, bad_in is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # M3's three atoms: the third meets the join of the first two, yet no
+    # two of them meet, so the search runs on row 1, finds nothing and
+    # carries on to row 2
+    a, b, c = (e for e in M3().elements if e not in (M3().bottom, M3().top))
+    t = {(1, "a"): a, (1, "b"): b, (1, "c"): c,
+         (2, "a"): a, (2, "b"): a, (2, "c"): M3().bottom}
+    rep = table_axioms(M3(), (1, 2), Y, t, lambda x: M3().top,
+                       lambda y: M3().top)
+    assert rep.witnesses["uv"] == (2, "a", "b")
 
 
 def test_classify():

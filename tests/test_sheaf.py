@@ -182,6 +182,54 @@ def test_etale_sheaf_over_a_power_set_of_four_or_five_points(n):
     assert len(build_Xd(X).lattice) == 2 ** n
 
 
+def _composition_witness(P, sections, restrict):
+    """The first (p, q, r, x) at which restricting through q differs from
+    restricting straight to r, scanning every down-set as it is needed."""
+    X = FiniteSheaf(P, sections, restrict)
+    for p in P.elements:
+        for q in P.down_set(p):
+            for r in P.down_set(q):
+                for x in X.sections[p]:
+                    if X.res(q, r, X.res(p, q, x)) != X.res(p, r, x):
+                        return p, q, r, x
+    return None
+
+
+def test_check_sheaf_composition_witness_matches_the_full_scan():
+    # redirect one restriction to another section of the same open: the
+    # values stay in X(q), so only composition can fail, and its witness
+    # must be the first failure of the scan over every triple
+    from finloc.errors import ValidationError
+
+    rng = random.Random(5)
+    failures = 0
+    for P in all_locales(5):
+        sheaves = list(itertools.islice(enumerate_sheaves(P, 2), 40))
+        for _ in range(20):
+            X = rng.choice(sheaves)
+            restrict = {k: dict(v) for k, v in X.restrict.items()}
+            movable = [(k, x) for k, v in restrict.items() for x in v
+                       if len(X.sections[k[1]]) > 1]
+            if not movable:
+                continue
+            (k, x) = rng.choice(movable)
+            restrict[k][x] = rng.choice([y for y in X.sections[k[1]]
+                                         if y != restrict[k][x]])
+            want = _composition_witness(P, X.sections, restrict)
+            try:
+                check_sheaf(P, X.sections, restrict)
+                got = None
+            except GluingFails:
+                assert want is None
+                continue
+            except ValidationError as e:
+                assert str(e) == "restrictions do not compose"
+                got = e.witness
+            assert got == want
+            failures += got is not None
+    assert failures > 20
+
+
 def test_check_sheaf_needs_a_locale():
     # M3 is not distributive: its atoms are join-irreducible, not join-prime
     P = M3()
@@ -686,6 +734,21 @@ def test_Xd_over_eight_points_fits_1gb_and_1s():
     seconds, size = proc.stdout.split()
     assert int(size) == 256
     assert float(seconds) < 1
+
+
+def test_etale_sheaf_over_nine_points_checks_in_under_0_8s():
+    # 512 opens and 4 ** 9 triples r <= q <= p: each down-set is read once
+    proc = _run_python_O(
+        "import time\n"
+        "from finloc.sheaf import etale_sheaf\n"
+        "points = tuple(range(9))\n"
+        "t = time.perf_counter()\n"
+        "X = etale_sheaf(points, points, {o: o for o in points})\n"
+        "print(time.perf_counter() - t, len(X.P))\n")
+    assert proc.returncode == 0, proc.stderr
+    seconds, size = proc.stdout.split()
+    assert int(size) == 512
+    assert float(seconds) < 0.8
 
 
 # -- the down-set route against the dense oracle -------------------------------
