@@ -30,19 +30,19 @@ from .errors import (
     NotAnAction,
     NotBijection,
     NotDense,
-    NotDualizable,
     RelationViolated,
-    TriangularFails,
 )
 from .lattice import (
     FiniteLocale,
     PowerLocale,
     SupMorphism,
+    _bits,
     check_carrier,
     check_locale_morphism,
     locale_morphisms,
     power_locale,
 )
+from .modb import JModule
 from .present import check_relations, induced_morphism
 from .relation import AxiomReport, table_axioms
 from .tannaka import Coend, CoendArrow, CoendObject
@@ -1171,113 +1171,35 @@ class _PowerSet(_SetLattice):
         return 1 << len(self.top)
 
 
-class EtaleModule:
-    """P(carrier) over B = P(objects), given by the anchor map of an action.
-
-    It is its own presentation, by the points x (the singletons {x}, no
-    relations), and its own dual under the overlap pairing, so one object
-    is the module, the presentation and the duality data that
-    `tannaka.Coend` and `modb.dual_value` read.  The three maps are unions
-    over points:
-      - the action (b, U) -> {x in U : anchor(x) in b};
-      - eps(U, V) = anchor(U & V);
-      - eta, the pairs ({x}, {x}).
-    No element of P(carrier) is listed and no table is built."""
-
-    relations = ()
+class EtaleModule(JModule):
+    """The J-module of an action's carrier, a discrete poset, over
+    B = P(objects) with p(x) = {anchor(x)}: b.U = {x in U : anchor(x) in b}
+    and eps(U, V) = anchor(U & V).  Its elements are frozensets of points
+    over the counted `_PowerSet`, so no element of P(carrier) is listed."""
 
     def __init__(self, B: FiniteLocale, act: DiscreteAction):
-        self.B = B
         self.anchor = act.anchor
-        self.gens = tuple(act.carrier)
-        self.lattice = _PowerSet(self.gens)
-        self.value = {x: frozenset({x}) for x in self.gens}
-        self.eta = tuple((u, u) for u in self.value.values())
-        self.presentation = self.dual = self
+        self.lattice = _PowerSet(act.carrier)
+        self._bit = {x: 1 << k for k, x in enumerate(act.carrier)}
+        super().__init__(B, act.carrier,
+                         [frozenset({act.anchor[x]}) for x in act.carrier],
+                         self._bit.values())
 
-    def decompose(self, U) -> frozenset:
-        """The points of U, which are its generators."""
-        if not U <= self.lattice.top:
-            raise DomainMismatch(f"{U!r} is not a set of points",
-                                 witness=U)
-        return frozenset(U)
+    def _mask(self, U) -> int:
+        try:
+            return sum(map(self._bit.__getitem__, U))
+        except KeyError:
+            raise DomainMismatch(f"{U!r} is not a set of points", witness=U) from None
 
-    def act(self, b, U):
-        anchor = self.anchor
-        return frozenset([x for x in U if anchor[x] in b])
-
-    def eps(self, U, V):
-        return frozenset(map(self.anchor.__getitem__, U & V))
-
-    def __repr__(self):
-        return f"<EtaleModule over {len(self.B)}-locale, {len(self.gens)} points>"
+    def _element(self, C: int) -> frozenset:
+        return frozenset(map(self.gens.__getitem__, _bits(C)))
 
 
 def etale_module(B: FiniteLocale, act: DiscreteAction):
-    """The etale module of act over B = P(objects) and its self-duality,
-    checked on atoms (`EtaleModule` is both).
-
-    Each side of each law is a union over points in every slot: the action
-    is the union of the {o}.{x} over o in b and x in U, eps the union of the
-    eps({x}, {y}) over x in U and y in V, and each zigzag the union of its
-    values on the points of its argument.  So each side preserves joins in
-    every slot, and a law between such maps holds on all of B and
-    P(carrier) once it holds on the bottoms and the points, every set being
-    the join of its points (the argument `verify_hopf_laws` uses for O(G)).
-    The maps are read once on atoms, and each law is evaluated from those
-    values as the unions above.  Checked, in this order, with the failing
-    atom as witness:
-      - NotAModule: the bottoms; {o}.{x} <= {x}, which makes {o}.{x} = {x}
-        the statement "o is over x"; the unit, that some o of B is over x
-        and top.{x} = {x}; and meet-composition on ({o}, {o'}, {x}), which
-        for o != o' says that o and o' are not both over x.  So each x has
-        one object p(x) of B over it, and b.U = {x in U : p(x) in b}.
-      - NotDualizable: eps at the bottoms, and B-linearity in both slots
-        on ({o}, {x}, {y}) for every o of B and into B, which together say
-        eps({x}, {y}) <= {p(x)} & {p(y)}.
-      - TriangularFails: both triangles on every point, each zigzag the
-        union over eta of b.m with b a union of eps on atoms.
-    This costs O((|objects| + |carrier|) |carrier| + |carrier| |eta|)
-    reads, not the O(|B| |P(carrier)| + |P(carrier)|^2) of a dense table."""
+    """The étale module of act over B = P(objects), its own duality data,
+    with every law checked on J(B) x points (`JModule.check`)."""
     m = EtaleModule(B, act)
-    empty, points = frozenset(), m.value
-    over = {x: [] for x in points}  # the objects o of B with {o}.{x} = {x}
-    for (o,) in B.join_irreducibles():
-        b = frozenset({o})
-        _law(m.act(b, empty) == empty, "the action's bottom", (b, empty),
-             NotAModule)
-        for x, U in points.items():
-            bx = m.act(b, U)
-            _law(bx <= U, "the action on atoms", (b, U), NotAModule)
-            if bx:
-                over[x].append(o)
-    for x, U in points.items():
-        _law(m.act(B.bottom, U) == empty, "the action's bottom", (B.bottom, U),
-             NotAModule)
-        _law(bool(over[x]) and m.act(B.top, U) == U, "the unit", U, NotAModule)
-        two = [frozenset({o}) for o in over[x][:2]]
-        _law(len(two) < 2, "meet-composition", (*two, U), NotAModule)
-    p = {x: o for x, (o,) in over.items()}
-    E = {}
-    for x, U in points.items():
-        _law(m.eps(U, empty) == empty == m.eps(empty, U), "eps at the bottom",
-             U, NotDualizable)
-        for y, V in points.items():
-            e = E[x, y] = m.eps(U, V)
-            _law(e <= {p[x]} & {p[y]}, "B-linearity of eps", (U, V),
-                 NotDualizable)
-
-    def zigzag(terms):
-        """The union of eps(U, V).W over (U, V, W), read off the atoms."""
-        return {z for U, V, W in terms for z in W
-                if any(p[z] in E[u, v] for u in U for v in V)}
-
-    for U in points.values():
-        if zigzag((U, n, m2) for n, m2 in m.eta) != U:
-            raise TriangularFails("right", witness=U)
-    for V in points.values():
-        if zigzag((m2, V, n) for n, m2 in m.eta) != V:
-            raise TriangularFails("left", witness=V)
+    m.check()
     return m, m
 
 
@@ -1291,10 +1213,13 @@ class GaloisCoend:
     """The coend of the fiber functor of an action site, together with the
     structural cone, the algebra structure, and the antipode.
 
-    Each site object enters as its `etale_module`, presented by its points
-    and checked on atoms; the coend reads each module and its dual only at
-    points, so no P(carrier) is listed.  B = P(objects) is the one power
-    set built."""
+    Each site object enters as its `etale_module`, read only at points, so
+    B = P(objects) is the one power set built.  Each site relation R enters
+    with its dual, the direct image of R^op, once R is checked fiberwise
+    (AnchorMismatch, the pair as witness): then between étale modules
+    eps(R(U), V) = anchor(R(U) & V), the anchor(x) = anchor(y) over the
+    (x, y) of R with x in U and y in V, is anchor(U & R^op(V)) =
+    eps(U, R^op(V)), so R^op is the dual of R."""
 
     def __init__(self, site: ActionSite):
         self.site = site
@@ -1302,8 +1227,15 @@ class GaloisCoend:
         self.B = power_locale(self.G.objects)
         objects = [CoendObject(name, *etale_module(self.B, act))
                    for name, act in site.objects.items()]
-        arrows = [CoendArrow(name, src, dst, relation_morphism(pairs))
-                  for (name, src, dst, pairs) in site.rel_gens]
+        arrows = []
+        for (name, src, dst, pairs) in site.rel_gens:
+            A, C = site.objects[src], site.objects[dst]
+            for x, y in pairs:
+                _law(A.anchor[x] == C.anchor[y], f"{name}: a fiberwise relation",
+                     (x, y), AnchorMismatch)
+            op = frozenset((y, x) for x, y in pairs)
+            arrows.append(CoendArrow(name, src, dst, relation_morphism(pairs),
+                                     relation_morphism(op)))
         self.coend = Coend(self.B, objects, arrows)
         self.quotient = self.coend.quotient
         self._mul_cache = {}

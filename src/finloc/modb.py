@@ -1,12 +1,11 @@
 """Modules over a finite locale B, duality data and the transpose calculus.
 
-A module is a sup-lattice M with a B-action that preserves joins in each
-slot, is unital, and turns meet into composition.  Duality data for M is a
-dual module, an evaluation into B and a coevaluation element, subject to
-the two triangular equations.  A module keeps its action, and duality data
-its evaluation, as the index table its laws are checked on where it is
-built, join preservation by adjunction.  Once those adjunction tests pass,
-each remaining law holds between maps that preserve joins in every slot,
+Every discrete B-module is a `JModule`, which is its own presentation and
+duality data; the étale modules, X_d and H^X are its forms.  `BModule` and
+`DualityData` are the dense route the tests check them against: a module
+keeps its action, and duality data its evaluation, as the index table its
+laws are checked on where it is built, join preservation by adjunction.
+Each remaining law holds between maps that preserve joins in every slot,
 so it is decided on join-irreducibles: every element of a finite lattice
 is the join of those below it (Davey & Priestley, *Introduction to
 Lattices and Order*, 2002, ch. 2), and B is distributive.  Where that
@@ -16,17 +15,148 @@ check fails, the scan over every element names the witness
 
 from __future__ import annotations
 
+import functools
+
 from .errors import KernelError, NotAModule, NotDualizable, TriangularFails
 from .lattice import (
     FiniteLocale,
     FiniteSupLattice,
-    FunctionLocale,
     SupMorphism,
     Violation,
+    _bits,
     join_failure,
     two,
 )
 from .present import ModulePresentation, TensorLattice, lattice_presentation, tensor_over
+
+
+class JModule:
+    """D(E), the B-module of down-sets of a discrete fibration p: E -> J(B),
+    which is every discrete B-module: sh(B) is presheaves on J(B)
+    (Johnstone, *Elephant*, C2.2.3), and E their categories of elements.
+    E is `gens`, down[k] the mask of the down-set of E[k] and p given by
+    its values, validated here as NotAModule.  Down-sets are int masks:
+    b.C = {e in C : p(e) <= b}, eps(C, D) = V p(C & D), and eta sums
+    (down e, down e) over E.  It is its own module, dual and presentation,
+    by E (value[e] = down e) with one relation per covering pair of E.  A
+    form gives `lattice` and its element format: `_downs[i]`, the down-set
+    of element i, and its inverse `_at`, or its own `_mask` and `_element`.
+    """
+
+    def __init__(self, B: FiniteLocale, E, p, down):
+        self.B, self.gens, self._down = B, tuple(E), list(down)
+        self.module = self.dual = self.presentation = self
+        self._J = [B.index(j) for j in B.join_irreducibles()]
+        self._p = [B.index(pe) if pe in B else None for pe in p]
+        rows, J = B._downs[0], set(self._J)
+        for k, (e, d) in enumerate(zip(self.gens, self._down)):
+            over = [self._p[i] for i in _bits(d)]  # one e' <= e over each j <= p(e)
+            if not (d >> k & 1 and J >= set(over) and len(set(over)) == len(over)
+                    and set(over) == {j for j in J if rows[self._p[k]] >> j & 1}
+                    and all(self._down[i] & ~d == 0 for i in _bits(d))):
+                raise NotAModule(f"p is not a discrete fibration into J(B) at {e!r}",
+                                 witness=e)
+        self._belows = {}
+        # the maps on elements, each value computed once: a coend reads the
+        # same generator values again and again
+        self.act = functools.cache(lambda b, m: self._element(
+            self._act(B.index(b), self._mask(m))))
+        self.eps = functools.cache(lambda m, n: B.elements[
+            self._eps(self._mask(m), self._mask(n))])
+        self.decompose = functools.cache(lambda m: frozenset(  # the e of m
+            map(self.gens.__getitem__, _bits(self._mask(m)))))
+        self.value = {e: self._element(d) for e, d in zip(self.gens, self._down)}
+        self.eta = tuple((v, v) for v in self.value.values())
+
+    def _mask(self, m) -> int:
+        return self._downs[self.lattice.index(m)]
+
+    def _element(self, C: int):
+        return self.lattice.elements[self._at[C]]
+
+    def _act(self, bi: int, C: int) -> int:  # on masks, b an index into B
+        below = self._belows.get(bi)
+        if below is None:
+            row = self.B._downs[0][bi]
+            below = self._belows[bi] = sum(1 << k for k, j in enumerate(self._p)
+                                           if row >> j & 1)
+        return C & below
+
+    def _eps(self, C: int, D: int) -> int:  # an index into B
+        return self.B.join_index(map(self._p.__getitem__, _bits(C & D)))
+
+    @property
+    def relations(self) -> tuple:
+        """({e}, {e, e'}) for each covering pair e' < e of E."""
+        E, down = self.gens, self._down
+        return tuple((frozenset({E[k]}), frozenset({E[k], E[i]}))
+                     for k, d in enumerate(down) for i in _bits(d & ~(1 << k))
+                     if not any(down[l] >> i & 1 for l in _bits(d & ~(1 << k | 1 << i))))
+
+    def check(self) -> None:
+        """Every module and duality law, decided on J(B) x E.
+
+        b.C and eps(C, D) are unions over E in each slot, and in b too, as
+        each p(e) is join-prime in the distributive B and each b the join of
+        the j in J(B) below it.  So both sides of each law below, and each
+        zigzag m -> V eps(m, n).m2 over eta, preserve joins in every slot,
+        and a law holds once it holds on the bottoms, J(B) and the
+        delta_e = down e, whose unions are all elements.  In this order, the
+        failing generators as witness:
+          - NotAModule: j.0 = 0; bottom.delta_e = 0, top.delta_e = delta_e,
+            j.delta_e <= delta_e and (j ^ j').delta_e = j.(j'.delta_e);
+          - NotDualizable: eps(0, delta_e) = eps(delta_e, 0) = bottom and
+            eps(j.delta_e, delta_f) = j ^ eps(delta_e, delta_f)
+            = eps(delta_e, j.delta_f);
+          - TriangularFails: the right, then the left triangle on delta_e.
+        With eps symmetric and eta diagonal the left zigzag is the right one
+        term by term, V eps(n, delta_e).n over eta, so it cannot fail alone;
+        it is checked for a module whose eps or eta is not.
+        """
+        B, Bel, el = self.B, self.B.elements, self._element
+        act, eps = self._act, self._eps
+        rows, row_ix = B._downs  # the meet of i and k is row_ix[rows[i] & rows[k]]
+        bot, top, gens = B.bottom_index, B.top_index, self._down
+        for j in self._J:
+            if act(j, 0):
+                raise NotAModule(f"{Bel[j]!r} does not fix the bottom",
+                                 witness=(Bel[j], el(0)))
+        for d in gens:
+            if act(bot, d):
+                raise NotAModule("the bottom of B does not act as zero",
+                                 witness=(B.bottom, el(d)))
+            if act(top, d) != d:
+                raise NotAModule("the top of B does not act as the unit", witness=el(d))
+            for j in self._J:
+                jd = act(j, d)
+                if jd & ~d:
+                    raise NotAModule("scaling a generator leaves it",
+                                     witness=(Bel[j], el(d)))
+                for j2 in self._J:
+                    if act(row_ix[rows[j] & rows[j2]], d) != act(j2, jd):
+                        raise NotAModule("the action is not meet-composition",
+                                         witness=(Bel[j], Bel[j2], el(d)))
+        for d in gens:
+            if eps(0, d) != bot or eps(d, 0) != bot:
+                raise NotDualizable("eps not linear at bottom", witness=el(d))
+        scaled = {j: [act(j, d) for d in gens] for j in self._J}
+        for k, d in enumerate(gens):
+            for k2, d2 in enumerate(gens):
+                v = eps(d, d2)
+                for j, jd in scaled.items():
+                    w = row_ix[rows[j] & rows[v]]
+                    if eps(jd[k], d2) != w or eps(d, jd[k2]) != w:
+                        b, m, n = Bel[j], el(d), el(d2)
+                        raise NotDualizable(f"eps not B-linear at ({b!r}, {m!r}, {n!r})",
+                                            witness=(b, m, n))
+        eta = [(self._mask(n), self._mask(m2)) for n, m2 in self.eta]
+        for side in ("right", "left"):
+            for d in gens:
+                back = 0
+                for n, m2 in eta:
+                    back |= act(eps(d, n), m2) if side == "right" else act(eps(m2, d), n)
+                if back != d:
+                    raise TriangularFails(side, witness=el(d))
 
 
 class BModule:
@@ -63,11 +193,6 @@ class BModule:
         """Any sup-lattice is a module over the initial locale."""
         omega = two()
         return cls(omega, M, lambda b, m: m if b == 1 else M.bottom)
-
-    @classmethod
-    def function_module(cls, fl: FunctionLocale) -> "BModule":
-        """H^X with the pointwise H-action."""
-        return cls(fl.base, fl, lambda a, t: fl.act(a, t))
 
     def __repr__(self):
         return f"<BModule over {len(self.B)}-locale, carrier {len(self.lattice)}>"

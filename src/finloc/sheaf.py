@@ -6,9 +6,7 @@ locale every join-irreducible is join-prime, so this cover refines every
 other cover of p, and gluing over it at every open gives gluing over all
 covers.  For the same reason sheaves on P are presheaves on J(P), so the
 discrete module X_d of a sheaf, the lattice of its subsheaves, is the
-down-sets of the poset E of its sections over join-irreducibles.  The
-P-action, eps and the delta elements are unions over E, one mask operation
-each, and their laws are checked on J(P) and E.
+`modb.JModule` of the poset E of its sections over join-irreducibles.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .errors import (
     NotALocale,
     NotAModule,
     NotDualizable,
-    TriangularFails,
     ValidationError,
 )
 from .lattice import (
@@ -36,7 +33,7 @@ from .lattice import (
     is_frame,
     power_locale,
 )
-from .modb import BModule
+from .modb import BModule, JModule
 from .relation import AxiomReport, table_axioms
 
 
@@ -61,11 +58,16 @@ class FiniteSheaf:
         return f"<FiniteSheaf over {len(self.P)}-locale, {len(self.total())} sections>"
 
 
-def irreducibles_below(P: FiniteLocale, p) -> tuple:
-    """J(down p), the join-irreducibles below p: the cover of p that refines
-    every other, since each of them is join-prime and so lies below some
-    member of any cover of p."""
-    return tuple(j for j in P.join_irreducibles() if P.leq(j, p))
+def down_and_cover(P: FiniteLocale) -> tuple[dict, dict]:
+    """Per open p, the opens below it and J(down p), each in P's element
+    order, read off P's down rows with J(P) listed once.  J(down p) is the
+    cover of p that refines every other: each of its members is join-prime,
+    so it lies below some member of any cover of p."""
+    Pel, rows = P.elements, P._downs[0]
+    J = [(P.index(j), j) for j in P.join_irreducibles()]
+    down = {p: tuple(map(Pel.__getitem__, _bits(r))) for p, r in zip(Pel, rows)}
+    cover = {p: tuple(j for ji, j in J if r >> ji & 1) for p, r in zip(Pel, rows)}
+    return down, cover
 
 
 def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
@@ -83,7 +85,7 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
     if len(X.sections[P.bottom]) != 1:
         raise ValidationError("sections over bottom must be a single point",
                               witness=P.bottom)
-    down = {p: P.down_set(p) for p in P.elements}  # each scans all of P
+    down, cover = down_and_cover(P)
     for p in P.elements:
         for q in down[p]:
             if q == p:
@@ -111,7 +113,7 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
                         raise ValidationError(
                             "restrictions do not compose", witness=(p, q, r, x))
     for p in P.elements:
-        cov = irreducibles_below(P, p)
+        cov = cover[p]
         fams = [()]  # compatible families over cov[:k], one member at a time
         for k, j in enumerate(cov):
             meets = [(i, P.meet(i, j)) for i in cov[:k]]
@@ -130,67 +132,27 @@ def check_sheaf(P: FiniteLocale, sections: dict, restrict: dict) -> FiniteSheaf:
 # -- discrete modules --------------------------------------------------------
 
 
-class DiscreteModule:
-    """X_d, the P-module of subsheaves of X, on the down-sets of E.
-
-    E is `sections`, the sections (j, x) of X over the join-irreducibles j
-    of P, ordered by restriction.  sh(P) is presheaves on J(P) (Johnstone,
-    *Sketches of an Elephant*, 2002, C2.2.3), so a subsheaf is the down-set
-    D of E of its sections over J(P), and its element of `lattice` is the
-    set of sections g whose J-sections (j, g|j), j in J(down p), lie in D.
-    Joins are unions of down-sets, and `delta[g]` is the down-set of the
-    J-sections of g.  X_d is its own dual, so, as for
-    `galois.EtaleModule`, one object is the module and its duality data:
-    `module` and `dual` are itself.  Its three maps are unions over E:
-      - the action: b.C keeps the J-sections of C whose open is <= b;
-      - eps(theta, psi), the join of the opens of the J-sections of
-        theta & psi;
-      - eta, the pairs (delta[g], delta[g]) for g in X.total().
-    No action or eps table is built: each value is one mask operation on
-    the down-sets and one lookup.  `build_Xd` and `selfdual_Xd` check them.
-    """
+class DiscreteModule(JModule):
+    """X_d, the P-module of subsheaves of X: the J-module of E = `sections`,
+    the sections (j, x) of X over the j of J(P) ordered by restriction,
+    p(j, x) = j.  A subsheaf, an element of `lattice`, is the set of
+    sections whose J-sections lie in its down-set of E; `delta[g]` is the
+    down-set of the J-sections of g, for every section g."""
 
     def __init__(self, sheaf: FiniteSheaf, lattice: FiniteSupLattice,
                  sections: tuple, downs: list, jmask: list):
-        P = sheaf.P
-        self.sheaf, self.B, self.lattice, self.sections = sheaf, P, lattice, sections
-        self.module = self.dual = self
-        # downs[i] is the down-set of element i as a mask over E, jmask[g]
-        # that of delta[g]; below[b] the J-sections whose open is <= b;
-        # opens[k] the open of E[k]
-        self._downs = downs
-        self._at = {D: i for i, D in enumerate(downs)}
-        self.delta = {g: lattice.elements[self._at[m]]
-                      for g, m in zip(sheaf.total(), jmask)}
-        self.eta = tuple((v, v) for v in self.delta.values())
-        self._opens = [P.index(j) for j, _ in sections]
-        self._below = [sum(1 << k for k, (j, _) in enumerate(sections) if P.leq(j, b))
-                       for b in P.elements]
-
-    def _act(self, bi: int, ci: int) -> int:
-        """b.C on indices into B and the lattice."""
-        return self._at[self._downs[ci] & self._below[bi]]
-
-    def _eps(self, ti: int, ui: int) -> int:
-        """eps(theta, psi) on indices into the lattice and B."""
-        common = self._downs[ti] & self._downs[ui]
-        return self.B.join_index(map(self._opens.__getitem__, _bits(common)))
-
-    def act(self, b, C):
-        L = self.lattice
-        return L.elements[self._act(self.B.index(b), L.index(C))]
-
-    def eps(self, theta, psi):
-        L = self.lattice
-        return self.B.elements[self._eps(L.index(theta), L.index(psi))]
-
-    def __repr__(self):
-        return (f"<DiscreteModule over {len(self.B)}-locale, "
-                f"{len(self.lattice)} subsheaves>")
+        # downs[i] is the down-set of element i, jmask[g] that of delta[g]
+        self.sheaf, self.lattice, self.sections = sheaf, lattice, sections
+        self._downs, self._at = downs, {D: i for i, D in enumerate(downs)}
+        gi = {g: k for k, g in enumerate(sheaf.total())}
+        super().__init__(sheaf.P, sections, [j for j, _ in sections],
+                         [jmask[gi[e]] for e in sections])
+        self.delta = dict(zip(sheaf.total(), map(self._element, jmask)))
 
 
 def build_Xd(X: FiniteSheaf) -> DiscreteModule:
-    """The subsheaf lattice of X with its P-action and delta generators.
+    """The subsheaf lattice of X with its P-action, delta generators and
+    self-duality.
 
     The down-sets of E are the unions of its principal down-sets, saturated
     one at a time.  Each becomes the mask, over the indices of X.total(),
@@ -200,27 +162,20 @@ def build_Xd(X: FiniteSheaf) -> DiscreteModule:
     closed sets of the presentation by the sections, the restriction
     relations and one cover relation per section over J(down p).
 
-    Why the laws need checking only on J(P) and E: b.C keeps the
-    J-sections e of C with open(e) <= b.  In C that is a union over the
-    J-sections of C, and in b too, because open(e), a join-irreducible of
-    the locale `check_sheaf` requires, is join-prime: open(e) <= b v b'
-    means open(e) <= b or open(e) <= b'.  So the action preserves joins in
-    each slot by construction, both sides of the unit, of b.C <= C and of
-    meet-composition (b ^ b').C = b.(b'.C) preserve joins in each of b, b'
-    (P is distributive) and C, and each holds everywhere once it holds on
-    J(P) x J(P) x {delta_e : e in E}, every element being the join of the
-    delta_e below it.  Checked, each with a witness and as NotAModule:
-      - the bottoms, the unit, b.delta_e <= delta_e and meet-composition on
-        J(P), J(P) x J(P) and E;
-      - scaling: b.delta(p, x) = delta(p ^ b, x|(p ^ b)) for every section
-        and every b, read off `X.res` again, not off E;
-      - rebuilding, at index level: every element C is the join of its
-        scaled deltas f(g).delta(g), f(g) the join of the j in J(down p)
-        with g|j in C.
+    Checked against X, with witnesses: eps(delta_e, delta_f) =
+    `eq_bracket(d, e, f)` for every pair of J-sections (NotDualizable);
+    then the laws on J(P) x E (`JModule.check`); then scaling,
+    b.delta(p, x) = delta(p ^ b, x|(p ^ b)) for every section and b, read
+    off `X.res`, and rebuilding, every element C is the join of the
+    f(g).delta(g), f(g) the join of the j in J(down p) with g|j in C (both
+    NotAModule).  With eps the bracket on E x E, it is its join over
+    theta x psi for all elements: sections agree on [g = h], the join of
+    the j where they agree, each such j gives a J-section (j, g|j) of
+    theta & psi, and a J-section e of both is (e, e), with bracket p(e).
     """
     P = X.P
     gens = X.total()
-    cover = {p: irreducibles_below(P, p) for p in P.elements}
+    _, cover = down_and_cover(P)
     E = tuple((j, x) for j in P.join_irreducibles() for x in X.sections[j])
     ei = {e: k for k, e in enumerate(E)}
     # the J-sections of each section, as a mask over E: a down-set of E
@@ -240,61 +195,32 @@ def build_Xd(X: FiniteSheaf) -> DiscreteModule:
     lat = FiniteSupLattice.from_closed_sets([f[0] for f in family],
                                             [f[1] for f in family])
     d = DiscreteModule(X, lat, E, [f[2] for f in family], jmask)
-    _check_module(d, cover)
-    return d
-
-
-def _check_module(d: DiscreteModule, cover: dict) -> None:
-    """The module laws on J(P) and E, scaling and rebuilding (`build_Xd`),
-    on indices."""
-    X, P, lat = d.sheaf, d.B, d.lattice
-    Pel, Lel, bot = P.elements, lat.elements, lat.bottom_index
-    J = [P.index(j) for j in P.join_irreducibles()]
-    for j in J:
-        if d._act(j, bot) != bot:
-            raise NotAModule(f"{Pel[j]!r} does not fix the bottom",
-                             witness=(Pel[j], Lel[bot]))
-    for e in d.sections:
-        de = lat.index(d.delta[e])
-        if d._act(P.bottom_index, de) != bot:
-            raise NotAModule("the bottom of P does not act as zero",
-                             witness=(P.bottom, Lel[de]))
-        if d._act(P.top_index, de) != de:
-            raise NotAModule("the top of P does not act as the unit",
-                             witness=Lel[de])
-        for j in J:
-            je, meets = d._act(j, de), P.meet_row(j)
-            if lat.join_index((je, de)) != de:
-                raise NotAModule("scaling a delta leaves it",
-                                 witness=(Pel[j], Lel[de]))
-            for j2 in J:
-                if d._act(meets[j2], de) != d._act(j2, je):
-                    raise NotAModule("the action is not meet-composition",
-                                     witness=(Pel[j], Pel[j2], Lel[de]))
-    gens = X.total()
-    dix = [lat.index(d.delta[g]) for g in gens]
-    # scaling a delta restricts its section, read off X again, not off E
-    for (p, x), di in zip(gens, dix):
+    for e, de in zip(E, d._down):
+        for f, df in zip(E, d._down):
+            if P.elements[d._eps(de, df)] != eq_bracket(d, e, f):
+                raise NotDualizable(f"eps is not the equality bracket at "
+                                    f"({e!r}, {f!r})", witness=(e, f))
+    d.check()
+    for (p, x), gm in zip(gens, jmask):
         want = {}  # per index of p ^ b, the delta of the restricted section
         for bi, mi in enumerate(P.meet_row(P.index(p))):
             if mi not in want:
                 m = P.elements[mi]
-                want[mi] = lat.index(d.delta[(m, X.res(p, m, x))])
-            if d._act(bi, di) != want[mi]:
+                want[mi] = jmask[gi[(m, X.res(p, m, x))]]
+            if d._act(bi, gm) != want[mi]:
                 b = P.elements[bi]
                 raise NotAModule(f"scaling delta{(p, x)!r} by {b!r} does not "
                                  "restrict its section", witness=(b, (p, x)))
-    gi = {g: k for k, g in enumerate(gens)}
     jres = [[(P.index(j), gi[(j, X.res(p, j, x))]) for j in cover[p]]
             for (p, x) in gens]
-    for C in lat.elements:  # every element is the join of its scaled deltas
-        cm = sum(1 << gi[g] for g in C)
-        rebuilt = lat.join_index(
-            d._act(P.join_index(ji for ji, k in jr if cm >> k & 1), di)
-            for jr, di in zip(jres, dix))
-        if lat.elements[rebuilt] != C:
+    for i, C in enumerate(lat.elements):
+        cm, rebuilt = sum(1 << gi[g] for g in C), 0
+        for jr, gm in zip(jres, jmask):
+            rebuilt |= d._act(P.join_index(ji for ji, k in jr if cm >> k & 1), gm)
+        if d._at.get(rebuilt) != i:
             raise NotAModule("an element is not the join of its scaled deltas",
                              witness=C)
+    return d
 
 
 def eq_bracket(d: DiscreteModule, px, qy):
@@ -435,67 +361,20 @@ def check_module_axioms(mu: dict, dX: DiscreteModule, dY: DiscreteModule,
 
 
 def selfdual_Xd(d: DiscreteModule) -> DiscreteModule:
-    """X_d is self-dual: eta sums delta pairs, eps is the equality bracket.
-
-    Returns d, which is its own duality data, once its eps and eta pass.
-    eps(theta, psi) joins the opens of the J-sections of theta & psi, so it
-    is a union over J-sections in each slot: the J-sections of a join are
-    the union of those of its parts.  Both sides of B-linearity,
-    eps(b.theta, psi) = b ^ eps(theta, psi) = eps(theta, b.psi), then
-    preserve joins in b, theta and psi (P is distributive, and the action
-    preserves joins in b because every j is join-prime), and so does each
-    zigzag m -> V eps(m, n).m2 over eta, like the identity.  So each law
-    holds everywhere once it holds on J(P) and the delta_e, e in E.
-    Checked, with the failing delta_e or J-section as witness:
-      - NotDualizable: eps at the bottoms; eps(delta_e, delta_e') equals
-        `eq_bracket(d, e, e')`, read off the restrictions; and B-linearity
-        in both slots on J(P) x E x E;
-      - TriangularFails: the right, then the left triangle on every
-        delta_e.
-    With eps equal to the bracket on E x E, it is the join of the bracket
-    over theta x psi for every pair of elements: two sections agree on
-    [g = h], the join of the j in J(P) where they agree, and each such j
-    gives a J-section (j, g|j) of theta & psi, while a J-section e of both
-    is the pair (e, e), with bracket open(e).
-    """
-    P, lat = d.B, d.lattice
-    Pel, Lel, bot = P.elements, lat.elements, lat.bottom_index
-    J = [P.index(j) for j in P.join_irreducibles()]
-    meets = [P.meet_row(j) for j in J]
-    deltas = [(e, lat.index(d.delta[e])) for e in d.sections]
-    for e, de in deltas:
-        if d._eps(bot, de) != P.bottom_index or d._eps(de, bot) != P.bottom_index:
-            raise NotDualizable("eps not linear at bottom", witness=Lel[de])
-    for e, de in deltas:
-        for f, df in deltas:
-            v = d._eps(de, df)
-            if Pel[v] != eq_bracket(d, e, f):
-                raise NotDualizable(f"eps is not the equality bracket at "
-                                    f"({e!r}, {f!r})", witness=(e, f))
-            for j, meet in zip(J, meets):
-                w = meet[v]
-                if d._eps(d._act(j, de), df) != w or d._eps(de, d._act(j, df)) != w:
-                    raise NotDualizable(f"eps not B-linear at ({Pel[j]!r}, {e!r}, {f!r})",
-                                        witness=(Pel[j], Lel[de], Lel[df]))
-    eta = [(lat.index(n), lat.index(m2)) for n, m2 in d.eta]
-    for e, de in deltas:
-        if lat.join_index(d._act(d._eps(de, n), m2) for n, m2 in eta) != de:
-            raise TriangularFails("right", witness=Lel[de])
-    for e, de in deltas:
-        if lat.join_index(d._act(d._eps(m2, de), n) for n, m2 in eta) != de:
-            raise TriangularFails("left", witness=Lel[de])
+    """X_d is its own duality data, eps the equality bracket and eta the
+    delta pairs of its J-sections, as `build_Xd` checks: returns d."""
     return d
 
 
 # -- constant sheaves and the external correspondence -------------------------
 
 
-def _components(P: FiniteLocale, p) -> tuple:
-    """Connected components of the join-irreducibles below p, two of them
+def _components(P: FiniteLocale, cover: tuple) -> tuple:
+    """Connected components of J(down p), given as `cover`, two of them
     linked when their meet is not the bottom; each new j merges the
     components it links to."""
     comps = []
-    for j in irreducibles_below(P, p):
+    for j in cover:
         linked = [c for c in comps if any(P.meet(j, k) != P.bottom for k in c)]
         merged = {j}
         for c in linked:
@@ -509,13 +388,13 @@ def _components(P: FiniteLocale, p) -> tuple:
 def constant_sheaf(P: FiniteLocale, X) -> FiniteSheaf:
     """The sheaf of locally constant X-valued sections: one value per
     component of each open's irreducibles."""
-    X = _canon(X)
-    comps = {p: _components(P, p) for p in P.elements}
+    X, (down, cover) = _canon(X), down_and_cover(P)
+    comps = {p: _components(P, cover[p]) for p in P.elements}
     sections = {p: tuple(itertools.product(X, repeat=len(comps[p])))
                 for p in P.elements}
     restrict = {}
     for p in P.elements:
-        for q in P.down_set(p):
+        for q in down[p]:
             if q == p:
                 continue
             pos = []
@@ -587,9 +466,10 @@ def etale_sheaf(points, elements, anchor: dict) -> FiniteSheaf:
             tuple(choice) for choice in itertools.product(*(stalk[o] for o in ss))
         )
     restrict = {}
+    down, _ = down_and_cover(P)
     for S in P.elements:
         ss = sorted(S, key=repr)
-        for Q in P.down_set(S):
+        for Q in down[S]:
             if Q == S:
                 continue
             keep = [i for i, o in enumerate(ss) if o in Q]
@@ -642,9 +522,10 @@ def enumerate_sheaves(P: FiniteLocale, max_total: int):
 
 
 def _sheaf_from_stalks(P, stalks, rmaps):
+    down, cover = down_and_cover(P)
     sections = {}
     for p in P.elements:
-        js = irreducibles_below(P, p)
+        js = cover[p]
         fams = []
         for choice in itertools.product(*(stalks[j] for j in js)):
             fam = dict(zip(js, choice))
@@ -656,11 +537,11 @@ def _sheaf_from_stalks(P, stalks, rmaps):
         sections[p] = tuple(fams)
     restrict = {}
     for p in P.elements:
-        js = irreducibles_below(P, p)
-        for q in P.down_set(p):
+        js = cover[p]
+        for q in down[p]:
             if q == p:
                 continue
-            ks = irreducibles_below(P, q)
+            ks = cover[q]
             table = {}
             for s in sections[p]:
                 fam = dict(zip(js, s))

@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .lattice import FiniteLocale, FiniteSupLattice, check_carrier, two
-from .modb import BModule, DualityData, dual_value
+from .modb import BModule, DualityData, JModule
 from .present import JoinPresentation, PElement, PresentedSupLattice
 from .relation import LRelation, check_diagram, tabulate
 
@@ -207,16 +207,13 @@ def check_compatible(cone: Cone):
 @dataclass
 class CoendObject:
     name: str
-    module: BModule
-    duality: DualityData
-    gmodule: BModule | None = None  # second functor's module; defaults to F
-    gduality: DualityData | None = None
+    module: BModule | JModule
+    duality: DualityData | JModule
+    gmodule: BModule | JModule | None = None  # the second functor's; defaults to F's
 
     def __post_init__(self):
         if self.gmodule is None:
             self.gmodule = self.module
-        if self.gduality is None:
-            self.gduality = self.duality
 
 
 @dataclass
@@ -224,14 +221,15 @@ class CoendArrow:
     name: str
     src: str
     dst: str
-    # each functor's value on the arrow, a join-preserving map that Coend
-    # calls only on generator values and coevaluation terms
+    # F's value, a join-preserving map M -> N, and each functor's dual
+    # N^ -> M^ of its value, called only on generator values of the target
     morphism: Callable
-    gmorphism: Callable | None = None  # defaults to `morphism`
+    dual: Callable
+    gdual: Callable | None = None  # the second functor's; defaults to `dual`
 
     def __post_init__(self):
-        if self.gmorphism is None:
-            self.gmorphism = self.morphism
+        if self.gdual is None:
+            self.gdual = self.dual
 
 
 class Coend:
@@ -247,7 +245,7 @@ class Coend:
         self.objects = {o.name: o for o in objects}
         self.arrows = tuple(arrows)
         for o in objects:
-            if o.duality is None or o.gduality is None:
+            if o.duality is None:
                 raise NoDuals(f"object {o.name!r} carries no duality data")
         gens = []
         for o in objects:
@@ -269,9 +267,7 @@ class Coend:
             src, dst = self.objects[f.src], self.objects[f.dst]
             psrc, pdst = src.module.presentation, dst.gmodule.presentation
             gsrc = src.gmodule.presentation
-            fb_dec = {b: gsrc.decompose(dual_value(
-                f.gmorphism, src.gduality, dst.gduality, pdst.value[b]))
-                for b in pdst.gens}
+            fb_dec = {b: gsrc.decompose(f.gdual(pdst.value[b])) for b in pdst.gens}
             for a in psrc.gens:
                 fa = f.morphism(psrc.value[a])
                 fa_dec = dst.module.presentation.decompose(fa)

@@ -13,12 +13,14 @@ import pytest
 from etale_oracle import dense_etale_module
 from finloc import galois, modb
 from finloc.errors import (
+    AnchorMismatch,
     DomainMismatch,
     KernelError,
     Mismatch,
     NotACone,
     NotAGroupoid,
     NotAModule,
+    NotBijection,
     NotDualizable,
     TriangularFails,
 )
@@ -591,6 +593,30 @@ def test_reconstruct_disconnected_groupoid():
     assert rep.coend_size == 2 ** 3 == rep.expected_size
     r = equivalence_check(G, 3)
     assert r.object_count > 0
+
+
+def test_rel_beta_g_with_a_non_bijective_restriction_is_not_a_bijection(monkeypatch):
+    # every invariant relation restricts to a bijection, so a hom space that
+    # says otherwise is the kernel's fault, named with the relation
+    monkeypatch.setattr(galois._HomSpace, "bijection", lambda self, bits: False)
+    with pytest.raises(NotBijection) as err:
+        galois.rel_beta_g(z_mod(2), 1)
+    assert type(err.value) is NotBijection
+    assert err.value.witness[:2] == (0, 0)
+
+
+def test_galois_coend_rejects_a_site_relation_across_fibers():
+    # its dual is the direct image of the transpose only when it is fiberwise
+    G = identities_only(2)
+    site = default_site(G)
+    name, src, dst, pairs = site.rel_gens[0]
+    x, y = next(iter(pairs))
+    other = next(z for z in site.objects[dst].carrier
+                 if site.objects[dst].anchor[z] != site.objects[dst].anchor[y])
+    site.rel_gens[0] = (name, src, dst, pairs | {(x, other)})
+    with pytest.raises(AnchorMismatch) as err:
+        GaloisCoend(site)
+    assert err.value.witness == (x, other)
 
 
 def test_rel_beta_g_size_bound(monkeypatch):
@@ -1427,17 +1453,23 @@ def _mutants(G, act):
 
 
 def _mutant_module(act=None, eps=None, drop_eta=False):
+    """An étale module whose maps on masks are those of act and eps on
+    sets of points."""
     class Mutant(EtaleModule):
         def __init__(self, B, action):
             super().__init__(B, action)
             if drop_eta:
                 self.eta = self.eta[1:]
 
-        def act(self, b, U):
-            return super().act(b, U) if act is None else act(b, U)
+        def _act(self, bi, C):
+            if act is None:
+                return super()._act(bi, C)
+            return self._mask(act(self.B.elements[bi], self._element(C)))
 
-        def eps(self, U, V):
-            return super().eps(U, V) if eps is None else eps(U, V)
+        def _eps(self, C, D):
+            if eps is None:
+                return super()._eps(C, D)
+            return self.B.index(eps(self._element(C), self._element(D)))
 
     return Mutant
 

@@ -31,6 +31,7 @@ from finloc.modb import (
     transpose_roundtrip_ok,
 )
 from finloc.relation import graph, images, selfduality
+from hx_oracle import dense_selfduality
 from xd_oracle import dense_check
 
 
@@ -153,7 +154,7 @@ def test_duals_unique_up_to_canonical_iso():
     # two duality data for the same module: the comparison is an iso
     # commuting with the evaluations
     B = TWO()
-    d1 = selfduality(B, (0, 1))
+    d1 = dense_selfduality(B, (0, 1))
     fl = d1.module.lattice
     mod = d1.module
     # second duality: swap the roles of the two singletons
@@ -424,7 +425,7 @@ def _criterion_4_dualities():
 
     for H in (TWO(), CH3(), P2()):
         for n in range(4):
-            yield selfduality(H, tuple(range(n)), cap=256)
+            yield dense_check(selfduality(H, tuple(range(n)), cap=256))
     for P in (TWO(), CH3(), P2()):
         for sheaf in enumerate_sheaves(P, 3):
             yield dense_check(selfdual_Xd(build_Xd(sheaf)))
@@ -490,7 +491,7 @@ def test_broken_action_rejected_with_a_genuine_witness(kind, B, action):
 @pytest.mark.parametrize("H, X", [(TWO, (0, 1)), (CH3, (0, 1)), (P2, (0,))])
 def test_every_one_entry_perturbation_matches_oracle(H, X):
     # each entry of eps and of the action table, moved to each other value
-    d0 = selfduality(H(), X)
+    d0 = dense_check(selfduality(H(), X))
     B, M = d0.module.B, d0.module.lattice
     table = {(m, n): d0.eps(m, n) for m in M.elements for n in M.elements}
     for key, value in table.items():
@@ -653,3 +654,58 @@ def test_a_law_failing_only_on_generators_is_a_kernel_error():
 
     with pytest.raises(KernelError):
         modb._decided(scan, CH3())
+
+
+# -- the J-module ----------------------------------------------------------------
+
+
+def test_no_library_path_builds_a_dense_module(monkeypatch):
+    # the étale modules, X_d and H^X are J-modules: with the dense route
+    # refusing to run, reconstruct and the two self-dualities still pass
+    import sys
+
+    from finloc.fixtures import z_mod
+    from finloc.galois import reconstruct
+    from finloc.sheaf import build_Xd, enumerate_sheaves, selfdual_Xd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library path took the dense modb route")
+
+    for name in ("check_duality", "dual_value"):
+        bound = getattr(modb, name)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("finloc")]:
+            if getattr(mod, name, None) is bound:
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(modb.BModule, "__init__", refuse)
+    monkeypatch.setattr(modb.DualityData, "__init__", refuse)
+    assert reconstruct(z_mod(3)).coend_size == 8
+    X = next(X for X in enumerate_sheaves(CH3(), 3) if len(X.total()) == 7)
+    assert len(selfdual_Xd(build_Xd(X)).lattice) > 1
+    assert len(selfduality(CH3(), (0, 1)).lattice) == 9
+
+
+class _Masks(modb.JModule):
+    """A J-module whose elements are its down-set masks."""
+
+    def _mask(self, m):
+        return m
+
+    def _element(self, C):
+        return C
+
+
+def test_a_poset_that_is_no_discrete_fibration_is_no_module():
+    # over the chain 0 < 1 < 2, an e over 2 needs one e' below it over 1
+    B = CH3()
+    for E, p, down in [
+        (("x",), (2,), (0b1,)),  # nothing over 1 below x
+        (("x", "y", "z"), (1, 1, 2), (0b001, 0b010, 0b111)),  # two over 1
+        (("x",), (0,), (0b1,)),  # over the bottom, no join-irreducible
+        (("x", "y"), (1, 2), (0b01, 0b01)),  # y outside its own down-set
+    ]:
+        with pytest.raises(NotAModule):
+            _Masks(B, E, p, down)
+    m = _Masks(B, ("x", "y"), (1, 2), (0b01, 0b11))
+    m.check()
+    assert m.relations == ((frozenset({"y"}), frozenset({"y", "x"})),)
+    assert (m.act(1, 0b11), m.eps(0b11, 0b10), m.decompose(0b01)) == (0b01, 2, {"x"})

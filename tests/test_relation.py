@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 from finloc import relation
-from finloc.errors import NotEverywhereDefined, NotUnivalued, SizeBound
+from finloc.errors import (
+    KernelError,
+    NotAModule,
+    NotBijection,
+    NotDualizable,
+    NotEverywhereDefined,
+    NotUnivalued,
+    ShapeMismatch,
+    SizeBound,
+)
 from finloc.fixtures import CH3, M3, P2, TWO
 from finloc.lattice import (
     all_locales,
@@ -34,6 +43,8 @@ from finloc.relation import (
     table_axioms,
     tabulate,
 )
+from hx_oracle import dense_selfduality
+from xd_oracle import dense_check
 
 
 def all_relations(H, X, Y):
@@ -257,7 +268,7 @@ def test_boxtimes_of_diagonals():
 
 def test_selfduality_two_and_empty():
     for n in (0, 1, 2, 3):
-        selfduality(TWO(), tuple(range(n)), cap=256)  # check_duality inside
+        selfduality(TWO(), tuple(range(n)), cap=256)  # the laws checked inside
     d = selfduality(TWO(), ())
     assert d.eta == ()
 
@@ -268,23 +279,84 @@ def test_selfduality_ch3_p2():
 
 
 def test_selfduality_keeps_no_table_over_pairs_of_its_carrier():
-    # TWO^10 has 1,024 elements: its own tables fit in 128 MB of address
-    # space, a dict of eps over all its pairs (about 100 MB more) does not
+    # TWO^12 has 4,096 elements: H^X and its down-sets fit in 128 MB of
+    # address space with asserts stripped, a dict of eps over all its pairs
+    # (some 16.8 million entries) does not
     src = str(Path(relation.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-O", "-c",
          "import resource\n"
          "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
          "from finloc.fixtures import TWO\n"
          "from finloc.relation import selfduality\n"
-         "print(len(selfduality(TWO(), range(10)).module.lattice))\n"],
+         "print(len(selfduality(TWO(), range(12)).module.lattice))\n"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1024"]
+    assert proc.stdout.split() == ["4096"]
     with pytest.raises(SizeBound):
         selfduality(TWO(), range(13))
+
+
+def _hx_instances():
+    """(H, X) for every locale H of at most 5 elements, |H|^|X| <= 256
+    and |X| <= 8."""
+    for H in all_locales(5):
+        n = 0
+        while len(H) ** n <= 256 and n <= 8:
+            yield H, tuple(range(n))
+            n += 1
+
+
+def test_selfduality_matches_the_dense_oracle():
+    # the J-module of J(H) x X against the tables of the dense route, on
+    # every element: the format, the action, eps from each generator, and
+    # both triangles of its own eta
+    checks = 0
+    for H, X in _hx_instances():
+        m, dd = selfduality(H, X), dense_selfduality(H, X)
+        L, mod = m.lattice, dd.module
+        assert L.elements == mod.lattice.elements
+        for t in L.elements:
+            assert m._element(m._mask(t)) == t
+            assert all(m.act(b, t) == mod.act(b, t) for b in H.elements)
+            assert all(m.eps(g, t) == dd.eps(g, t) == m.eps(t, g)
+                       for g in m.value.values())
+            assert L.join_all(m.act(m.eps(t, n), m2) for n, m2 in m.eta) == t
+            assert L.join_all(m.act(m.eps(m2, t), n) for n, m2 in m.eta) == t
+            checks += len(H) + len(m.value) + 3
+    assert checks > 10_000
+
+
+class _Swapped(relation.FunctionModule):
+    """H^X whose map `name` on elements is wrong at one pair of arguments."""
+
+    def __init__(self, fl, name, at, value):
+        super().__init__(fl)
+        true = getattr(self, name)
+        setattr(self, name, lambda x, y: value if (x, y) == at else true(x, y))
+
+
+@pytest.mark.parametrize("H, X", [(TWO, (0, 1)), (CH3, (0, 1)), (P2, (0,))])
+def test_each_selfduality_cross_check_rejects_its_mutant(monkeypatch, H, X):
+    # the maps on masks pass every law; the action or eps read through the
+    # element format is wrong, as both the cross-check and the dense route see
+    H = H()
+    fl = function_lattice(H, X)
+    j = H.join_irreducibles()[0]
+    g = tuple(j if x == X[0] else H.bottom for x in fl.domain)  # a generator
+    mutants = [(NotAModule, "act", (j, g), fl.bottom),
+               (NotDualizable, "eps", (g, g), H.bottom)]
+    for error, name, at, value in mutants:
+        monkeypatch.setattr(relation, "FunctionModule",
+                            lambda fl: _Swapped(fl, name, at, value))
+        with pytest.raises(error) as err:
+            selfduality(H, X)
+        assert type(err.value) is error and err.value.witness == at
+        m = _Swapped(fl, name, at, value)
+        with pytest.raises(KernelError):
+            dense_check(m)
 
 
 def test_inverse_image_via_duality_equals_inverse_image():
@@ -443,3 +515,21 @@ def test_image_values_on_singletons():
             for y in Y:
                 assert fy.eval(direct(fx.singleton(x)), y) == r(x, y)
                 assert fx.eval(inverse(fy.singleton(y)), x) == r(x, y)
+
+
+# -- error classes, each raised and named ---------------------------------------
+
+
+def test_check_diagram_of_an_unknown_kind_is_a_shape_mismatch():
+    r = graph({0: 0, 1: 1}, (0, 1), (0, 1))
+    with pytest.raises(ShapeMismatch) as err:
+        check_diagram("square", ({0: 0, 1: 1}, {0: 0, 1: 1}), r, r)
+    assert type(err.value) is ShapeMismatch
+
+
+def test_restricted_product_of_a_non_bijection_is_not_a_bijection():
+    ident = graph({0: 0, 1: 1}, (0, 1), (0, 1))
+    merge = graph({0: "a", 1: "a"}, (0, 1), ("a", "b"))
+    with pytest.raises(NotBijection) as err:
+        restricted_product({(0, 0)}, {(0, "a")}, merge, ident)
+    assert type(err.value) is NotBijection

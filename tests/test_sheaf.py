@@ -30,6 +30,7 @@ from finloc.sheaf import (
     check_module_axioms,
     check_sheaf,
     constant_sheaf,
+    down_and_cover,
     enumerate_sheaves,
     eq_bracket,
     etale_sheaf,
@@ -573,7 +574,7 @@ def test_constant_sheaf_over_two_is_identity():
     X = constant_sheaf(P, ("a", "b"))
     assert len(X.sections[1]) == 2
     # the top of TWO is connected: a constant section there is one value
-    assert len(_components(P, P.top)) == 1
+    assert len(_components(P, down_and_cover(P)[1][P.top])) == 1
 
 
 def test_constant_sheaf_p2_singleton():
@@ -781,8 +782,10 @@ _AB_C = ((1, 2), ("a", "b", "c"), {"a": 1, "b": 1, "c": 2})
 
 
 def test_an_action_missing_a_J_section_is_rejected_by_both_routes(monkeypatch):
-    # over a chain the dense module laws accept such an action, another
-    # module; over P2 they do not, and scaling rejects it on either base
+    # {1}.delta_e = 0 keeps every module law on J(P) x E, meet-composition
+    # included; over a chain the dense module laws accept such an action,
+    # another module, over P2 they do not, and B-linearity of eps rejects
+    # it on either base
     from finloc import sheaf
 
     X, e = etale_sheaf(*_AB_C), (frozenset({1}), ("a",))
@@ -791,80 +794,111 @@ def test_an_action_missing_a_J_section_is_rejected_by_both_routes(monkeypatch):
     class Module(sheaf.DiscreteModule):  # {1}.delta_e no longer holds e
         def __init__(self, *args):
             super().__init__(*args)
-            self._below[self.B.index(e[0])] &= ~(1 << self.sections.index(e))
             made.append(self)
 
+        def _act(self, bi, C):
+            v = super()._act(bi, C)
+            if bi == self.B.index(e[0]):
+                v &= ~(1 << self.sections.index(e))
+            return v
+
     monkeypatch.setattr(sheaf, "DiscreteModule", Module)
-    with pytest.raises(NotAModule) as err:
+    with pytest.raises(NotDualizable) as err:
         build_Xd(X)
-    assert err.value.witness == (e[0], e)
+    de = made[0].delta[e]
+    assert err.value.witness == (e[0], de, de)
     with pytest.raises(NotAModule):
         dense_Xd(X, action=made[0].act)
 
 
-def test_eps_wrong_on_one_atom_pair_is_rejected_by_both_routes():
+def test_eps_wrong_on_one_atom_pair_is_rejected_by_both_routes(monkeypatch):
+    from finloc import sheaf
+
     X, e = etale_sheaf(*_AB_C), (frozenset({1}), ("a",))
-    d = build_Xd(X)
-    de, eps = d.lattice.index(d.delta[e]), d._eps
-    d._eps = lambda t, u: X.P.bottom_index if t == u == de else eps(t, u)
+    made = []
+
+    class Module(sheaf.DiscreteModule):  # eps(delta_e, delta_e) = bottom
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def _eps(self, C, D):
+            de = self._mask(self.delta[e])
+            return self.B.bottom_index if C == D == de else super()._eps(C, D)
+
+    monkeypatch.setattr(sheaf, "DiscreteModule", Module)
     with pytest.raises(NotDualizable) as err:
-        selfdual_Xd(d)
+        build_Xd(X)
     assert err.value.witness == (e, e)
     with pytest.raises(NotDualizable):
-        dense_selfdual_Xd(dense_Xd(X), eps=d.eps)
+        dense_selfdual_Xd(dense_Xd(X), eps=made[0].eps)
 
 
-def test_eta_missing_a_maximal_pair_is_rejected_by_both_routes():
+def test_eta_missing_a_maximal_pair_is_rejected_by_both_routes(monkeypatch):
     # the stalk over 2 is empty, so the J-section a is maximal: no other
     # pair of eta restricts to it
+    from finloc import sheaf
+
     X = etale_sheaf((1, 2), ("a", "b"), {"a": 1, "b": 1})
-    d = build_Xd(X)
-    da = d.delta[(frozenset({1}), ("a",))]
-    d.eta = tuple(pair for pair in d.eta if pair != (da, da))
+    made = []
+
+    class Module(sheaf.DiscreteModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            da = self.delta[(frozenset({1}), ("a",))]
+            self.eta = tuple(pair for pair in self.eta if pair != (da, da))
+            made.append(self)
+
+    monkeypatch.setattr(sheaf, "DiscreteModule", Module)
     errors = []
-    for route in (selfdual_Xd, lambda d: dense_selfdual_Xd(dense_Xd(X), eta=d.eta)):
+    for route in (lambda: build_Xd(X),
+                  lambda: dense_selfdual_Xd(dense_Xd(X), eta=made[0].eta)):
         with pytest.raises(TriangularFails) as err:
-            route(d)
+            route()
         errors.append((err.value.side, err.value.witness))
-    assert errors == [("right", da)] * 2
+    assert errors == [("right", made[0].delta[(frozenset({1}), ("a",))])] * 2
 
 
 # -- one mutant per remaining check, each rejected by that check ---------------
 
 
 def _Xd_indices(d):
-    """Indices of {1} and {2} in P, and of the deltas of a, b, c and of the
-    section a-c over {1, 2} in X_d, for the sheaf _AB_C."""
-    P, L = d.B, d.lattice
+    """Indices of {1} and {2} in P, and the masks of the bottom, the top and
+    the deltas of a, b, c and of the section a-c over {1, 2} in X_d, for the
+    sheaf _AB_C."""
+    P = d.B
     one, two = frozenset({1}), frozenset({2})
     gens = ((one, ("a",)), (one, ("b",)), (two, ("c",)), (one | two, ("a", "c")))
-    return SimpleNamespace(one=P.index(one), two=P.index(two),
+    return SimpleNamespace(one=P.index(one), two=P.index(two), bot=0,
+                           top=d._mask(d.lattice.top),
                            **dict(zip(("a", "b", "c", "ac"),
-                                      (L.index(d.delta[g]) for g in gens))))
+                                      (d._mask(d.delta[g]) for g in gens))))
 
 
-# (message, rule): rule(d, ix, bi, ci, v) is the mutant's b.C, v the true one
+# (law, message, rule): rule(d, ix, bi, C, v) is the mutant's b.C on masks,
+# v the true one; the message is the shared checker's for the law
 _ACT_MUTANTS = [
-    ("does not fix the bottom", lambda d, ix, bi, ci, v:
-        d.lattice.top_index if (bi, ci) == (ix.one, d.lattice.bottom_index) else v),
-    ("the bottom of P does not act as zero", lambda d, ix, bi, ci, v:
-        ci if bi == d.B.bottom_index else v),
-    ("the top of P does not act as the unit", lambda d, ix, bi, ci, v:
-        d.lattice.bottom_index if bi == d.B.top_index else v),
-    ("scaling a delta leaves it", lambda d, ix, bi, ci, v:
-        d.lattice.top_index if (bi, ci) == (ix.one, ix.c) else v),
-    ("the action is not meet-composition", lambda d, ix, bi, ci, v:
-        ci if (bi, ci) == (ix.two, ix.a) else v),
+    ("does not fix the bottom", "does not fix the bottom", lambda d, ix, bi, C, v:
+        ix.top if (bi, C) == (ix.one, ix.bot) else v),
+    ("the bottom of P does not act as zero", "the bottom of B does not act as zero",
+        lambda d, ix, bi, C, v: C if bi == d.B.bottom_index else v),
+    ("the top of P does not act as the unit", "the top of B does not act as the unit",
+        lambda d, ix, bi, C, v: ix.bot if bi == d.B.top_index else v),
+    ("scaling a delta leaves it", "scaling a generator leaves it",
+        lambda d, ix, bi, C, v: ix.top if (bi, C) == (ix.one, ix.c) else v),
+    ("the action is not meet-composition", "the action is not meet-composition",
+        lambda d, ix, bi, C, v: C if (bi, C) == (ix.two, ix.a) else v),
 ]
 
 
-@pytest.mark.parametrize("message, rule", _ACT_MUTANTS, ids=[m for m, _ in _ACT_MUTANTS])
-def test_each_module_law_on_atoms_rejects_its_mutant(monkeypatch, message, rule):
+@pytest.mark.parametrize("law, message, rule", _ACT_MUTANTS,
+                         ids=[law for law, _, _ in _ACT_MUTANTS])
+def test_each_module_law_on_atoms_rejects_its_mutant(monkeypatch, law, message, rule):
     from finloc import sheaf
 
     class Module(sheaf.DiscreteModule):
-        def _act(self, bi, ci):
-            return rule(self, _Xd_indices(self), bi, ci, super()._act(bi, ci))
+        def _act(self, bi, C):
+            return rule(self, _Xd_indices(self), bi, C, super()._act(bi, C))
 
     monkeypatch.setattr(sheaf, "DiscreteModule", Module)
     with pytest.raises(NotAModule) as err:
@@ -872,27 +906,46 @@ def test_each_module_law_on_atoms_rejects_its_mutant(monkeypatch, message, rule)
     assert message in str(err.value)
 
 
-# (error, message, map, rule): after build_Xd, map is replaced by
-# rule(d, ix, x, y, v) on index pairs, v the true value
+def _swap(name, rule):
+    """Replace d's map `name` by rule(d, ix, x, y, v) on masks, v the true
+    value."""
+    def mutate(d, ix):
+        true = getattr(d, name)
+        setattr(d, name, lambda x, y: rule(d, ix, x, y, true(x, y)))
+    return mutate
+
+
+def _left_only(d, ix):
+    """eta gains the pair of delta(a-c), which the triangles hold with, and
+    eps(delta(a-c), delta_b) becomes the top: eps is then no longer
+    symmetric, and only the left triangle reads it there."""
+    d.eta += ((d._element(ix.ac), d._element(ix.ac)),)
+    _swap("_eps", lambda d, ix, x, y, v:
+          d.B.top_index if (x, y) == (ix.ac, ix.b) else v)(d, ix)
+
+
+# (error, message, mutate): mutate(d, ix) changes d before build_Xd checks it
 _DUALITY_MUTANTS = [
-    (NotDualizable, "eps not linear at bottom", "_eps", lambda d, ix, x, y, v:
-        d.B.top_index if (x, y) == (d.lattice.bottom_index, ix.a) else v),
+    (NotDualizable, "eps not linear at bottom", _swap("_eps", lambda d, ix, x, y, v:
+        d.B.top_index if (x, y) == (ix.bot, ix.a) else v)),
     # eps is right on E x E; the action it is paired with is not
-    (NotDualizable, "eps not B-linear", "_act", lambda d, ix, x, y, v:
-        d.lattice.bottom_index if (x, y) == (ix.one, ix.a) else v),
-    # wrong only with a section over {1, 2} first, which only the left
-    # triangle reads
-    (TriangularFails, "left side", "_eps", lambda d, ix, x, y, v:
-        d.B.top_index if (x, y) == (ix.ac, ix.b) else v),
+    (NotDualizable, "eps not B-linear", _swap("_act", lambda d, ix, x, y, v:
+        ix.bot if (x, y) == (ix.one, ix.a) else v)),
+    (TriangularFails, "left side", _left_only),
 ]
 
 
-@pytest.mark.parametrize("error, message, name, rule", _DUALITY_MUTANTS,
-                         ids=[m for _, m, _, _ in _DUALITY_MUTANTS])
-def test_each_duality_check_rejects_its_mutant(error, message, name, rule):
-    d = build_Xd(etale_sheaf(*_AB_C))
-    ix, true = _Xd_indices(d), getattr(d, name)
-    setattr(d, name, lambda x, y: rule(d, ix, x, y, true(x, y)))
+@pytest.mark.parametrize("error, message, mutate", _DUALITY_MUTANTS,
+                         ids=[m for _, m, _ in _DUALITY_MUTANTS])
+def test_each_duality_check_rejects_its_mutant(monkeypatch, error, message, mutate):
+    from finloc import sheaf
+
+    class Module(sheaf.DiscreteModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            mutate(self, _Xd_indices(self))
+
+    monkeypatch.setattr(sheaf, "DiscreteModule", Module)
     with pytest.raises(error) as err:
-        selfdual_Xd(d)
+        build_Xd(etale_sheaf(*_AB_C))
     assert message in str(err.value)

@@ -11,7 +11,7 @@ from cone_instances import (
     parallel_pair_instances,
     single_arrow_instances,
 )
-from finloc.errors import NotDense
+from finloc.errors import InconsistentExtension, NotDense, ShapeMismatch
 from finloc.fixtures import P2, TWO
 from finloc.relation import LRelation, check_axioms
 from finloc.tannaka import (
@@ -321,3 +321,30 @@ def test_uv_failure_breaks_compatibility_instance():
     compat, witness = check_compatible(ext)
     assert not compat and witness[0] == "C1"
     assert witness[2][0] == witness[2][1]  # the failing pair is diagonal
+
+
+# -- error classes, each raised and named ---------------------------------------
+
+
+def _merge_pair():
+    """A = {0, 1} mapped onto B = {u}: both points of A present u."""
+    return FunctorPair(("A", "B"), (Arrow("m", "A", "B"),),
+                       {"A": (0, 1), "B": ("u",)}, {"m": {0: "u", 1: "u"}})
+
+
+def test_cone_missing_a_table_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch) as err:
+        Cone(_merge_pair(), TWO(), {"A": {(x, y): 1 for x in (0, 1) for y in (0, 1)}})
+    assert type(err.value) is ShapeMismatch
+
+
+def test_extension_disagreeing_across_presentations_is_inconsistent():
+    # u is presented by 0, whose row of the A table joins to 1, and by 1,
+    # whose row joins to 0
+    fp = _merge_pair()
+    tables = {"A": {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0},
+              "B": {("u", "u"): 1}}
+    with pytest.raises(InconsistentExtension) as err:
+        extend_cone(Cone(fp, TWO(), tables), ("A",), "diamond1")
+    assert type(err.value) is InconsistentExtension
+    assert err.value.witness == ("B", "u", "u", (1, 0))

@@ -72,11 +72,9 @@ def _z2_coend():
     idr = rel_morphism({("e", "e"), ("s", "s")})
     swap = rel_morphism({("e", "s"), ("s", "e")})
     full = rel_morphism({("e", "e"), ("s", "s"), ("e", "s"), ("s", "e")})
-    arrows = [
-        CoendArrow("id", "G", "G", idr),
-        CoendArrow("swap", "G", "G", swap),
-        CoendArrow("full", "G", "G", full),
-    ]
+    arrows = [CoendArrow(name, "G", "G", f,
+                         lambda n, f=f: dual_value(f, d, d, n))
+              for name, f in (("id", idr), ("swap", swap), ("full", full))]
     return _wedge(TWO(), [obj], arrows), mod
 
 
@@ -174,8 +172,8 @@ def test_nat_predual_with_distinct_functors():
     B = TWO()
     fmod = BModule.self_module(B)
     fdual = DualityData(fmod, fmod, B.meet, ((B.top, B.top),))
-    gmod, gdual = _powerset_duality(("p", "q"))
-    obj = CoendObject("C", fmod, fdual, gmodule=gmod, gduality=gdual)
+    gmod, _ = _powerset_duality(("p", "q"))
+    obj = CoendObject("C", fmod, fdual, gmodule=gmod)
     L = Coend(TWO(), [obj], [])
     assert len(L.lattice()) == 4  # Omega (x) P(2)^ has the four pair-classes
 
@@ -198,15 +196,21 @@ def test_coend_reads_each_dual_only_at_generators(monkeypatch, coend):
     # an arrow's dual is asked for once per generator of its target, at that
     # generator's value, and at no other element of the target's carrier
     calls = []
+    post_init = CoendArrow.__post_init__
 
-    def spy(f, dM, dN, n):
-        calls.append((dN, n))
-        return dual_value(f, dM, dN, n)
+    def spied(arrow):
+        post_init(arrow)
+        gdual = arrow.gdual
 
-    monkeypatch.setattr(tannaka, "dual_value", spy)
+        def spy(n):
+            calls.append((arrow, n))
+            return gdual(n)
+
+        arrow.gdual = spy
+
+    monkeypatch.setattr(CoendArrow, "__post_init__", spied)
     L = coend()
-    pres = {id(o.gduality): o.gmodule.presentation for o in L.objects.values()}
-    for dN, n in calls:
-        assert n in pres[id(dN)].value.values()
+    for f, n in calls:
+        assert n in L.objects[f.dst].gmodule.presentation.value.values()
     assert len(calls) == sum(len(L.objects[f.dst].gmodule.presentation.gens)
                              for f in L.arrows) > 0

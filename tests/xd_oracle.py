@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from finloc.modb import BModule, DualityData, check_duality
 from finloc.present import JoinPresentation, ModulePresentation, PresentedSupLattice
-from finloc.sheaf import eq_bracket, irreducibles_below
+from finloc.sheaf import eq_bracket
 
 
 def dense_Xd(X, action=None):
@@ -22,7 +22,7 @@ def dense_Xd(X, action=None):
     gens = X.total()
     rels = []
     for p in P.elements:
-        cover = irreducibles_below(P, p)
+        cover = tuple(j for j in P.join_irreducibles() if P.leq(j, p))
         for x in X.sections[p]:
             for q in P.down_set(p):
                 if q != p:
@@ -64,9 +64,9 @@ def dense_selfdual_Xd(d, eps=None, eta=None):
 
 
 def dense_check(d):
-    """The dense validators on the maps of a `sheaf.DiscreteModule` d: a
-    `BModule` of its action, and `DualityData` and both triangles of its eps
-    and eta."""
+    """The dense validators on the maps of a `modb.JModule` d, such as X_d
+    or H^X: a `BModule` of its action, and `DualityData` and both triangles
+    of its eps and eta."""
     mod = BModule(d.B, d.lattice, d.act)
     dd = DualityData(mod, mod, d.eps, d.eta)
     check_duality(dd)
