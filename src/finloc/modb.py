@@ -15,8 +15,6 @@ check fails, the scan over every element names the witness
 
 from __future__ import annotations
 
-import functools
-
 from .errors import KernelError, NotAModule, NotDualizable, TriangularFails
 from .lattice import (
     FiniteLocale,
@@ -56,17 +54,34 @@ class JModule:
                     and all(self._down[i] & ~d == 0 for i in _bits(d))):
                 raise NotAModule(f"p is not a discrete fibration into J(B) at {e!r}",
                                  witness=e)
-        self._belows = {}
-        # the maps on elements, each value computed once: a coend reads the
-        # same generator values again and again
-        self.act = functools.cache(lambda b, m: self._element(
-            self._act(B.index(b), self._mask(m))))
-        self.eps = functools.cache(lambda m, n: B.elements[
-            self._eps(self._mask(m), self._mask(n))])
-        self.decompose = functools.cache(lambda m: frozenset(  # the e of m
-            map(self.gens.__getitem__, _bits(self._mask(m)))))
+        self._belows, self._joins = {}, {}
+        self._acts, self._evals, self._parts = {}, {}, {}
         self.value = {e: self._element(d) for e, d in zip(self.gens, self._down)}
         self.eta = tuple((v, v) for v in self.value.values())
+
+    # on elements, each value computed once: a coend reads the same
+    # generator values again and again
+    def act(self, b, m):
+        out = self._acts.get((b, m))
+        if out is None:
+            out = self._acts[b, m] = self._element(self._act(self.B.index(b),
+                                                             self._mask(m)))
+        return out
+
+    def eps(self, m, n):
+        out = self._evals.get((m, n))
+        if out is None:
+            out = self._evals[m, n] = self.B.elements[self._eps(self._mask(m),
+                                                                self._mask(n))]
+        return out
+
+    def decompose(self, m) -> frozenset:
+        """The generators below m: the e of its down-set."""
+        out = self._parts.get(m)
+        if out is None:
+            out = self._parts[m] = frozenset(map(self.gens.__getitem__,
+                                                 _bits(self._mask(m))))
+        return out
 
     def _mask(self, m) -> int:
         return self._downs[self.lattice.index(m)]
@@ -83,7 +98,11 @@ class JModule:
         return C & below
 
     def _eps(self, C: int, D: int) -> int:  # an index into B
-        return self.B.join_index(map(self._p.__getitem__, _bits(C & D)))
+        v = self._joins.get(C & D)
+        if v is None:
+            v = self._joins[C & D] = self.B.join_index(map(self._p.__getitem__,
+                                                           _bits(C & D)))
+        return v
 
     @property
     def relations(self) -> tuple:
