@@ -1178,7 +1178,6 @@ class EtaleModule(JModule):
     over the counted `_PowerSet`, so no element of P(carrier) is listed."""
 
     def __init__(self, B: FiniteLocale, act: DiscreteAction):
-        self.anchor = act.anchor
         self.lattice = _PowerSet(act.carrier)
         self._bit = {x: 1 << k for k, x in enumerate(act.carrier)}
         super().__init__(B, act.carrier,
