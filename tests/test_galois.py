@@ -1560,6 +1560,22 @@ def test_reconstruct_builds_no_dense_module(monkeypatch):
     assert sets and all(X is G.objects for X in sets)
 
 
+@pytest.mark.parametrize("name", ETALE_GROUPOIDS)
+def test_site_duals_are_the_transposed_relations(name):
+    # the coend takes each relation's dual from its transpose; the dense
+    # formula of the dual, a join over eta, gives the same set at every
+    # generator value of the target
+    gc = GaloisCoend(default_site(ETALE_GROUPOIDS[name]))
+    objects, count = gc.coend.objects, 0
+    for f in gc.coend.arrows:
+        src, dst = objects[f.src], objects[f.dst]
+        for n in dst.module.value.values():
+            assert f.dual(n) == modb.dual_value(f.morphism, src.duality,
+                                                dst.duality, n)
+            count += 1
+    assert count > 0
+
+
 @pytest.mark.parametrize("G", [z_mod(3), codiscrete(2)], ids=["Z3", "codiscrete2"])
 def test_galois_coend_modules_share_its_base(G):
     gc = GaloisCoend(default_site(G))
