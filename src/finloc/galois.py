@@ -36,7 +36,6 @@ from .lattice import (
     FiniteLocale,
     PowerLocale,
     SupMorphism,
-    _bits,
     check_carrier,
     check_locale_morphism,
     locale_morphisms,
@@ -1190,8 +1189,7 @@ class EtaleModule(JModule):
         except KeyError:
             raise DomainMismatch(f"{U!r} is not a set of points", witness=U) from None
 
-    def _element(self, C: int) -> frozenset:
-        return frozenset(map(self.gens.__getitem__, _bits(C)))
+    _element = JModule._gens  # a set of points is the set of its generators
 
 
 def etale_module(B: FiniteLocale, act: DiscreteAction):
@@ -1213,12 +1211,13 @@ class GaloisCoend:
     structural cone, the algebra structure, and the antipode.
 
     Each site object enters as its `etale_module`, read only at points, so
-    B = P(objects) is the one power set built.  Each site relation R enters
-    with its dual, the direct image of R^op, once R is checked fiberwise
-    (AnchorMismatch, the pair as witness): then between étale modules
-    eps(R(U), V) = anchor(R(U) & V), the anchor(x) = anchor(y) over the
-    (x, y) of R with x in U and y in V, is anchor(U & R^op(V)) =
-    eps(U, R^op(V)), so R^op is the dual of R."""
+    B = P(objects) is the one power set built.  The site relations are
+    checked closed under transposition, which makes the antipode well
+    defined, and fiberwise (AnchorMismatch, the pair as witness).  Each
+    relation R enters with the direct image of R^op, its transpose in the
+    site, as its dual: between étale modules eps(R(U), V) = anchor(R(U) & V),
+    the anchor(x) = anchor(y) over the (x, y) of R with x in U and y in V,
+    is anchor(U & R^op(V)) = eps(U, R^op(V))."""
 
     def __init__(self, site: ActionSite):
         self.site = site
@@ -1226,27 +1225,22 @@ class GaloisCoend:
         self.B = power_locale(self.G.objects)
         objects = [CoendObject(name, *etale_module(self.B, act))
                    for name, act in site.objects.items()]
+        image = {(s, d, frozenset(p)): relation_morphism(p)
+                 for (_, s, d, p) in site.rel_gens}
         arrows = []
         for (name, src, dst, pairs) in site.rel_gens:
             A, C = site.objects[src], site.objects[dst]
             for x, y in pairs:
                 _law(A.anchor[x] == C.anchor[y], f"{name}: a fiberwise relation",
                      (x, y), AnchorMismatch)
-            op = frozenset((y, x) for x, y in pairs)
-            arrows.append(CoendArrow(name, src, dst, relation_morphism(pairs),
-                                     relation_morphism(op)))
+            op = (dst, src, frozenset((y, x) for x, y in pairs))
+            _law(op in image, "transpose closure of the generating relations", name)
+            arrows.append(CoendArrow(name, src, dst, image[src, dst, frozenset(pairs)],
+                                     image[op]))
         self.coend = Coend(self.B, objects, arrows)
         self.quotient = self.coend.quotient
         self._mul_cache = {}
         self._prod_cache = {}
-        # the antipode is well defined because the generating relation set is
-        # closed under transposition: swapping both slots of a relation
-        # instance lands on an instance of the transposed relation
-        rel_keys = {(s, d, frozenset(p)) for (_, s, d, p) in site.rel_gens}
-        for (name, src, dst, pairs) in site.rel_gens:
-            op = frozenset((v, u) for (u, v) in pairs)
-            _law((dst, src, op) in rel_keys,
-                 "transpose closure of the generating relations", name)
 
     # -- structural cone values ------------------------------------------
 

@@ -268,6 +268,16 @@ class FiniteSupLattice:
             u &= up[i]
         return self._up_ix[u]
 
+    def meet_index(self, i: int, k: int) -> int:
+        """The index of the meet of elements i and k."""
+        down, down_ix = self._downs
+        return down_ix[down[i] & down[k]]
+
+    @property
+    def down_rows(self) -> list:
+        """down_rows[i] masks the indices of the elements below element i."""
+        return self._downs[0]
+
     def meet_row(self, i: int) -> list:
         """meet_row(i)[j] is the index of the meet of elements i and j."""
         down, down_ix = self._downs

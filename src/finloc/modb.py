@@ -37,7 +37,7 @@ class JModule:
     b.C = {e in C : p(e) <= b}, eps(C, D) = V p(C & D), and eta sums
     (down e, down e) over E.  It is its own module, dual and presentation,
     by E (value[e] = down e) with one relation per covering pair of E.  A
-    form gives `lattice` and its element format: `_downs[i]`, the down-set
+    form gives `lattice` and its element format: `_masks[i]`, the down-set
     of element i, and its inverse `_at`, or its own `_mask` and `_element`.
     """
 
@@ -46,7 +46,7 @@ class JModule:
         self.module = self.dual = self.presentation = self
         self._J = [B.index(j) for j in B.join_irreducibles()]
         self._p = [B.index(pe) if pe in B else None for pe in p]
-        rows, J = B._downs[0], set(self._J)
+        rows, J = B.down_rows, set(self._J)
         for k, (e, d) in enumerate(zip(self.gens, self._down)):
             over = [self._p[i] for i in _bits(d)]  # one e' <= e over each j <= p(e)
             if not (d >> k & 1 and J >= set(over) and len(set(over)) == len(over)
@@ -54,13 +54,12 @@ class JModule:
                     and all(self._down[i] & ~d == 0 for i in _bits(d))):
                 raise NotAModule(f"p is not a discrete fibration into J(B) at {e!r}",
                                  witness=e)
-        self._belows, self._joins = {}, {}
-        self._acts, self._evals, self._parts = {}, {}, {}
+        self._belows, self._joins, self._acts, self._parts = {}, {}, {}, {}
         self.value = {e: self._element(d) for e, d in zip(self.gens, self._down)}
         self.eta = tuple((v, v) for v in self.value.values())
 
-    # on elements, each value computed once: a coend reads the same
-    # generator values again and again
+    # act and decompose keep each value: a coend asks for the same ones
+    # again and again
     def act(self, b, m):
         out = self._acts.get((b, m))
         if out is None:
@@ -69,22 +68,20 @@ class JModule:
         return out
 
     def eps(self, m, n):
-        out = self._evals.get((m, n))
-        if out is None:
-            out = self._evals[m, n] = self.B.elements[self._eps(self._mask(m),
-                                                                self._mask(n))]
-        return out
+        return self.B.elements[self._eps(self._mask(m), self._mask(n))]
 
     def decompose(self, m) -> frozenset:
         """The generators below m: the e of its down-set."""
         out = self._parts.get(m)
         if out is None:
-            out = self._parts[m] = frozenset(map(self.gens.__getitem__,
-                                                 _bits(self._mask(m))))
+            out = self._parts[m] = self._gens(self._mask(m))
         return out
 
+    def _gens(self, C: int) -> frozenset:
+        return frozenset(map(self.gens.__getitem__, _bits(C)))
+
     def _mask(self, m) -> int:
-        return self._downs[self.lattice.index(m)]
+        return self._masks[self.lattice.index(m)]
 
     def _element(self, C: int):
         return self.lattice.elements[self._at[C]]
@@ -92,7 +89,7 @@ class JModule:
     def _act(self, bi: int, C: int) -> int:  # on masks, b an index into B
         below = self._belows.get(bi)
         if below is None:
-            row = self.B._downs[0][bi]
+            row = self.B.down_rows[bi]
             below = self._belows[bi] = sum(1 << k for k, j in enumerate(self._p)
                                            if row >> j & 1)
         return C & below
@@ -134,8 +131,7 @@ class JModule:
         """
         B, Bel, el = self.B, self.B.elements, self._element
         act, eps = self._act, self._eps
-        rows, row_ix = B._downs  # the meet of i and k is row_ix[rows[i] & rows[k]]
-        bot, top, gens = B.bottom_index, B.top_index, self._down
+        meet, bot, top, gens = B.meet_index, B.bottom_index, B.top_index, self._down
         for j in self._J:
             if act(j, 0):
                 raise NotAModule(f"{Bel[j]!r} does not fix the bottom",
@@ -152,7 +148,7 @@ class JModule:
                     raise NotAModule("scaling a generator leaves it",
                                      witness=(Bel[j], el(d)))
                 for j2 in self._J:
-                    if act(row_ix[rows[j] & rows[j2]], d) != act(j2, jd):
+                    if act(meet(j, j2), d) != act(j2, jd):
                         raise NotAModule("the action is not meet-composition",
                                          witness=(Bel[j], Bel[j2], el(d)))
         for d in gens:
@@ -163,7 +159,7 @@ class JModule:
             for k2, d2 in enumerate(gens):
                 v = eps(d, d2)
                 for j, jd in scaled.items():
-                    w = row_ix[rows[j] & rows[v]]
+                    w = meet(j, v)
                     if eps(jd[k], d2) != w or eps(d, jd[k2]) != w:
                         b, m, n = Bel[j], el(d), el(d2)
                         raise NotDualizable(f"eps not B-linear at ({b!r}, {m!r}, {n!r})",

@@ -258,10 +258,10 @@ class FunctionModule(JModule):
         J = [H.index(j) for j in H.join_irreducibles()]
         w = len(J)
         # per element of H, the J(H) below it as a mask over J's positions
-        row = [sum(1 << k for k, j in enumerate(J) if r >> j & 1) for r in H._downs[0]]
-        self._downs = [sum(row[H.index(h)] << k * w for k, h in enumerate(theta))
+        row = [sum(1 << k for k, j in enumerate(J) if r >> j & 1) for r in H.down_rows]
+        self._masks = [sum(row[H.index(h)] << k * w for k, h in enumerate(theta))
                        for theta in fl.elements]
-        self._at = {D: i for i, D in enumerate(self._downs)}
+        self._at = {D: i for i, D in enumerate(self._masks)}
         E = tuple((H.elements[j], x) for x in fl.domain for j in J)
         super().__init__(H, E, [j for j, _ in E],
                          [row[j] << k * w for k in range(len(fl.domain)) for j in J])
@@ -319,14 +319,17 @@ def inverse_image_via_duality(r: LRelation,
 
 
 def dual_swap(r: LRelation) -> bool:
-    """Dualizing interchanges direct and inverse image."""
-    from .modb import dual_morphism
+    """Dualizing interchanges direct and inverse image.
 
-    dX = selfduality(r.H, r.X)
-    dY = selfduality(r.H, r.Y)
-    direct, inverse = images(r)
-    return (dual_morphism(direct, dX, dY).table == inverse.table
-            and dual_morphism(inverse, dY, dX).table == direct.table)
+    Under duality data the dual g of a map f is the one map with
+    eps(f(theta), psi) = eps(theta, g(psi)), by the triangles, and both
+    sides are joins over the generators in each slot.  So the inverse image
+    is the dual of the direct one once this holds on generator pairs, and
+    with eps symmetric the direct image is then the dual of the inverse."""
+    dX, dY = selfduality(r.H, r.X), selfduality(r.H, r.Y)
+    direct, inverse = (f.table for f in images(r))
+    return all(dY.eps(direct[theta], psi) == dX.eps(theta, inverse[psi])
+               for theta in dX.value.values() for psi in dY.value.values())
 
 
 # -- triangle and diamond diagrams -------------------------------------------

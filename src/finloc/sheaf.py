@@ -63,7 +63,7 @@ def down_and_cover(P: FiniteLocale) -> tuple[dict, dict]:
     order, read off P's down rows with J(P) listed once.  J(down p) is the
     cover of p that refines every other: each of its members is join-prime,
     so it lies below some member of any cover of p."""
-    Pel, rows = P.elements, P._downs[0]
+    Pel, rows = P.elements, P.down_rows
     J = [(P.index(j), j) for j in P.join_irreducibles()]
     down = {p: tuple(map(Pel.__getitem__, _bits(r))) for p, r in zip(Pel, rows)}
     cover = {p: tuple(j for ji, j in J if r >> ji & 1) for p, r in zip(Pel, rows)}
@@ -143,7 +143,7 @@ class DiscreteModule(JModule):
                  sections: tuple, downs: list, jmask: list):
         # downs[i] is the down-set of element i, jmask[g] that of delta[g]
         self.sheaf, self.lattice, self.sections = sheaf, lattice, sections
-        self._downs, self._at = downs, {D: i for i, D in enumerate(downs)}
+        self._masks, self._at = downs, {D: i for i, D in enumerate(downs)}
         gi = {g: k for k, g in enumerate(sheaf.total())}
         super().__init__(sheaf.P, sections, [j for j, _ in sections],
                          [jmask[gi[e]] for e in sections])

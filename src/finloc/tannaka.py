@@ -221,15 +221,11 @@ class CoendArrow:
     name: str
     src: str
     dst: str
-    # F's value, a join-preserving map M -> N, and each functor's dual
-    # N^ -> M^ of its value, called only on generator values of the target
+    # F's value, a join-preserving map M -> N, and its dual N^ -> M^, which
+    # Coend calls only on generator values of the target and trusts to be
+    # the dual: eps_N(morphism(m), n) = eps_M(m, dual(n)) for all m and n
     morphism: Callable
     dual: Callable
-    gdual: Callable | None = None  # the second functor's; defaults to `dual`
-
-    def __post_init__(self):
-        if self.gdual is None:
-            self.gdual = self.dual
 
 
 class Coend:
@@ -267,7 +263,7 @@ class Coend:
             src, dst = self.objects[f.src], self.objects[f.dst]
             psrc, pdst = src.module.presentation, dst.gmodule.presentation
             gsrc = src.gmodule.presentation
-            fb_dec = {b: gsrc.decompose(f.gdual(pdst.value[b])) for b in pdst.gens}
+            fb_dec = {b: gsrc.decompose(f.dual(pdst.value[b])) for b in pdst.gens}
             for a in psrc.gens:
                 fa = f.morphism(psrc.value[a])
                 fa_dec = dst.module.presentation.decompose(fa)

@@ -30,7 +30,7 @@ from finloc.modb import (
     rho_of_lambda,
     transpose_roundtrip_ok,
 )
-from finloc.relation import graph, images, selfduality
+from finloc.relation import dual_swap, graph, images, selfduality
 from hx_oracle import dense_selfduality
 from xd_oracle import dense_check
 
@@ -661,7 +661,8 @@ def test_a_law_failing_only_on_generators_is_a_kernel_error():
 
 def test_no_library_path_builds_a_dense_module(monkeypatch):
     # the étale modules, X_d and H^X are J-modules: with the dense route
-    # refusing to run, reconstruct and the two self-dualities still pass
+    # refusing to run, reconstruct, the two self-dualities and dual_swap
+    # still pass
     import sys
 
     from finloc.fixtures import z_mod
@@ -671,7 +672,7 @@ def test_no_library_path_builds_a_dense_module(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a library path took the dense modb route")
 
-    for name in ("check_duality", "dual_value"):
+    for name in ("check_duality", "dual_value", "dual_morphism"):
         bound = getattr(modb, name)
         for mod in [m for n, m in sys.modules.items() if n.startswith("finloc")]:
             if getattr(mod, name, None) is bound:
@@ -682,6 +683,7 @@ def test_no_library_path_builds_a_dense_module(monkeypatch):
     X = next(X for X in enumerate_sheaves(CH3(), 3) if len(X.total()) == 7)
     assert len(selfdual_Xd(build_Xd(X)).lattice) > 1
     assert len(selfduality(CH3(), (0, 1)).lattice) == 9
+    assert dual_swap(graph({0: "a", 1: "a"}, (0, 1), ("a", "b")))
 
 
 class _Masks(modb.JModule):

@@ -1,5 +1,7 @@
 """Generic coend construction on the small fixture categories."""
 
+from dataclasses import replace
+
 import pytest
 
 from finloc import tannaka
@@ -196,19 +198,18 @@ def test_coend_reads_each_dual_only_at_generators(monkeypatch, coend):
     # an arrow's dual is asked for once per generator of its target, at that
     # generator's value, and at no other element of the target's carrier
     calls = []
-    post_init = CoendArrow.__post_init__
+    init = Coend.__init__
 
-    def spied(arrow):
-        post_init(arrow)
-        gdual = arrow.gdual
+    def spied(self, B, objects, arrows):
+        def spy(f):
+            def dual(n):
+                calls.append((f, n))
+                return f.dual(n)
+            return dual
 
-        def spy(n):
-            calls.append((arrow, n))
-            return gdual(n)
+        init(self, B, objects, [replace(f, dual=spy(f)) for f in arrows])
 
-        arrow.gdual = spy
-
-    monkeypatch.setattr(CoendArrow, "__post_init__", spied)
+    monkeypatch.setattr(Coend, "__init__", spied)
     L = coend()
     for f, n in calls:
         assert n in L.objects[f.dst].gmodule.presentation.value.values()
