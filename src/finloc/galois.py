@@ -36,6 +36,7 @@ from .lattice import (
     FiniteLocale,
     PowerLocale,
     SupMorphism,
+    _bits,
     check_carrier,
     check_locale_morphism,
     locale_morphisms,
@@ -1411,8 +1412,12 @@ def reconstruct(G: FiniteGroupoid) -> ReconstructReport:
     # canonical comparison: each generator goes to its transporter
     assign = {(cname, a, b): transporter(site.objects[cname], b, a)
               for (cname, a, b) in q.gens}
+    # in P(arrows) a transporter's complement stands for its up row, and
+    # the empty union's complement is all ones
+    bit = {f: 1 << k for k, f in enumerate(G.arrows)}
+    rows = [~sum(map(bit.__getitem__, assign[g])) for g in q.gens]
     try:
-        check_relations(q, assign, lambda sets: frozenset().union(*sets))
+        check_relations(q, rows, -1)
     except RelationViolated as exc:
         raise NoIsomorphismFound(
             "the transporter cone does not respect the coend presentation",
@@ -1576,10 +1581,10 @@ def factor_cone(gc: GaloisCoend, A: FiniteLocale, g0, g1, tables: dict,
     _law(bad is None, "the factorization is a locale morphism", bad)
     if candidates is None:
         candidates = locale_morphisms(gc.quotient.locale(), A)
-    closures = [(gc.quotient.gen_class(g).closure, assign[g])
-                for g in gc.quotient.gens]
+    q = gc.quotient
+    closed, want = [q.gen_closure(g) for g in q.gens], [assign[g] for g in q.gens]
     matches = [cand for cand in candidates
-               if all(cand.table[c] == a for c, a in closures)]
+               if list(map(cand.table.__getitem__, closed)) == want]
     _law(len(matches) == 1, "uniqueness of the factorization", len(matches))
     return matches[0]
 
@@ -1623,19 +1628,23 @@ def _validate_cone(gc: GaloisCoend, A: FiniteLocale, g0, g1, tables) -> None:
     triangle law for every generating site map.  The support bound
     t(x, y) <= g0 ∧ g1 follows from the row and column joins."""
     site = gc.site
+    at0 = {o: g0.table[frozenset({o})] for o in gc.G.objects}
+    at1 = {o: g1.table[frozenset({o})] for o in gc.G.objects}
     for cname, act in site.objects.items():
+        anchor = act.anchor
         rep = table_axioms(A, act.carrier, act.carrier, tables[cname],
-                           lambda x: g0.table[frozenset({act.anchor[x]})],
-                           lambda y: g1.table[frozenset({act.anchor[y]})])
+                           lambda x: at0[anchor[x]], lambda y: at1[anchor[y]])
         if rep.witnesses:
             axiom, witness = next(iter(rep.witnesses.items()))
             raise NotACone(f"axiom {axiom} fails at {cname}: {witness!r}",
                            witness=witness)
-    for (name, src, dst, table) in site.maps:
-        ts, td = tables[src], tables[dst]
-        for x in site.objects[src].carrier:
-            for y in site.objects[src].carrier:
-                if not A.leq(ts[(x, y)], td[(table[x], table[y])]):
+    leq = A.leq
+    for (name, src, dst, f) in site.maps:
+        ts, td, C = tables[src], tables[dst], site.objects[src].carrier
+        for x in C:
+            fx = f[x]
+            for y in C:
+                if not leq(ts[x, y], td[fx, f[y]]):
                     raise NotACone(f"triangle law fails along {name}")
 
 
@@ -1652,60 +1661,73 @@ def structural_cone_tables(gc: GaloisCoend, h: SupMorphism) -> dict:
 
 def enumerate_bijection_cones(gc: GaloisCoend, A: FiniteLocale,
                               g0: SupMorphism, g1: SupMorphism):
-    """All triangle-cones of bijection-like tables into (A, g0, g1).
+    """All triangle-cones of bijection-like tables into (A, g0, g1), in
+    product order: over the representables in site order, and on each over
+    its rows in carrier order, the first varying slowest.
 
-    Tables on the representables are searched row by row (rows must decompose
-    the row cap into disjoint pieces under the entry caps), and values on the
-    terminal object are forced.  Every candidate is then validated in full
-    before being yielded.
+    The search runs on A's indices, a table being its rows of indices.  On
+    each representable, every row x is searched entry by entry: the entry
+    at column y is any v in the down row of its cap g0(x) ∧ g1(y), disjoint
+    from the join of the row so far (down[v] & down[used] == down[bottom]),
+    and that join, kept as an AND of up rows, must reach g0(x).  The rows
+    are then stacked in the order of their product, each column's
+    disjointness tested as soon as a row is placed (`_misses`), and its
+    join against g1(y) once the last one is.  Column pruning loses no
+    table.  In the distributive A an entry meets the join of the entries
+    above it iff it meets one of them, so a column is pairwise disjoint iff
+    each entry misses the join of those above it; entries only accumulate,
+    so a stack whose column already overlaps can never become a cone.  The
+    values on the terminal object are forced.
+
+    Every candidate is then validated in full by `_validate_cone`, the
+    second route: it reads only the element tables, with the four axioms
+    on every site object and the triangle law along every site map.
     """
     site = gc.site
     reps = [n for n in site.objects if n.startswith("R[")]
+    els, up, down, at = A.elements, A.up_rows, A.down_rows, A.up_row_index
+    bot = A.bottom_index
+    free = down[bot]  # u and v are disjoint iff down[u] & down[v] is this
+    g0i = {o: A.index(g0.table[frozenset({o})]) for o in gc.G.objects}
+    g1i = {o: A.index(g1.table[frozenset({o})]) for o in gc.G.objects}
+    found = {}  # (cap, column tops) -> its rows, within this call
 
-    def rows_for(act, x, A_elems):
-        cap_row = g0.table[frozenset({act.anchor[x]})]
-        cols = act.carrier
-        caps = [A.meet(cap_row, g1.table[frozenset({act.anchor[y]})])
-                for y in cols]
+    def rows_for(cap, tops):
+        # every row under the caps cap ∧ t, pairwise disjoint, joining to cap
+        if (cap, tops) not in found:
+            rows = [((), bot)]  # (entries so far, their join)
+            for t in tops:
+                below = list(_bits(down[A.meet_index(cap, t)]))
+                rows = [(row + (v,), at[up[used] & up[v]]) for row, used in rows
+                        for v in below if down[v] & down[used] == free]
+            found[cap, tops] = [row for row, used in rows if used == cap]
+        return found[cap, tops]
 
-        def rec(i, used, row):
-            if i == len(cols):
-                if A.join_all(row) == cap_row:
-                    yield tuple(row)
-                return
-            for v in A_elems:
-                if not A.leq(v, caps[i]):
-                    continue
-                if A.meet(v, used) != A.bottom:
-                    continue
-                yield from rec(i + 1, A.join(used, v), row + [v])
+    def tables_for(act):
+        X = act.carrier
+        tops = tuple(g1i[act.anchor[y]] for y in X)
+        stacks = [((), (bot,) * len(X))]  # (rows so far, their column joins)
+        for x in X:
+            stacks = [(done + (row,), tuple(at[up[c] & up[v]] for c, v in zip(cols, row)))
+                      for done, cols in stacks for row in rows_for(g0i[act.anchor[x]], tops)
+                      if _misses(down, free, row, cols)]
+        return [{(x, y): els[v] for x, row in zip(X, done) for y, v in zip(X, row)}
+                for done, cols in stacks if cols == tops]
 
-        yield from rec(0, A.bottom, [])
-
-    def tables_for(rep_name):
-        act = site.objects[rep_name]
-        per_row = [list(rows_for(act, x, A.elements)) for x in act.carrier]
-        col_tops = [g1.table[frozenset({act.anchor[y]})] for y in act.carrier]
-
-        def col_ok(col, top):  # column join and disjointness
-            return A.join_all(col) == top and all(
-                A.meet(col[i], col[j]) == A.bottom
-                for i in range(len(col)) for j in range(i + 1, len(col)))
-
-        for combo in itertools.product(*per_row):
-            if all(map(col_ok, zip(*combo), col_tops)):
-                yield {(x, y): v for x, row in zip(act.carrier, combo)
-                       for y, v in zip(act.carrier, row)}
-
-    for combo in itertools.product(*(list(tables_for(r)) for r in reps)):
+    per_rep = [tables_for(site.objects[r]) for r in reps]
+    term = site.objects["1"].carrier
+    forced = {(o, o2): els[A.meet_index(g0i[o], g1i[o2])] for o in term for o2 in term}
+    for combo in itertools.product(*per_rep):
         tables = dict(zip(reps, combo))
-        term = site.objects["1"]
-        tables["1"] = {
-            (o, o2): A.meet(g0.table[frozenset({o})], g1.table[frozenset({o2})])
-            for o in term.carrier for o2 in term.carrier
-        }
+        tables["1"] = dict(forced)
         try:
             _validate_cone(gc, A, g0, g1, tables)
         except NotACone:
             continue
         yield tables
+
+
+def _misses(down: list, free: int, row, cols) -> bool:
+    """The search's column test: each entry of row misses cols, the join of
+    the entries above it in its column, read off the down rows."""
+    return all(down[v] & down[c] == free for v, c in zip(row, cols))

@@ -84,7 +84,7 @@ class FiniteSupLattice:
     """A finite poset with all joins (hence all meets): a complete lattice."""
 
     __slots__ = ("elements", "_ix", "_up", "_up_ix", "_downs", "_bot_i",
-                 "_top_i")
+                 "_top_i", "_jix")
 
     def __init__(self, elements, up, up_ix, downs, bot_i, top_i):
         # Trusted constructor; build_suplattice, from_order and
@@ -97,6 +97,7 @@ class FiniteSupLattice:
         self._downs = downs
         self._bot_i = bot_i
         self._top_i = top_i
+        self._jix = None  # J(L)'s indices, read once by join_irreducible_indices
 
     # -- construction ---------------------------------------------------
 
@@ -204,7 +205,7 @@ class FiniteSupLattice:
         try:
             return self._ix[x]
         except KeyError:
-            raise DomainMismatch(f"{x!r} is not an element of this lattice") from None
+            raise self._outsider(x) from None
 
     def __contains__(self, x):
         return x in self._ix
@@ -223,27 +224,48 @@ class FiniteSupLattice:
     def top(self):
         return self.elements[self._top_i]
 
+    # leq, join, meet and join_all read the element index dict directly,
+    # not through index(): they are the calls every element-level check
+    # makes, and a miss still raises index()'s DomainMismatch
     def leq(self, x, y) -> bool:
-        return (self._up[self.index(x)] >> self.index(y)) & 1 == 1
+        ix = self._ix
+        try:
+            return (self._up[ix[x]] >> ix[y]) & 1 == 1
+        except KeyError:
+            raise self._outsider(x, y) from None
 
     # the join of x and y is the element whose up-set row is up[x] & up[y],
     # their meet the one whose down-set row is down[x] & down[y]
     def join(self, x, y):
-        up = self._up
-        return self.elements[self._up_ix[up[self.index(x)] & up[self.index(y)]]]
+        up, ix = self._up, self._ix
+        try:
+            return self.elements[self._up_ix[up[ix[x]] & up[ix[y]]]]
+        except KeyError:
+            raise self._outsider(x, y) from None
 
     def meet(self, x, y):
-        down, down_ix = self._downs
-        return self.elements[down_ix[down[self.index(x)] & down[self.index(y)]]]
+        (down, down_ix), ix = self._downs, self._ix
+        try:
+            return self.elements[down_ix[down[ix[x]] & down[ix[y]]]]
+        except KeyError:
+            raise self._outsider(x, y) from None
 
     def join_all(self, xs: Iterable):
-        # join_index's fold, inlined: join_all is called per element of
-        # every morphism locale_morphisms builds
-        up, index = self._up, self.index
+        # join_index's fold on elements; .get, since a KeyError raised while
+        # xs is consumed belongs to the caller
+        up, get = self._up, self._ix.get
         u = up[self._bot_i]  # the bottom's up row is all ones
         for x in xs:
-            u &= up[index(x)]
+            i = get(x)
+            if i is None:
+                raise self._outsider(x)
+            u &= up[i]
         return self.elements[self._up_ix[u]]
+
+    def _outsider(self, *xs) -> DomainMismatch:
+        """index()'s error for the first of xs that is not an element."""
+        x = next(x for x in xs if x not in self._ix)
+        return DomainMismatch(f"{x!r} is not an element of this lattice")
 
     def down_set(self, x):
         xi = self.index(x)
@@ -283,16 +305,32 @@ class FiniteSupLattice:
         down, down_ix = self._downs
         return list(map(down_ix.__getitem__, map(down[i].__and__, down)))
 
-    def join_irreducibles(self) -> tuple:
-        """Elements that are not the join of their strict down-set.
+    @property
+    def up_rows(self) -> list:
+        """up_rows[i] masks the indices of the elements above element i."""
+        return self._up
+
+    @property
+    def up_row_index(self) -> dict:
+        """up_row_index[u] is the index of the element whose up row is u."""
+        return self._up_ix
+
+    def join_irreducible_indices(self) -> tuple:
+        """The indices of J(L), ascending, found once per lattice.
 
         j is join-irreducible iff its strict down-set is principal, i.e. is
         the down-set row of its one lower cover.  The bottom's strict
         down-set is empty, and no row is.
         """
-        down, down_ix = self._downs
-        return tuple(e for i, e in enumerate(self.elements)
-                     if down[i] & ~(1 << i) in down_ix)
+        if self._jix is None:
+            down, down_ix = self._downs
+            self._jix = tuple(i for i, d in enumerate(down)
+                              if d & ~(1 << i) in down_ix)
+        return self._jix
+
+    def join_irreducibles(self) -> tuple:
+        """Elements that are not the join of their strict down-set."""
+        return tuple(map(self.elements.__getitem__, self.join_irreducible_indices()))
 
     def __repr__(self):
         return f"<{type(self).__name__} {len(self.elements)} elements>"
@@ -394,11 +432,26 @@ def build_suplattice(elements, leq_pairs) -> FiniteSupLattice:
 def is_frame(L: FiniteSupLattice):
     """Finite frame law: a ∧ (y ∨ z) = (a ∧ y) ∨ (a ∧ z) for all triples.
 
-    L is a frame iff every map a ∧ − preserves joins, tested on each meet
-    row by `join_failure`.  Returns (True, None) or (False, (a, y, z)) with
-    the first bad triple in canonical element order: the first failing row
-    is scanned for its first bad pair.
+    Decided by the κ test: a finite lattice is a frame iff it is
+    distributive iff every j in J(L) is join-prime, and j is join-prime iff
+    {x : j ≰ x}, the complement of j's up row, is a principal down-set, one
+    lookup among the down rows.  If j is join-prime, that set is a down-set
+    closed under binary joins, so its join is its greatest element; if it
+    is the down-set of some m, then j ≰ a and j ≰ b give a ∨ b ≤ m, so
+    j ≰ a ∨ b.  Join-prime join-irreducibles make x ↦ {j ∈ J(L) : j ≤ x}
+    preserve binary joins as well as meets, and it is one-to-one since every
+    x is the join of the j below it, so L is a sublattice of P(J(L)); the
+    converse holds in any distributive lattice: j ≤ a ∨ b gives
+    j = (j ∧ a) ∨ (j ∧ b).
+
+    Returns (True, None), or (False, (a, y, z)) with the first bad triple in
+    canonical element order: only when the κ test fails is each meet row
+    tested by `join_failure`, and the first failing row scanned for its
+    first bad pair.
     """
+    up, (down, down_ix), full = L._up, L._downs, (1 << len(L.elements)) - 1
+    if all(full & ~up[j] in down_ix for j in L.join_irreducible_indices()):
+        return True, None
     els, jn = L.elements, L.join_index
     for a in range(len(els)):
         row = L.meet_row(a)
@@ -406,7 +459,8 @@ def is_frame(L: FiniteSupLattice):
             y, z = next((y, z) for y in range(len(els)) for z in range(len(els))
                         if row[jn((y, z))] != jn((row[y], row[z])))
             return False, (els[a], els[y], els[z])
-    return True, None
+    raise Mismatch("a join-irreducible is not join-prime, yet every meet "
+                   "row preserves joins")
 
 
 class FiniteLocale(FiniteSupLattice):
@@ -443,17 +497,22 @@ class SupMorphism:
     __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: FiniteSupLattice, cod: FiniteSupLattice, table: dict):
-        missing = [x for x in dom.elements if x not in table]
-        if missing:
-            raise DomainMismatch(f"map undefined on {missing[0]!r}")
-        for x, y in table.items():
-            if x not in dom:
-                raise DomainMismatch(f"{x!r} is not in the domain")
-            if y not in cod:
-                raise DomainMismatch(f"value {y!r} is not in the codomain")
+        table = dict(table)
+        # a key-view comparison and a membership sweep decide the common
+        # case; only a fault runs the loops that name it
+        if table.keys() != dom._ix.keys() or not all(map(cod._ix.__contains__,
+                                                         table.values())):
+            missing = [x for x in dom.elements if x not in table]
+            if missing:
+                raise DomainMismatch(f"map undefined on {missing[0]!r}")
+            for x, y in table.items():
+                if x not in dom:
+                    raise DomainMismatch(f"{x!r} is not in the domain")
+                if y not in cod:
+                    raise DomainMismatch(f"value {y!r} is not in the codomain")
         self.dom = dom
         self.cod = cod
-        self.table = dict(table)
+        self.table = table
 
     def __call__(self, x):
         return self.table[x]
@@ -521,6 +580,7 @@ def _dual(L: FiniteSupLattice) -> FiniteSupLattice:
     D = object.__new__(FiniteSupLattice)
     D.elements, D._ix, D._bot_i, D._top_i = L.elements, L._ix, L._top_i, L._bot_i
     (D._up, D._up_ix), D._downs = L._downs, (L._up, L._up_ix)
+    D._jix = None  # J of the dual is L's meet-irreducibles, not L's J
     return D
 
 
@@ -707,26 +767,39 @@ def locale_morphisms(L: FiniteLocale, A: FiniteLocale) -> tuple[SupMorphism, ...
     phi is monotone.  Conversely every monotone phi gives the locale morphism
     f(x) = V{p in J(A) : phi(p) <= x}, and f determines phi, so each
     morphism is built exactly once and none needs checking.
+
+    On indices: phi is extended along J(A) by down-set size, a linear
+    extension, and phi(p) may be any v in J(L) inside the AND of L's up
+    rows of the phi(q), q < p.  f(x) is the element whose up row is the AND
+    of A's up rows of the p with x in L's up row of phi(p); each table is
+    turned into elements once, for its SupMorphism.
     """
     if not isinstance(L, FiniteLocale) or not isinstance(A, FiniteLocale):
         raise DomainMismatch("locale morphism endpoints must be locales")
-    jl = L.join_irreducibles()
-    ja = sorted(A.join_irreducibles(), key=lambda p: len(A.down_set(p)))
+    lup, aup, adown = L._up, A._up, A._downs[0]
+    jl = L.join_irreducible_indices()
+    ja = sorted(A.join_irreducible_indices(), key=lambda p: adown[p].bit_count())
+    # below[k]: the positions in ja of the q < ja[k]
+    below = [[i for i, q in enumerate(ja[:k]) if adown[p] >> q & 1]
+             for k, p in enumerate(ja)]
+    Lel, Ael, a_at, top = L.elements, A.elements, A._up_ix, aup[A._bot_i]
     out = []
 
-    def extend(phi: dict):
-        if len(phi) == len(ja):
-            out.append(SupMorphism(L, A, {
-                x: A.join_all(p for p in ja if L.leq(phi[p], x))
-                for x in L.elements}))
+    def extend(phi: list):
+        k = len(phi)
+        if k == len(ja):
+            f = [top] * len(Lel)
+            for p, v in zip(ja, phi):
+                for x in _bits(lup[v]):
+                    f[x] &= aup[p]
+            out.append(SupMorphism(L, A, dict(zip(Lel, (Ael[a_at[u]] for u in f)))))
             return
-        p = ja[len(phi)]  # ja is a linear extension: all q < p have values
-        below = [phi[q] for q in phi if A.leq(q, p)]
+        allowed = functools.reduce(operator.and_, (lup[phi[i]] for i in below[k]), -1)
         for v in jl:
-            if all(L.leq(u, v) for u in below):
-                extend({**phi, p: v})
+            if allowed >> v & 1:
+                extend(phi + [v])
 
-    extend({})
+    extend([])
     return tuple(out)
 
 

@@ -44,7 +44,7 @@ class JModule:
     def __init__(self, B: FiniteLocale, E, p, down):
         self.B, self.gens, self._down = B, tuple(E), list(down)
         self.module = self.dual = self.presentation = self
-        self._J = [B.index(j) for j in B.join_irreducibles()]
+        self._J = B.join_irreducible_indices()
         self._p = [B.index(pe) if pe in B else None for pe in p]
         rows, J = B.down_rows, set(self._J)
         for k, (e, d) in enumerate(zip(self.gens, self._down)):
@@ -269,8 +269,8 @@ def _column_violation(B, M, A, ms, bs) -> Violation | None:
     return None
 
 
-def _irreducible_indices(L: FiniteSupLattice) -> list:
-    return list(map(L.index, L.join_irreducibles()))
+def _irreducible_indices(L: FiniteSupLattice) -> tuple:
+    return L.join_irreducible_indices()
 
 
 def _decided(scan, *lattices):

@@ -106,6 +106,7 @@ class PresentedSupLattice:
                 self._by_gen[g].append(r)
         self._premlen = [len(p) for p, _ in rules]
         self._gen_closures = {}
+        self._relation_ix = self._closed_ix = None  # index forms, on first use
         self._lattice = None
         self._locale = None
 
@@ -150,13 +151,19 @@ class PresentedSupLattice:
 
     def gen_class(self, g) -> PElement:
         """The class of generator g, with its closure computed once per
-        presentation.  The cache holds closures, not elements, so that it
-        keeps no reference back to the presentation."""
+        presentation."""
         el = self.element((g,))
-        el._closure = self._gen_closures.get(g)
-        if el._closure is None:
-            self._gen_closures[g] = el.closure
+        el._closure = self.gen_closure(g)
         return el
+
+    def gen_closure(self, g) -> frozenset:
+        """The closure of generator g, computed once per presentation.  The
+        cache holds closures, not elements, so that it keeps no reference
+        back to the presentation."""
+        c = self._gen_closures.get(g)
+        if c is None:
+            c = self._gen_closures[g] = self.closure((g,))
+        return c
 
     @property
     def bottom(self) -> PElement:
@@ -212,30 +219,72 @@ class PresentedSupLattice:
                 f"{len(self.presentation.relations)} relations>")
 
 
-def check_relations(q: PresentedSupLattice, assign: dict, join_all) -> None:
-    """The generator assignment is defined everywhere and sends both sides of
-    every relation to one `join_all`, so it extends to a sup-morphism out of
-    the quotient; raises RelationViolated with the failing relation."""
-    for g in q.gens:
-        if g not in assign:
-            raise DomainMismatch(f"assignment undefined on generator {g!r}")
-    for s, t in q.presentation.relations:
-        lhs = join_all(assign[g] for g in s)
-        rhs = join_all(assign[g] for g in t)
+def _relation_indices(q: PresentedSupLattice) -> list:
+    """(S, T) and their generator indices for each relation of q, built once
+    per presentation.  A relation whose sides are equal, or that repeats an
+    earlier one in either orientation, is left out: it fails exactly when
+    that earlier one does, and so can never be the first to fail."""
+    if q._relation_ix is None:
+        gi, seen, out = q._gi, set(), []
+        for s, t in q.presentation.relations:
+            if s != t and frozenset((s, t)) not in seen:
+                seen.add(frozenset((s, t)))
+                out.append((s, t, tuple(map(gi.__getitem__, s)),
+                            tuple(map(gi.__getitem__, t))))
+        q._relation_ix = out
+    return q._relation_ix
+
+
+def _closed_indices(q: PresentedSupLattice) -> list:
+    """Each element of q.lattice(), a closed set, as the tuple of its
+    generator indices, built once per presentation."""
+    if q._closed_ix is None:
+        gi = q._gi
+        q._closed_ix = [tuple(map(gi.__getitem__, c)) for c in q.lattice().elements]
+    return q._closed_ix
+
+
+def check_relations(q: PresentedSupLattice, rows: list, top: int) -> None:
+    """rows[i] is the up row of generator i's image, so a join is the AND
+    of rows from `top`, the empty join's row.  Both sides of every relation
+    must have one join, so that the assignment extends to a sup-morphism
+    out of the quotient; raises RelationViolated with the first relation
+    that fails.  In a power set, the complement of a set can stand for its
+    up row: the complement of a union is the AND of the complements."""
+    for s, t, si, ti in _relation_indices(q):
+        lhs = rhs = top
+        for i in si:
+            lhs &= rows[i]
+        for i in ti:
+            rhs &= rows[i]
         if lhs != rhs:
-            raise RelationViolated(
-                f"assignment sends relation sides to {lhs!r} != {rhs!r}",
-                witness=(s, t),
-            )
+            raise RelationViolated("assignment sends the sides of a relation "
+                                   "to different joins", witness=(s, t))
 
 
 def induced_morphism(q: PresentedSupLattice, assign: dict,
                      M: FiniteSupLattice) -> SupMorphism:
     """The unique sup-morphism from the quotient extending a relation-respecting
-    generator assignment, tabulated on the materialized quotient."""
-    check_relations(q, assign, M.join_all)
-    lat = q.lattice()
-    table = {c: M.join_all(assign[g] for g in c) for c in lat.elements}
+    generator assignment, tabulated on the materialized quotient.
+
+    On M's up rows: each generator's value is read once as its up row, the
+    relations are checked on those rows (`check_relations`), and each
+    closed set's value is the element whose up row is the AND of its
+    generators' rows; elements come back only for the table."""
+    for g in q.gens:
+        if g not in assign:
+            raise DomainMismatch(f"assignment undefined on generator {g!r}")
+    up = M.up_rows
+    rows = [up[M.index(assign[g])] for g in q.gens]
+    top = up[M.bottom_index]
+    check_relations(q, rows, top)
+    lat, els, at = q.lattice(), M.elements, M.up_row_index
+    table = {}
+    for c, gi in zip(lat.elements, _closed_indices(q)):
+        u = top
+        for i in gi:
+            u &= rows[i]
+        table[c] = els[at[u]]
     return SupMorphism(lat, M, table)
 
 

@@ -115,40 +115,53 @@ def table_axioms(M: FiniteSupLattice, X, Y, t: dict, row_top, col_top,
     searched pair by pair only when one of its entries meets the join of
     those before it.
     """
-    rows = {x: [t[(x, y)] for y in Y] for x in X}
-    cols = {y: [t[(x, y)] for x in X] for y in Y}
+    rows = [[t[x, y] for y in Y] for x in X]
+    cols = list(zip(*rows)) if rows else [()] * len(Y)
+    wit = {}
+    for axiom, found in (("ed", _gap(M, X, rows, row_top)),
+                         ("uv", _overlap(M, X, rows, Y, bracket_y)),
+                         ("su", _gap(M, Y, cols, col_top)),
+                         ("in", _overlap(M, Y, cols, X, bracket_x))):
+        if found is not None:
+            wit[axiom] = found
+    if "in" in wit:
+        y, x1, x2 = wit["in"]
+        wit["in"] = (x1, x2, y)
+    return AxiomReport("ed" not in wit, "uv" not in wit, "su" not in wit,
+                       "in" not in wit, wit)
 
-    def gap(lines, top):
-        return next(((a,) for a, line in lines.items()
-                     if M.join_all(line) != top(a)), None)
 
-    def disjoint(line):
-        # no entry meets the join of those before it; an entry meeting an
-        # earlier one meets that join, so this never passes a line with an
-        # overlap, and in a distributive M it fails only on one
-        for k in range(1, len(line)):
-            acc = line[0] if k == 1 else M.join(acc, line[k - 1])
-            if not M.leq(M.meet(acc, line[k]), M.bottom):
-                return False
-        return True
+def _gap(M, keys, lines, top):
+    """(a,) for the first line a that does not join to top(a), or None."""
+    join_all = M.join_all
+    for a, line in zip(keys, lines):
+        if join_all(line) != top(a):
+            return (a,)
+    return None
 
-    def overlap(lines, C, bracket):
-        for a, line in lines.items():
-            if not bracket and disjoint(line):
+
+def _overlap(M, keys, lines, C, bracket):
+    """(a, c1, c2) for the first entries of a line a, at c1 and c2, that
+    meet above their bound, or None."""
+    join, meet, leq, bottom = M.join, M.meet, M.leq, M.bottom
+    for a, line in zip(keys, lines):
+        if not bracket:
+            # no entry meets the join of those before it; an entry meeting
+            # an earlier one meets that join, so this never passes a line
+            # with an overlap, and in a distributive M it fails only on one
+            acc = bottom
+            for v in line:
+                if meet(acc, v) != bottom:  # below the bottom is the bottom
+                    break
+                acc = join(acc, v)
+            else:
                 continue
-            for i, c in enumerate(C):
-                for j in range(i if bracket else i + 1, len(C)):
-                    bound = bracket(c, C[j]) if bracket else M.bottom
-                    if not M.leq(M.meet(line[i], line[j]), bound):
-                        return a, c, C[j]
-        return None
-
-    bad_in = overlap(cols, X, bracket_x)
-    wit = {"ed": gap(rows, row_top), "uv": overlap(rows, Y, bracket_y),
-           "su": gap(cols, col_top),
-           "in": bad_in and (bad_in[1], bad_in[2], bad_in[0])}
-    wit = {k: w for k, w in wit.items() if w is not None}
-    return AxiomReport(*(k not in wit for k in ("ed", "uv", "su", "in")), wit)
+        for i, c in enumerate(C):
+            for j in range(i if bracket else i + 1, len(C)):
+                bound = bracket(c, C[j]) if bracket else bottom
+                if not leq(meet(line[i], line[j]), bound):
+                    return a, c, C[j]
+    return None
 
 
 def check_axioms(r: LRelation) -> AxiomReport:
@@ -255,7 +268,7 @@ class FunctionModule(JModule):
 
     def __init__(self, fl: FunctionLocale):
         H, self.lattice = fl.base, fl
-        J = [H.index(j) for j in H.join_irreducibles()]
+        J = H.join_irreducible_indices()
         w = len(J)
         # per element of H, the J(H) below it as a mask over J's positions
         row = [sum(1 << k for k, j in enumerate(J) if r >> j & 1) for r in H.down_rows]

@@ -64,7 +64,7 @@ def down_and_cover(P: FiniteLocale) -> tuple[dict, dict]:
     cover of p that refines every other: each of its members is join-prime,
     so it lies below some member of any cover of p."""
     Pel, rows = P.elements, P.down_rows
-    J = [(P.index(j), j) for j in P.join_irreducibles()]
+    J = [(ji, Pel[ji]) for ji in P.join_irreducible_indices()]
     down = {p: tuple(map(Pel.__getitem__, _bits(r))) for p, r in zip(Pel, rows)}
     cover = {p: tuple(j for ji, j in J if r >> ji & 1) for p, r in zip(Pel, rows)}
     return down, cover
