@@ -1569,19 +1569,18 @@ def factor_cone(gc: GaloisCoend, A: FiniteLocale, g0, g1, tables: dict,
     materialized coend to A (they only depend on the pair of locales)."""
     if validate:
         _validate_cone(gc, A, g0, g1, tables)
-    assign = {(cname, a, b): tables[cname][(a, b)]
-              for (cname, a, b) in gc.quotient.gens}
+    q = gc.quotient
+    assign = {(cname, a, b): tables[cname][(a, b)] for (cname, a, b) in q.gens}
     try:
-        h = induced_morphism(gc.quotient, assign, A)
+        h = induced_morphism(q, assign, A)
     except RelationViolated as exc:
         raise NotACone("the family does not respect the coend presentation",
                        witness=exc.witness) from exc
-    h = SupMorphism(gc.quotient.locale(), A, h.table)
+    h = SupMorphism(q.locale(), A, h.table)
     bad = check_locale_morphism(h)
     _law(bad is None, "the factorization is a locale morphism", bad)
     if candidates is None:
-        candidates = locale_morphisms(gc.quotient.locale(), A)
-    q = gc.quotient
+        candidates = locale_morphisms(q.locale(), A)
     closed, want = [q.gen_closure(g) for g in q.gens], [assign[g] for g in q.gens]
     matches = [cand for cand in candidates
                if list(map(cand.table.__getitem__, closed)) == want]
